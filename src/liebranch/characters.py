@@ -13,8 +13,6 @@ group).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .rootsys import LieError, ProductSystem, root_system
 
 # beyond this module dimension the command line refuses to enumerate
@@ -49,28 +47,6 @@ def dominant_weights(rs, lam):
     return sorted(seen, key=rs.height_key, reverse=True)
 
 
-def _root_coefficients(rs, diff):
-    """Expansion of a weight-lattice element over the simple roots."""
-    n = rs.rank
-    M = [[Fraction(rs.C[i][j]) for j in range(n)] + [Fraction(diff[i])] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if M[r][col] != 0)
-        M[col], M[piv] = M[piv], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    out = []
-    for r in range(n):
-        v = M[r][n]
-        if v.denominator != 1:
-            raise LieError(f"{diff} is not in the root lattice")
-        out.append(int(v))
-    return out
-
-
 def dominant_character(t, lam):
     """{dominant weight: multiplicity} for the module with h.w. lam."""
     rs = root_system(t) if not hasattr(t, "positive_roots") else t
@@ -94,7 +70,7 @@ def dominant_character(t, lam):
                     break
                 num += m_up * rs.pair_wr(nu, a)
                 t_step += 1
-        coeffs = _root_coefficients(rs, [x - y for x, y in zip(lam, mu)])
+        coeffs = rs.root_coefficients([x - y for x, y in zip(lam, mu)])
         shifted = [x + y + 2 for x, y in zip(lam, mu)]
         denom = sum(c * d * s for c, d, s in zip(coeffs, rs.d, shifted))
         q, r = divmod(2 * num, denom)

@@ -21,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .linalg import SpanQ
 from .rootsys import SimpleType, root_system
 
 
@@ -208,61 +209,47 @@ class ChevalleyBasis:
 
         ad u must be nilpotent (this is not checked; the loop runs until the
         iterate vanishes, at most dim steps).  With ``prime`` set, works in
-        Z/p with modular inverses for the division by k!; otherwise exact.
+        Z/p, which needs p > dim for the division by k; otherwise exactly
+        over Q, returning Fractions.
         """
         n = self.dim
         if prime is None:
-            acc = [Fraction(x) for x in v]
-            w = list(acc)
-            for k in range(1, n + 1):
-                nw = [Fraction(0)] * n
-                for j in range(n):
-                    c = w[j]
-                    if c:
-                        for i, a in ad_cols[j].items():
-                            nw[i] += c * a
-                w = [x / k for x in nw]
-                if not any(w):
-                    break
-                for i in range(n):
-                    if w[i]:
-                        acc[i] += w[i]
-            return acc
-        p = prime
-        acc = [x % p for x in v]
-        w = list(acc)
+            def scale(vec, k):
+                return [Fraction(x, k) for x in vec]
+        else:
+            def scale(vec, k):
+                kin = pow(k, -1, prime)
+                return [x * kin % prime for x in vec]
+        w = scale(v, 1)
+        acc = list(w)
         for k in range(1, n + 1):
             nw = [0] * n
-            for j in range(n):
-                c = w[j]
+            for j, c in enumerate(w):
                 if c:
                     for i, a in ad_cols[j].items():
-                        nw[i] = (nw[i] + c * a) % p
-            kin = pow(k, -1, p)
-            w = [(x * kin) % p for x in nw]
+                        nw[i] += c * a
+            w = scale(nw, k)
             if not any(w):
                 break
-            for i in range(n):
-                if w[i]:
-                    acc[i] = (acc[i] + w[i]) % p
-        return acc
+            for i, c in enumerate(w):
+                if c:
+                    acc[i] += c
+        return scale(acc, 1)
 
-    def centralizer(self, vectors):
-        """Basis of the centralizer of the given elements, dense rows over Q."""
-        from .linalg import SpanQ
-
-        n = self.dim
-        span = SpanQ(n)
+    def centralizer(self, vectors, block=None):
+        """Basis of the elements of span(e_k : k in block) commuting with all
+        the given elements, as dense rows over Q (block: all of g by default)."""
+        block = list(range(self.dim) if block is None else block)
+        span = SpanQ(len(block))
         for v in vectors:
-            cols = [self.bracket({j: 1}, v) for j in range(n)]
-            for i in range(n):
-                span.add([cols[j].get(i, 0) for j in range(n)])
+            cols = [self.bracket({k: 1}, v) for k in block]
+            for i in sorted(set().union(*cols)):
+                span.add([col.get(i, 0) for col in cols])
         basis = []
-        for f in span.nonpivot_columns():
-            vec = [Fraction(0)] * n
-            vec[f] = Fraction(1)
-            for row, p in zip(span.rows, span.pivots):
-                vec[p] = -row[f]
+        for kv in span.kernel():
+            vec = [Fraction(0)] * self.dim
+            for k, c in zip(block, kv):
+                vec[k] = c
             basis.append(vec)
         for bvec in basis:
             bu = {j: c for j, c in enumerate(bvec) if c}

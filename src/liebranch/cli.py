@@ -159,6 +159,8 @@ def cmd_branch(args):
     g = _ambient(args.group)
     if args.degree < 0:
         raise LieError("degree must be nonnegative")
+    if args.kmax is not None and args.kmax < 1:
+        raise LieError(f"--kmax must be at least 1, got {args.kmax}")
     try:
         entry = load_rules(args.data).get(str(g), args.subgroup, args.node)
     except LieError as e:

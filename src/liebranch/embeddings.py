@@ -257,30 +257,13 @@ class Embedding:
         minus_idx = [cb.root_index[neg(a)] for a in rs.positive_roots if a[o] == 1]
 
         def invariant_line(block):
-            # solve [gen, v] = 0 for v in the span of the block indices; the
-            # bracket of a Levi element with the block stays in the block
-            pos = {k: i for i, k in enumerate(block)}
-            nb = len(block)
-            span = SpanQ(nb)
-            for gen in xg + yg:
-                cols = []
-                for k in block:
-                    img = cb.bracket(gen, {k: 1})
-                    assert all(kk in pos for kk in img), self.name
-                    cols.append(img)
-                for i, k in enumerate(block):
-                    span.add([cols[c].get(k, 0) for c in range(nb)])
-            free = span.nonpivot_columns()
-            if len(free) != 1:
+            basis = cb.centralizer(xg + yg, block)
+            if len(basis) != 1:
                 raise LieError(
-                    f"{self.name}: invariant block rank unexpected ({len(free)})"
+                    f"{self.name}: invariant block rank unexpected ({len(basis)})"
                 )
-            vec = [Fraction(0)] * nb
-            vec[free[0]] = Fraction(1)
-            for row, p in zip(span.rows, span.pivots):
-                vec[p] = -row[free[0]]
-            ints = clear_denominators(vec)
-            return {k: c for k, c in zip(block, ints) if c}
+            ints = clear_denominators(basis[0])
+            return {k: c for k, c in enumerate(ints) if c}
 
         E = invariant_line(plus_idx)
         F = invariant_line(minus_idx)

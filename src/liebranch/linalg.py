@@ -1,8 +1,9 @@
 """Exact linear algebra over Q and over prime fields.
 
-Vectors are dense lists of Fraction/int; the workhorse is an incremental
-row-echelon span (SpanQ) used for rank counting and for projecting onto a
-complement of a spanned subspace.
+Vectors are dense lists of Fraction/int.  The incremental reduced
+row-echelon span SpanQ is the only elimination over Q in the package: it
+counts ranks, projects onto a complement of a spanned subspace, solves
+for nullspaces (``kernel``) and inverts matrices (``inverse``).
 """
 
 from __future__ import annotations
@@ -53,11 +54,23 @@ class SpanQ:
         self.pivot_set.add(p)
         return True
 
-    def contains(self, vec) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
-
     def nonpivot_columns(self):
         return [j for j in range(self.dim) if j not in self.pivot_set]
+
+    def kernel(self):
+        """Basis of the vectors annihilated by every added row.
+
+        One basis vector per non-pivot column f: 1 at f, minus the f-entry
+        of each reduced row at that row's pivot, 0 elsewhere.
+        """
+        basis = []
+        for f in self.nonpivot_columns():
+            vec = [Fraction(0)] * self.dim
+            vec[f] = Fraction(1)
+            for row, p in zip(self.rows, self.pivots):
+                vec[p] = -row[f]
+            basis.append(vec)
+        return basis
 
 
 class SpanMod:
@@ -92,19 +105,21 @@ class SpanMod:
         return True
 
 
-def rank_exact(rows, dim):
-    """Rank over Q of an iterable of vectors of length ``dim``."""
-    span = SpanQ(dim)
-    for r in rows:
-        span.add(r)
-    return span.rank
+def inverse(M):
+    """Exact inverse of an invertible square matrix, as rows of Fractions.
 
-
-def rank_mod(rows, dim, p):
-    span = SpanMod(dim, p)
-    for r in rows:
-        span.add(r)
-    return span.rank
+    Reduces the rows of [M | I]: each reduced row is [e_p | row p of M^-1].
+    """
+    n = len(M)
+    span = SpanQ(2 * n)
+    for i, row in enumerate(M):
+        span.add(list(row) + [int(i == j) for j in range(n)])
+    if max(span.pivots) >= n:
+        raise ValueError("matrix is singular")
+    inv = [None] * n
+    for row, p in zip(span.rows, span.pivots):
+        inv[p] = row[n:]
+    return inv
 
 
 def clear_denominators(vec):

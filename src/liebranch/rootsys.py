@@ -18,8 +18,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+
+from .linalg import inverse
 
 
 class LieError(ValueError):
@@ -210,8 +211,10 @@ class RootSystem:
         self.highest_root = self.positive_roots[-1]
         self.rho = (1,) * self.rank
         self.dual_perm = self._dual_permutation()
-        # <omega_j, 2 rho^vee> as exact fractions, for height-style keys
-        self._two_rho_covector = _solve_transposed(self.C, [2] * self.rank)
+        # weight coordinates -> simple-root coordinates
+        self.C_inv = inverse(self.C)
+        # <omega_j, 2 rho^vee>, twice the height of omega_j: for height keys
+        self._two_rho_covector = [2 * sum(col) for col in zip(*self.C_inv)]
 
     # -- construction --------------------------------------------------
 
@@ -360,19 +363,8 @@ class RootSystem:
         order = 1
         for comp in diagram_components(self.C, zero):
             ct = component_type(self.C, self.d, comp)
-            order *= RootSystem.weyl_order_of(ct)
+            order *= root_system(ct).weyl_order()
         return order
-
-    @staticmethod
-    def weyl_order_of(t: SimpleType):
-        fam, n = t.family, t.rank
-        if fam == "A":
-            return math.factorial(n + 1)
-        if fam in ("B", "C"):
-            return (1 << n) * math.factorial(n)
-        if fam == "D":
-            return (1 << (n - 1)) * math.factorial(n)
-        return _EXCEPTIONAL_WEYL_ORDER[str(t)]
 
     def orbit_size(self, lam):
         dom, _ = self.dominant_signed(lam)
@@ -409,21 +401,15 @@ class RootSystem:
         """<mu, 2 rho^vee>: a linear functional positive on positive roots."""
         return sum(c * x for c, x in zip(self._two_rho_covector, mu))
 
-
-def _solve_transposed(C, rhs):
-    """Solve C^T x = rhs exactly (small dense system over Q)."""
-    n = len(C)
-    M = [[Fraction(C[j][i]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if M[r][col] != 0)
-        M[col], M[piv] = M[piv], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [M[r][n] for r in range(n)]
+    def root_coefficients(self, mu):
+        """Expansion of a weight over the simple roots (integer list)."""
+        out = []
+        for row in self.C_inv:
+            v = sum(c * x for c, x in zip(row, mu))
+            if v.denominator != 1:
+                raise LieError(f"{list(mu)} is not in the root lattice")
+            out.append(int(v))
+        return out
 
 
 @lru_cache(maxsize=None)

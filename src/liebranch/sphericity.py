@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 from .chevalley import chevalley_basis, neg
 from .embeddings import Embedding
-from .linalg import SpanMod, SpanQ, derive_prime
+from .linalg import SpanMod, SpanQ, derive_prime, is_probable_prime
 from .rootsys import LieError, SimpleType, TypeSpec, root_system
 
 
@@ -282,7 +282,21 @@ class ClassifyRow:
 
 
 def classify_pair(emb: Embedding, node: int, seed=0, trials=8, prime="auto"):
-    """Decide sphericity of G/P_node under one catalog subgroup."""
+    """Decide sphericity of G/P_node under one catalog subgroup.
+
+    ``prime`` is "auto" (derived from the seed), "off"/None (ranks over
+    Q), or a prime above dim g, so that exp(ad n) can divide by every k.
+    """
+    if trials < 1:
+        raise LieError(f"trials must be at least 1, got {trials}")
+    p = None
+    if prime not in ("auto", "off", None):
+        p = int(prime)
+        dim = chevalley_basis(emb.ambient).dim
+        if not (p > dim and is_probable_prime(p)):
+            raise LieError(
+                f"modulus must be a prime above dim {emb.ambient} = {dim}, got {p}"
+            )
     fd = flag_dimension(emb.ambient, node)
     bd = emb.borel_dim()
     if bd < fd:
@@ -305,11 +319,8 @@ def classify_pair(emb: Embedding, node: int, seed=0, trials=8, prime="auto"):
         return ClassifyRow(
             emb.name, emb.kind, node, fd, bd, "not-spherical", "orbit", "sampled"
         )
-    p = None
     if prime == "auto":
         p = derive_prime(subseed(seed, "prime", emb.name, node))
-    elif prime not in (None, "off"):
-        p = int(prime)
     ok, t = generic_translate_test(emb, node, seed=seed, trials=trials, prime=p)
     if ok:
         return ClassifyRow(

@@ -145,6 +145,7 @@ def test_exp_ad_mod_p_matches_exact():
         v = [rng.randint(-9, 9) for _ in range(cb.dim)]
         exact = cb.exp_ad_apply(cols, v)
         modp = cb.exp_ad_apply(cols, v, prime=p)
+        assert all(type(e) is Fraction for e in exact)
         for e, mres in zip(exact, modp):
             fe = Fraction(e)
             assert (fe.numerator * pow(fe.denominator, -1, p) - mres) % p == 0

@@ -170,6 +170,34 @@ class TestBranch:
         assert len(payload["classes"]) == 5
 
 
+# Inputs that used to give a wrong verdict, a traceback or a vacuous
+# check; each must now exit with code 2 and a one-line error.  The last
+# case keeps a valid explicit prime working.
+INPUT_DEFECTS = [
+    (["spherical", "G2", "A2", "1", "--trials", "0"], 2),
+    (["spherical", "G2", "A2", "1", "--trials", "-3"], 2),
+    (["spherical", "E6", "F4", "2", "--mod-prime", "0"], 2),
+    (["spherical", "E6", "F4", "2", "--mod-prime", "1"], 2),
+    (["spherical", "E6", "F4", "2", "--mod-prime", "2"], 2),
+    (["spherical", "E6", "F4", "2", "--mod-prime", "4"], 2),
+    (["branch", "G2", "A2", "1", "2", "--verify", "--kmax", "0"], 2),
+    (["spherical", "E6", "F4", "2", "--mod-prime", "2147483659"], 0),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,want", INPUT_DEFECTS, ids=[" ".join(a) for a, _ in INPUT_DEFECTS]
+)
+def test_input_defects(capsys, argv, want):
+    code, out, err = run(capsys, *argv)
+    assert code == want
+    if want:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert "spherical (translate, exact)" in out
+
+
 class TestMult:
     def test_small_exact(self, capsys):
         code, out, _ = run(capsys, "mult", "E7", "E6xT1", "w7", "l6@1")

@@ -194,6 +194,15 @@ def test_derived_sl2_row(cat):
     assert all(r[6] == 0 for r in rows[1:])
 
 
+def test_derived_sl2_triple_pinned(cat):
+    # the centralizing sl2 of E7 > A1xF4, as first computed: any change to
+    # the nullspace solve or the scaling shows up here
+    xg, yg, hg, _ = cat.get("E7", "A1xF4")._build()
+    assert xg[0] == {45: -1, 46: -1, 47: 1}
+    assert yg[0] == {108: -1, 109: -1, 110: 1}
+    assert hg[0] == {126: 2, 127: 3, 128: 4, 129: 6, 130: 5, 131: 4, 132: 3}
+
+
 def test_h_positive_root_counts(cat):
     cases = {
         ("G2", "A2"): 3,
