@@ -52,15 +52,18 @@ def _ambient(name):
     return spec.factors[0]
 
 
-def _catalog(args):
-    return load_catalog(args.data)
+def _lookup(method, *key):
+    """Look a key up in a loaded catalog or rule book; a missing group,
+    entry or rule is Unsupported.  Loading happens before the call, so a
+    load error stays a LieError (bad input)."""
+    try:
+        return method(*key)
+    except LieError as e:
+        raise Unsupported(str(e)) from None
 
 
 def _get_embedding(args, g, h):
-    try:
-        return _catalog(args).get(str(g), h)
-    except LieError as e:
-        raise Unsupported(str(e)) from None
+    return _lookup(load_catalog(args.data).get, str(g), h)
 
 
 def _emit(args, payload, lines):
@@ -86,13 +89,8 @@ def _row_lines(row):
 
 def cmd_classify(args):
     g = _ambient(args.group)
-    catalog = _catalog(args)
-    try:
-        entries = catalog.entries(str(g))
-    except LieError as e:
-        raise Unsupported(str(e)) from None
-    if not entries:
-        raise Unsupported(f"no subgroup catalog for {g}")
+    catalog = load_catalog(args.data)
+    _lookup(catalog.entries, str(g))  # a group without entries is unsupported
     rows = classify_group(
         catalog, str(g), seed=args.seed, trials=args.trials, prime=args.mod_prime
     )
@@ -141,7 +139,7 @@ def cmd_dims(args):
     g = _ambient(args.group)
     rs = root_system(g)
     dims = [flag_dimension(g, i) for i in range(1, rs.rank + 1)]
-    entries = _catalog(args).entries(str(g))
+    entries = _lookup(load_catalog(args.data).entries, str(g))
     lines = [" ".join(str(d) for d in dims)]
     borel = []
     for emb in entries:
@@ -161,10 +159,7 @@ def cmd_branch(args):
         raise LieError("degree must be nonnegative")
     if args.kmax is not None and args.kmax < 1:
         raise LieError(f"--kmax must be at least 1, got {args.kmax}")
-    try:
-        entry = load_rules(args.data).get(str(g), args.subgroup, args.node)
-    except LieError as e:
-        raise Unsupported(str(e)) from None
+    entry = _lookup(load_rules(args.data).get, str(g), args.subgroup, args.node)
     rule = entry.primary
     torus = TypeSpec.parse(args.subgroup).torus > 0
     classes = rule.expand(args.degree)

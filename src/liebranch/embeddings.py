@@ -162,6 +162,7 @@ class Embedding:
         self.inner = None  # derived: (name, ambient-name)
         self.via_omit = None  # derived: node of G whose Levi hosts inner
         self._built = None
+        self._roots = None
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -298,9 +299,6 @@ class Embedding:
     def x_gens(self):
         return self._build()[0]
 
-    def y_gens(self):
-        return self._build()[1]
-
     def h_gens(self):
         return self._build()[2]
 
@@ -345,36 +343,31 @@ class Embedding:
                 out.append(img)
         return out
 
+    def torus_vectors(self):
+        """Sparse vectors spanning a Cartan subalgebra of Lie(H): the simple
+        coroots of H, plus the central torus sum c_j H_j for a Levi entry."""
+        out = list(self.h_gens())
+        if self.coweight is not None:
+            m = chevalley_basis(self.ambient).m
+            out.append({2 * m + j: c for j, c in enumerate(self.coweight) if c})
+        return out
+
     def lie_h_vectors(self):
         """Sparse vectors spanning Lie(H) inside the ambient algebra."""
-        cb = chevalley_basis(self.ambient)
-        if self.kind in ("subsystem", "levi"):
-            out = [cb.h(j) for j in range(cb.rank)]
-            for a in self.h_positive_roots_in_g():
-                out.append(cb.x(a))
-                out.append(cb.x(neg(a)))
-            return out
-        out = list(self.h_gens())
-        pos, negs = self._folded_root_vectors()
-        out.extend(pos)
-        out.extend(negs)
-        return out
+        pos, negs = self.root_vectors()
+        return self.torus_vectors() + pos + negs
 
     def borel_h_vectors(self):
         """Sparse vectors spanning a Borel subalgebra of H."""
-        cb = chevalley_basis(self.ambient)
-        if self.kind in ("subsystem", "levi"):
-            out = [cb.h(j) for j in range(cb.rank)]
-            out.extend(cb.x(a) for a in self.h_positive_roots_in_g())
-            return out
-        out = list(self.h_gens())
-        pos, _ = self._folded_root_vectors()
-        out.extend(pos)
-        return out
+        pos, _ = self.root_vectors()
+        return self.torus_vectors() + pos
 
-    def _folded_root_vectors(self):
-        """Raising/lowering vectors for every positive root of H, built by
-        bracketing up from the simple generators (folded/derived kinds)."""
+    def root_vectors(self):
+        """Raising/lowering vectors for every positive root of H (factor by
+        factor, in each factor's root order), built by bracketing up from
+        the simple generators."""
+        if self._roots is not None:
+            return self._roots
         cb = chevalley_basis(self.ambient)
         xg, yg, _, _ = self._build()
         pos_out, neg_out = [], []
@@ -407,7 +400,8 @@ class Embedding:
                     raise LieError(f"{self.name}: cannot reach root {a}")
             pos_out.extend(built_p[a] for a in frs.positive_roots)
             neg_out.extend(built_n[a] for a in frs.positive_roots)
-        return pos_out, neg_out
+        self._roots = (pos_out, neg_out)
+        return self._roots
 
     # -- validation ----------------------------------------------------------
 
@@ -449,14 +443,9 @@ class Embedding:
     def _check_span_dimension(self):
         cb = chevalley_basis(self.ambient)
         span = SpanQ(cb.dim)
-        count = 0
         for v in self.lie_h_vectors():
-            if span.add(cb.to_dense(v)):
-                count += 1
-        want = self.h_dim() - self.spec.torus + (
-            cb.rank - self.rank_ss if self.kind in ("subsystem", "levi") else 0
-        )
-        assert span.rank == want, (self.name, span.rank, want)
+            span.add(cb.to_dense(v))
+        assert span.rank == self.h_dim(), (self.name, span.rank, self.h_dim())
 
 
 def _as_exact(u):

@@ -42,7 +42,7 @@ class SpanQ:
         if p is None:
             return False
         inv = 1 / v[p]
-        v = [x * inv for x in v]
+        v = [x * inv if x else x for x in v]
         for row in self.rows:
             c = row[p]
             if c:

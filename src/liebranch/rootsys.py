@@ -549,12 +549,6 @@ class ProductSystem:
             s.height_key(p) for s, p in zip(self.systems, self.split(mu))
         )
 
-    def fundamental(self, i):
-        """Fundamental weight for 1-based node i of the concatenated diagram."""
-        if not 1 <= i <= self.rank:
-            raise LieError(f"node {i} out of range for {self.spec}")
-        return tuple(1 if j == i - 1 else 0 for j in range(self.rank))
-
 
 _WEIGHT_TERM_RE = re.compile(r"^([0-9]+)?([wl])([0-9]+)$")
 

@@ -5,21 +5,29 @@ subgroup H.  The flag variety G/P_i is H-spherical when a Borel subgroup
 B_H has a dense orbit; equivalently ``lie(B_H) + Ad(g) lie(P_i) = lie(G)``
 for generic g.
 
-Two test styles are implemented:
+One cell construction serves every catalog kind with generators.  The
+quotient g/lie(P_i) has the basis X_{-a} over the positive roots a with
+a[i] > 0 (``flag_columns``).  The image of lie(H) there, given by the
+vectors ``Embedding.lie_h_vectors`` (torus plus bracketed root vectors,
+the same description for every kind), is reduced in column order; the
+non-pivot columns span a complement N of lie(H) + lie(P_i), the open
+cell.  For H spanned by root spaces of G these are exactly the roots
+through node i that are not roots of H.
 
-- an orbit test on the open cell: the cell is identified with the span N
-  of the negative root spaces not covered by lie(H) + lie(P_i), and the
-  tangent space of the B_H-orbit through a point X of N is spanned by the
-  projections of [u, X] for u in the torus and the raising vectors of the
-  Levi part of B_H at P_i.  Density of the orbit at a generic X decides
-  sphericity, and an explicit X with full tangent rank is an exact
-  certificate.
-- a translation test: pick a random n in the opposite nilradical and
+Two tests use the construction:
+
+- an orbit test on the open cell: the tangent space of the B_H-orbit
+  through a point X of N is spanned by the classes in N of [u, X] for u
+  in the torus of H and the raising vectors of H whose roots have
+  a[i] = 0 (the Levi part of B_H at P_i).  Density of the orbit at a
+  generic X decides sphericity, and an explicit X with full tangent rank
+  is an exact certificate.
+- a translation test: pick a random n in the span of the flag columns and
   check rank(lie(B_H) + exp(ad n) lie(P_i)) directly.  Since lie(P_i) is
   spanned by basis vectors, the rank equals dim lie(P_i) plus the rank of
-  the projection of exp(-ad n) lie(B_H) onto the remaining coordinates.
-  Full rank modulo a prime certifies full rank over Q, so a hit is exact;
-  a miss after all trials is reported as sampled evidence.
+  the flag-column coordinates of exp(-ad n) lie(B_H).  Full rank modulo a
+  prime certifies full rank over Q, so a hit is exact; a miss after all
+  trials is reported as sampled evidence.
 
 The number of generators of the ring of functions on the open cell that
 are eigenvectors of B_H (for spherical pairs) is ``dim N - d + 1`` where
@@ -55,6 +63,15 @@ def flag_dimension(g, node):
     return sum(1 for a in rs.positive_roots if a[node - 1] > 0)
 
 
+def flag_columns(cb, node):
+    """Basis indices of X_{-a} with a[node] > 0, in root order: a basis of
+    g/lie(P_node)."""
+    if not 1 <= node <= cb.rank:
+        raise LieError(f"node {node} out of range for {cb.type}")
+    i = node - 1
+    return [cb.m + k for k, a in enumerate(cb.rs.positive_roots) if a[i] > 0]
+
+
 def subseed(seed, *tags):
     """Deterministic derived seed for one subtask."""
     text = ":".join([str(seed)] + [str(t) for t in tags])
@@ -67,91 +84,44 @@ class SphericitySetup:
     def __init__(self, emb: Embedding, node: int):
         self.emb = emb
         self.node = node
-        self.cb = chevalley_basis(emb.ambient)
-        rs = self.cb.rs
-        if not 1 <= node <= rs.rank:
-            raise LieError(f"node {node} out of range for {emb.ambient}")
-        self.flag_dim = flag_dimension(emb.ambient, node)
-        if emb.kind in ("subsystem", "levi"):
-            self.mode = "roots"
-            self._init_roots()
-        elif emb.kind in ("folded", "derived"):
-            self.mode = "span"
-            self._init_span()
-        else:
-            raise LieError(f"{emb.name}: no orbit test for kind {emb.kind}")
-
-    # -- mode "roots": H spanned by root spaces of G -------------------------
-
-    def _init_roots(self):
-        cb, rs, i = self.cb, self.cb.rs, self.node - 1
-        h_pos = set(self.emb.h_positive_roots_in_g())
-        assert all(a in rs.index for a in h_pos)
-        self.n_roots = [
-            a for a in rs.positive_roots if a[i] > 0 and a not in h_pos
-        ]
-        self.n_dim = len(self.n_roots)
-        self._n_index = {
-            cb.root_index[neg(a)]: k for k, a in enumerate(self.n_roots)
-        }
+        self.cb = cb = chevalley_basis(emb.ambient)
+        cols = flag_columns(cb, node)
+        self.flag_dim = len(cols)
+        # reduce the image of lie(H) in g/lie(P_i); a pivot is the first
+        # nonzero column, so the cell columns depend only on that image
+        span = SpanQ(self.flag_dim)
+        for v in emb.lie_h_vectors():
+            row = [v.get(k, 0) for k in cols]
+            if any(row):
+                span.add(row)
+        cell = span.nonpivot_columns()
+        self.n_dim = len(cell)
+        self.removed = span.rank
+        self.n_coords = [cols[f] for f in cell]
+        self.n_roots = [neg(cb.signed_root_of_index(k)) for k in self.n_coords]
+        # _proj[k]: cell coordinates of basis vector k modulo lie(H) + lie(P_i)
+        at = {f: pos for pos, f in enumerate(cell)}
+        self._proj = {cols[f]: [(pos, 1)] for f, pos in at.items()}
+        for row, p in zip(span.rows, span.pivots):
+            self._proj[cols[p]] = [(at[f], -row[f]) for f in cell if row[f]]
+        i = node - 1
+        pos_vecs, _ = emb.root_vectors()
         self.levi_vectors = [
-            cb.x(b) for b in sorted(h_pos) if b[i] == 0
+            v for v in pos_vecs
+            if all(cb.signed_root_of_index(k)[i] == 0 for k in v)
         ]
-        self.torus_vectors = [cb.h(j) for j in range(rs.rank)]
-        self.removed = len(h_pos) - len(self.levi_vectors)
-        assert self.n_dim + self.removed == self.flag_dim
-
-    # -- mode "span": H known by a spanning set ------------------------------
-
-    def _init_span(self):
-        cb, rs, i = self.cb, self.cb.rs, self.node - 1
-        span = SpanQ(cb.dim)
-        # parabolic first: unit vectors, so the leftover coordinates are
-        # negative root spaces of the open cell
-        for k, a in enumerate(rs.positive_roots):
-            span.add(cb.to_dense({k: 1}))
-            if a[i] == 0:
-                span.add(cb.to_dense({cb.m + k: 1}))
-        for j in range(rs.rank):
-            span.add(cb.to_dense(cb.h(j)))
-        for v in self.emb.lie_h_vectors():
-            span.add(cb.to_dense(v))
-        self._span = span
-        self.n_coords = span.nonpivot_columns()
-        self.n_dim = len(self.n_coords)
-        for k in self.n_coords:
-            a = cb.signed_root_of_index(k)
-            assert a is not None and min(a) < 0 and a[i] < 0
-        pos_vecs, _ = self.emb._folded_root_vectors()
-        self.levi_vectors = []
-        for v in pos_vecs:
-            roots = [cb.signed_root_of_index(k) for k in v]
-            if all(a[i] == 0 for a in roots):
-                self.levi_vectors.append(v)
-        self.torus_vectors = list(self.emb.h_gens())
-
-    # -- common ----------------------------------------------------------------
+        self.torus_vectors = emb.torus_vectors()
 
     def project(self, u):
         """Class of a sparse algebra element in the cell coordinates."""
-        if self.mode == "roots":
-            out = [0] * self.n_dim
-            for k, c in u.items():
-                pos = self._n_index.get(k)
-                if pos is not None:
-                    out[pos] = c
-            return out
-        dense = self._span.reduce(self.cb.to_dense(u))
-        return [dense[k] for k in self.n_coords]
+        out = [0] * self.n_dim
+        for k, c in u.items():
+            for pos, w in self._proj.get(k, ()):
+                out[pos] += c * w
+        return out
 
     def point_from_cell(self, coeffs):
         """Sparse element from cell coordinates."""
-        if self.mode == "roots":
-            return {
-                self.cb.root_index[neg(a)]: c
-                for a, c in zip(self.n_roots, coeffs)
-                if c
-            }
         return {k: c for k, c in zip(self.n_coords, coeffs) if c}
 
     def point_from_neg_roots(self, roots):
@@ -227,15 +197,12 @@ def generic_translate_test(emb: Embedding, node: int, seed=0, trials=8, prime=No
     rank is still an exact certificate); otherwise exactly over Q.
     """
     cb = chevalley_basis(emb.ambient)
-    rs = cb.rs
-    i = node - 1
-    cell = [k for k, a in enumerate(rs.positive_roots) if a[i] > 0]
-    neg_idx = [cb.m + k for k in cell]
-    target = len(neg_idx)
+    flag = flag_columns(cb, node)
+    target = len(flag)
     bvecs = [cb.to_dense(v) for v in emb.borel_h_vectors()]
     rng = random.Random(subseed(seed, "translate", emb.name, node))
     for t in range(trials):
-        n = {cb.m + k: rng.randint(-9, 9) for k in cell}
+        n = {k: rng.randint(-9, 9) for k in flag}
         n = {k: c for k, c in n.items() if c}
         cols = cb.ad_columns({k: -c for k, c in n.items()})
         if prime is None:
@@ -244,7 +211,7 @@ def generic_translate_test(emb: Embedding, node: int, seed=0, trials=8, prime=No
             span = SpanMod(target, prime)
         for v in bvecs:
             w = cb.exp_ad_apply(cols, v, prime=prime)
-            row = [w[k] for k in neg_idx]
+            row = [w[k] for k in flag]
             span.add(row)
             if span.rank == target:
                 break

@@ -1,5 +1,6 @@
 """Exit codes, output shapes, and determinism of the command line."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -8,6 +9,7 @@ import sys
 
 import pytest
 
+import liebranch
 from liebranch.cli import main
 from liebranch.embeddings import data_dir_default
 
@@ -240,11 +242,82 @@ class TestDataDir:
         assert code == 2
 
 
+# a data directory: the packaged files with at most one replaced by text
+BAD_DATA = {
+    "bad_embeddings": ("embeddings.txt", "garbage\n"),
+    "bad_rules": ("rules.txt", "format 1\nrule ?\n"),
+}
+
+
+# A catalog or rule file that cannot be read or parsed is bad input (2) in
+# every subcommand; only a group, entry or rule absent from a loaded file
+# is unsupported (3).
+DATA_EXIT_CASES = [
+    (["spherical", "G2", "A2", "1"], "missing", 2),
+    (["mult", "G2", "A2", "w1", "l1"], "missing", 2),
+    (["branch", "G2", "A2", "1", "1"], "missing", 2),
+    (["branch", "G2", "A2", "1", "1", "--verify"], "bad_embeddings", 2),
+    (["classify", "G2"], "bad_embeddings", 2),
+    (["dims", "G2"], "bad_embeddings", 2),
+    (["spherical", "G2", "A2", "1"], "bad_embeddings", 2),
+    (["mult", "G2", "A2", "w1", "l1"], "bad_embeddings", 2),
+    (["branch", "G2", "A2", "1", "1"], "bad_rules", 2),
+    (["dims", "A3"], None, 3),
+    (["classify", "A3"], None, 3),
+    (["spherical", "A3", "A2", "1"], None, 3),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,data,want",
+    DATA_EXIT_CASES,
+    ids=[" ".join(a) + f" [{d}]" for a, d, _ in DATA_EXIT_CASES],
+)
+def test_data_exit_codes(capsys, tmp_path, argv, data, want):
+    if data == "missing":
+        argv = argv + ["--data", str(tmp_path / "nope")]
+    elif data in BAD_DATA:
+        bad_name, text = BAD_DATA[data]
+        for name in ("embeddings.txt", "rules.txt"):
+            shutil.copy(os.path.join(data_dir_default(), name), tmp_path / name)
+        (tmp_path / bad_name).write_text(text, encoding="utf-8")
+        argv = argv + ["--data", str(tmp_path)]
+    code, out, err = run(capsys, *argv)
+    assert code == want
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+# sha256 of the stdout of `classify <G> --seed 0 --format json`, recorded
+# before the orbit test built its cell in one way for every catalog kind:
+# pins every verdict and witness.
+CLASSIFY_JSON_SHA256 = {
+    "G2": "3cb823ec107cae0246f7e604c9a8ae926ddddff427d570d3118cc22795d1127a",
+    "F4": "471d75aeabe06cbf652504e464cb5d336db40da5584e1ac1ea4420d53ce21c2b",
+    "E6": "4851164befbd7f758a5114d5443e6a895a21e04b266d5205b3e52659dd58b973",
+    "E7": "356ccc60a6c68dc4ddda117f9df2b0b74835f16e7b9e7dbabf8d2545328cef44",
+    "E8": "a86f9fd6310689df1583941499454f6b378c3caae7bd54e3bc9a9cadfe279e9d",
+}
+
+
+@pytest.mark.parametrize("group", sorted(CLASSIFY_JSON_SHA256))
+def test_classify_json_golden(capsys, group):
+    code, out, _ = run(capsys, "classify", group, "--seed", "0", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_JSON_SHA256[group]
+
+
 class TestSubprocess:
     """End-to-end runs in a fresh interpreter (env vars, real exit codes)."""
 
     def _run(self, *argv, env=None):
+        # the child imports the same liebranch as this process, installed
+        # or not
+        src = os.path.dirname(os.path.dirname(liebranch.__file__))
         full_env = dict(os.environ)
+        full_env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, full_env.get("PYTHONPATH")) if p
+        )
         if env:
             full_env.update(env)
         return subprocess.run(

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liebranch.chevalley import chevalley_basis
 from liebranch.embeddings import load_catalog
-from liebranch.linalg import derive_prime
-from liebranch.rootsys import LieError
+from liebranch.linalg import SpanQ, derive_prime
+from liebranch.rootsys import LieError, root_system
 from liebranch.sphericity import (
     ClassifyRow,
     SphericitySetup,
@@ -269,3 +270,49 @@ def test_witness_projection_roundtrip():
     x = setup.point_from_cell(coeffs)
     assert setup.project(x) == coeffs
     assert setup.describe_point(x)[0][0] in (4, -2)
+
+
+ROOT_PAIRS = [
+    (emb, node)
+    for emb in CAT.records
+    if emb.kind in ("subsystem", "levi")
+    for node in range(1, emb.ambient.rank + 1)
+    if emb.borel_dim() >= flag_dimension(emb.ambient, node)
+]
+
+
+@pytest.mark.parametrize(
+    "emb,node", ROOT_PAIRS, ids=[f"{e.ambient}-{e.name}-{n}" for e, n in ROOT_PAIRS]
+)
+def test_cell_matches_root_oracle(emb, node):
+    # for H spanned by root spaces of G the cell is read off the roots
+    setup = SphericitySetup(emb, node)
+    rs = root_system(emb.ambient)
+    i = node - 1
+    h_pos = emb.h_positive_roots_in_g()
+    assert setup.n_roots == [
+        a for a in rs.positive_roots if a[i] > 0 and a not in h_pos
+    ]
+    cb = setup.cb
+    levi = [[cb.signed_root_of_index(k) for k in v] for v in setup.levi_vectors]
+    assert all(len(roots) == 1 for roots in levi)
+    assert sorted(r for r, in levi) == sorted(b for b in h_pos if b[i] == 0)
+
+
+def span_rank(emb, vectors):
+    cb = chevalley_basis(emb.ambient)
+    span = SpanQ(cb.dim)
+    for v in vectors:
+        span.add(cb.to_dense(v))
+    return span.rank
+
+
+@pytest.mark.parametrize(
+    "emb",
+    [e for e in CAT.records if e.kind != "typeonly"],
+    ids=lambda e: f"{e.ambient}-{e.name}",
+)
+def test_lie_and_borel_span_dims(emb):
+    # the Levi entries' central torus comes from the coweight
+    assert span_rank(emb, emb.lie_h_vectors()) == emb.h_dim()
+    assert span_rank(emb, emb.borel_h_vectors()) == emb.borel_dim()
