@@ -16,12 +16,13 @@ duality, since a rule may be stated for the dual module.
 
 from __future__ import annotations
 
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .characters import decompose
-from .embeddings import data_dir_default
+from .embeddings import resolve_data_dir
 from .rootsys import LieError, SimpleType, TypeSpec, root_system
 
 RULE_FILE_FORMAT = 1
@@ -235,11 +236,7 @@ def parse_rules(text):
 
 
 def load_rules(data_dir=None):
-    import os
-
-    if data_dir is None:
-        data_dir = os.environ.get("LIEBRANCH_DATA") or data_dir_default()
-    path = os.path.join(data_dir, "rules.txt")
+    path = os.path.join(resolve_data_dir(data_dir), "rules.txt")
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()

@@ -2,13 +2,15 @@
 
 Weight multiplicities come from the Freudenthal recursion over the
 dominant weights only (all arithmetic in plain integers, every division
-checked).  Restriction to a subgroup streams the full Weyl orbit of each
+checked).  Restriction to a subgroup maps the Weyl orbit of each
 dominant weight through the weight-restriction map and collapses the
 image onto the dominant chamber of the subgroup, keyed by torus charge
-when the subgroup has a central torus.  The collapsed form answers both
-full decompositions (repeated peeling of the highest remaining weight)
-and single multiplicities (alternating sum over the subgroup Weyl
-group).
+when the subgroup has a central torus.  For equal-rank subgroups only
+the orbit points in the subgroup's dominant cone are walked; the
+folded and derived subgroups stream the full orbit.  The collapsed
+form answers both full decompositions (repeated peeling of the highest
+remaining weight) and single multiplicities (alternating sum over the
+subgroup Weyl group).
 """
 
 from __future__ import annotations
@@ -105,19 +107,31 @@ def restrict_collapsed(emb, lam):
     Returns {(dominant subgroup weight, torus charge): orbit mass} where
     the mass of a class is the total multiplicity over its Weyl orbit.
     Entries without a torus use charge 0.
+
+    For an equal-rank entry (restriction rows plus torus coweight as
+    many as the rank of G) the restriction is injective, so each
+    subgroup Weyl orbit in W_G.mu has exactly one point in the dominant
+    cone of the subgroup; only those points are walked, each carrying
+    the subgroup orbit size of its weight.  Other entries stream the
+    full orbit and fold each image into the dominant chamber.
     """
     rs = root_system(emb.ambient)
     rows = [tuple(r) for r in emb.restriction_rows()]
     cw = tuple(emb.coweight) if emb.coweight is not None else None
     ps = ProductSystem(emb.spec)
+    equal_rank = len(rows) + (cw is not None) == rs.rank
+    cone = (emb.simple_images or ()) if equal_rank else ()
     out: dict = {}
     for mu, m in dominant_character(emb.ambient, lam).items():
-        for nu in rs.weyl_orbit(mu):
+        for nu in rs.weyl_orbit(mu, cone):
             ss = tuple(sum(r[k] * nu[k] for k in range(len(nu))) for r in rows)
-            dom, _ = ps.dominant_signed(ss)
+            if cone:
+                dom, mass = ss, m * ps.orbit_size(ss)
+            else:
+                (dom, _), mass = ps.dominant_signed(ss), m
             q = sum(c * x for c, x in zip(cw, nu)) if cw else 0
             key = (dom, q)
-            out[key] = out.get(key, 0) + m
+            out[key] = out.get(key, 0) + mass
     return out
 
 

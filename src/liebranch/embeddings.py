@@ -651,10 +651,21 @@ def data_dir_default():
     return str(importlib.resources.files("liebranch") / "data")
 
 
-@lru_cache(maxsize=None)
-def load_catalog(data_dir=None) -> Catalog:
+def resolve_data_dir(data_dir=None):
+    """The data directory to read: the argument, else LIEBRANCH_DATA, else
+    the packaged data, as an absolute path."""
     if data_dir is None:
         data_dir = os.environ.get("LIEBRANCH_DATA") or data_dir_default()
+    return os.path.abspath(data_dir)
+
+
+def load_catalog(data_dir=None) -> Catalog:
+    """The catalog of the resolved data directory, parsed once per path."""
+    return _load_catalog_at(resolve_data_dir(data_dir))
+
+
+@lru_cache(maxsize=None)
+def _load_catalog_at(data_dir) -> Catalog:
     path = os.path.join(data_dir, "embeddings.txt")
     try:
         with open(path, encoding="utf-8") as fh:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .linalg import inverse
 
@@ -344,9 +344,56 @@ class RootSystem:
                         nxt.add(self.reflect(w, i))
             layer = nxt
 
-    def weyl_orbit(self, lam):
-        for layer in self.weyl_orbit_layers(lam):
-            yield from layer
+    @cached_property
+    def _mirrors(self):
+        """(coroot, weight) of every positive root: the reflections s_a."""
+        return [(self.coroot(a), self.weight_of_root(a)) for a in self.positive_roots]
+
+    def weyl_orbit(self, lam, cone=()):
+        """Yield each point of the orbit of a dominant weight once.
+
+        ``cone`` is a list of linearly independent roots (root
+        coordinates); only the orbit points x with <x, beta^vee> >= 0 for
+        every beta in it are yielded.  The first such point is reached
+        by reflecting lam in cone roots it pairs negatively with (each
+        step raises a linear functional positive on the cone roots).
+        The cone is a union of closed chambers cut out by root
+        hyperplanes, and its chambers are gallery-connected, so walking
+        by root reflections that stay inside it reaches every point at
+        a cost proportional to the points yielded.
+        """
+        if not cone:
+            for layer in self.weyl_orbit_layers(lam):
+                yield from layer
+            return
+        if not self.is_dominant(lam):
+            raise LieError("weyl_orbit wants a dominant weight")
+        walls = [(self.coroot(b), self.weight_of_root(b)) for b in cone]
+        mirrors = self._mirrors
+
+        def inside(x):
+            return all(sum(c * v for c, v in zip(cv, x)) >= 0 for cv, _ in walls)
+
+        x = tuple(lam)
+        while not inside(x):
+            for cv, wb in walls:
+                p = sum(c * v for c, v in zip(cv, x))
+                if p < 0:
+                    x = tuple(v - p * w for v, w in zip(x, wb))
+        seen = {x}
+        stack = [x]
+        while stack:
+            x = stack.pop()
+            yield x
+            for cv, wa in mirrors:
+                p = sum(c * v for c, v in zip(cv, x))
+                if p:
+                    y = tuple(v - p * w for v, w in zip(x, wa))
+                    if y not in seen:
+                        # points outside the cone are marked too: tested once
+                        seen.add(y)
+                        if inside(y):
+                            stack.append(y)
 
     def weyl_order(self):
         fam, n = self.type.family, self.rank

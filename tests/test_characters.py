@@ -13,6 +13,7 @@ from liebranch.characters import (
     multiplicity_of,
     restrict_collapsed,
 )
+from liebranch.branching import load_rules
 from liebranch.embeddings import load_catalog
 from liebranch.rootsys import LieError, ProductSystem, SimpleType, root_system
 
@@ -133,6 +134,84 @@ def test_restriction_preserves_dimension(g, h, lam):
     emb = CAT.get(g, h)
     mass = sum(restrict_collapsed(emb, lam).values())
     assert mass == root_system(emb.ambient).weyl_dimension(lam)
+
+
+def full_orbit_restriction(emb, lam):
+    """Oracle: stream the whole Weyl orbit of every dominant weight and fold
+    each restricted weight into the dominant chamber of the subgroup."""
+    rs = root_system(emb.ambient)
+    rows = emb.restriction_rows()
+    cw = emb.coweight
+    ps = ProductSystem(emb.spec)
+    out = {}
+    for mu, m in dominant_character(emb.ambient, lam).items():
+        for nu in rs.weyl_orbit(mu):
+            ss = tuple(sum(r[k] * nu[k] for k in range(len(nu))) for r in rows)
+            dom, _ = ps.dominant_signed(ss)
+            q = sum(c * x for c, x in zip(cw, nu)) if cw else 0
+            out[(dom, q)] = out.get((dom, q), 0) + m
+    return out
+
+
+def _is_equal_rank(emb):
+    n = len(emb.restriction_rows()) + (emb.coweight is not None)
+    return n == emb.ambient.rank
+
+
+def _orbit_weights(t, lam):
+    rs = root_system(t)
+    return sum(rs.orbit_size(mu) for mu in dominant_character(t, lam))
+
+
+# the degrees up to which criterion 5 verifies each rule
+RULE_KMAX = {"G2": 5, "F4": 3, "E6": 2, "E7": 2}
+
+
+def _rule_restrictions():
+    out = []
+    for g, h, node in load_rules().triples():
+        emb = CAT.get(g, h)
+        if not _is_equal_rank(emb):
+            continue
+        rs = root_system(emb.ambient)
+        for k in range(1, RULE_KMAX[g] + 1):
+            for i in sorted({node, rs.dual_node(node)}):
+                out.append((emb, tuple(k if j == i - 1 else 0 for j in range(rs.rank))))
+    return out
+
+
+def _fundamental_restrictions(bound):
+    out = []
+    for emb in CAT.records:
+        if emb.kind == "typeonly" or not _is_equal_rank(emb):
+            continue
+        rs = root_system(emb.ambient)
+        for i in range(1, rs.rank + 1):
+            lam = rs.fundamental(i)
+            if _orbit_weights(emb.ambient, lam) <= bound:
+                out.append((emb, lam))
+    return out
+
+
+def test_cone_restriction_matches_full_orbit_on_rules():
+    cases = _rule_restrictions()
+    # 46 (rule, k) checks on 18 equal-rank triples; 58 highest weights
+    # once the dual node is counted
+    assert len(cases) == 58
+    for emb, lam in cases:
+        assert restrict_collapsed(emb, lam) == full_orbit_restriction(emb, lam), (
+            emb, lam,
+        )
+
+
+def test_cone_restriction_matches_full_orbit_on_fundamentals():
+    cases = _fundamental_restrictions(bound=20_000)
+    assert len({(str(e.ambient), e.name) for e, _ in cases}) == 22
+    assert len(cases) == 92
+    for emb, lam in cases:
+        assert restrict_collapsed(emb, lam) == full_orbit_restriction(emb, lam), (
+            emb, lam,
+        )
 
 
 # (g, h, highest weight) -> {(subgroup weight, charge): multiplicity}

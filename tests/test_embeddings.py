@@ -3,6 +3,7 @@ import pytest
 from liebranch.chevalley import chevalley_basis
 from liebranch.embeddings import (
     Embedding,
+    data_dir_default,
     load_catalog,
     parse_embeddings,
     subsystem_simple_images,
@@ -280,3 +281,16 @@ def test_parse_roundtrip_minimal():
     assert len(recs) == 1
     assert recs[0].simple_images == [(3, 1), (0, 1)]
     assert recs[0].node == 1
+
+
+def test_catalog_follows_data_dir_variable(cat, monkeypatch, tmp_path):
+    monkeypatch.delenv("LIEBRANCH_DATA", raising=False)
+    assert load_catalog() is cat
+    monkeypatch.setenv("LIEBRANCH_DATA", str(tmp_path / "missing"))
+    with pytest.raises(LieError):
+        load_catalog()
+    with pytest.raises(LieError):
+        load_catalog(None)
+    # the same directory, named another way, is parsed once
+    monkeypatch.setenv("LIEBRANCH_DATA", data_dir_default() + "/.")
+    assert load_catalog() is cat

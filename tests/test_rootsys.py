@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liebranch.embeddings import load_catalog
 from liebranch.rootsys import (
     LieError,
     ProductSystem,
@@ -192,6 +193,80 @@ def test_orbit_sizes(name, lam, size):
     rs = root_system(t)
     assert rs.orbit_size(lam) == size
     assert sum(1 for _ in rs.weyl_orbit(lam)) == size
+
+
+def _equal_rank_entries(groups):
+    """Catalog entries whose weight restriction (with the torus charge) is
+    injective: as many restriction rows plus coweight as the rank of G."""
+    out = []
+    for g in groups:
+        for emb in load_catalog().entries(g):
+            if emb.kind == "typeonly":
+                continue
+            n = len(emb.restriction_rows()) + (emb.coweight is not None)
+            if n == emb.ambient.rank:
+                out.append(emb)
+    return out
+
+
+CONE_ENTRIES = _equal_rank_entries(("G2", "F4", "E6"))
+
+
+def test_equal_rank_entries_are_the_root_subgroups():
+    roots = [
+        e for g in ("G2", "F4", "E6") for e in load_catalog().entries(g)
+        if e.kind in ("subsystem", "levi")
+    ]
+    assert CONE_ENTRIES == roots
+    assert len(roots) == 9
+
+
+def _check_cone_walk(rs, lam, cone, orbit):
+    """The cone walk yields the cone-filtered orbit, each point once."""
+    checks = [rs.coroot(b) for b in cone]
+    walked = list(rs.weyl_orbit(lam, cone))
+    assert len(set(walked)) == len(walked), (lam, cone)
+    full = {
+        x for x in orbit
+        if all(sum(c * v for c, v in zip(cv, x)) >= 0 for cv in checks)
+    }
+    assert set(walked) == full, (lam, cone)
+    return walked
+
+
+@pytest.mark.parametrize(
+    "emb", CONE_ENTRIES, ids=lambda e: f"{e.ambient}>{e.name}"
+)
+def test_cone_walk_is_the_filtered_orbit(emb):
+    rs = root_system(emb.ambient)
+    fundamentals = [rs.fundamental(i) for i in range(1, rs.rank + 1)]
+    for lam in fundamentals + [rs.rho]:
+        walked = _check_cone_walk(rs, lam, emb.simple_images, rs.weyl_orbit(lam))
+    # a regular orbit meets the cone once per coset of the subgroup Weyl
+    # group: the minimal coset representatives of W_G / W_H
+    assert len(walked) == rs.weyl_order() // emb.hsys.weyl_order()
+
+
+@pytest.mark.parametrize("name", ["G2", "F4", "E6"])
+def test_cone_walk_enters_the_cone_first(name):
+    # the extended diagram without one simple root: a cone containing the
+    # lowest root, which dominant weights other than 0 lie outside of
+    rs = root_system(SimpleType(name[0], int(name[1])))
+    lowest = tuple(-x for x in rs.highest_root)
+    simples = [tuple(int(j == i) for j in range(rs.rank)) for i in range(rs.rank)]
+    fundamentals = [rs.fundamental(i) for i in range(1, rs.rank + 1)]
+    for lam in fundamentals + [rs.rho]:
+        orbit = list(rs.weyl_orbit(lam))
+        for drop in range(rs.rank):
+            cone = [lowest] + simples[:drop] + simples[drop + 1:]
+            _check_cone_walk(rs, lam, cone, orbit)
+
+
+def test_cone_walk_wants_a_dominant_weight():
+    emb = load_catalog().get("G2", "A2")
+    rs = root_system(emb.ambient)
+    with pytest.raises(LieError):
+        list(rs.weyl_orbit((-1, 1), emb.simple_images))
 
 
 SMALL_TYPES = [
