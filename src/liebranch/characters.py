@@ -2,15 +2,16 @@
 
 Weight multiplicities come from the Freudenthal recursion over the
 dominant weights only (all arithmetic in plain integers, every division
-checked).  Restriction to a subgroup maps the Weyl orbit of each
-dominant weight through the weight-restriction map and collapses the
-image onto the dominant chamber of the subgroup, keyed by torus charge
-when the subgroup has a central torus.  For equal-rank subgroups only
-the orbit points in the subgroup's dominant cone are walked; the
-folded and derived subgroups stream the full orbit.  The collapsed
-form answers both full decompositions (repeated peeling of the highest
-remaining weight) and single multiplicities (alternating sum over the
-subgroup Weyl group).
+checked).  Every character is kept in one format, a map from dominant
+weight to multiplicity.  Restriction to a subgroup gives the dominant
+character of the restricted module, keyed by torus charge when the
+subgroup has a central torus: it walks the Weyl orbit of each dominant
+weight (only the points in the subgroup's dominant cone when the
+subgroup is a root subgroup, the full orbit for the folded and derived
+subgroups) and keeps the points whose image is dominant.  That
+character answers both full decompositions (repeated peeling of the
+highest remaining weight) and single multiplicities (alternating sum
+over the subgroup Weyl group).
 """
 
 from __future__ import annotations
@@ -102,36 +103,28 @@ def dominant_character_product(ps: ProductSystem, lam):
 
 
 def restrict_collapsed(emb, lam):
-    """Restriction of the full character of V(lam) to a catalog subgroup.
+    """Restriction of the character of V(lam) to a catalog subgroup.
 
-    Returns {(dominant subgroup weight, torus charge): orbit mass} where
-    the mass of a class is the total multiplicity over its Weyl orbit.
-    Entries without a torus use charge 0.
-
-    For an equal-rank entry (restriction rows plus torus coweight as
-    many as the rank of G) the restriction is injective, so each
-    subgroup Weyl orbit in W_G.mu has exactly one point in the dominant
-    cone of the subgroup; only those points are walked, each carrying
-    the subgroup orbit size of its weight.  Other entries stream the
-    full orbit and fold each image into the dominant chamber.
+    Returns the dominant character of the restricted module,
+    {(dominant subgroup weight, torus charge): multiplicity}, in the
+    format of `dominant_character_product`; entries without a torus use
+    charge 0.  Every W_G-orbit point that restricts to a dominant
+    subgroup weight adds the multiplicity of its dominant weight.  The
+    walk stays inside the cone of `emb.simple_images` when the entry has
+    them (subsystem and Levi entries, whose restriction rows are the
+    coroots of those roots, so the cone holds exactly the points with a
+    dominant image); the folded and derived entries walk the full orbit.
     """
+    emb.restriction_rows()  # an entry without generators raises LieError
     rs = root_system(emb.ambient)
-    rows = [tuple(r) for r in emb.restriction_rows()]
-    cw = tuple(emb.coweight) if emb.coweight is not None else None
-    ps = ProductSystem(emb.spec)
-    equal_rank = len(rows) + (cw is not None) == rs.rank
-    cone = (emb.simple_images or ()) if equal_rank else ()
+    ps = emb.hsys
     out: dict = {}
     for mu, m in dominant_character(emb.ambient, lam).items():
-        for nu in rs.weyl_orbit(mu, cone):
-            ss = tuple(sum(r[k] * nu[k] for k in range(len(nu))) for r in rows)
-            if cone:
-                dom, mass = ss, m * ps.orbit_size(ss)
-            else:
-                (dom, _), mass = ps.dominant_signed(ss), m
-            q = sum(c * x for c, x in zip(cw, nu)) if cw else 0
-            key = (dom, q)
-            out[key] = out.get(key, 0) + mass
+        for nu in rs.weyl_orbit(mu, emb.simple_images or ()):
+            ss, q = emb.restrict_weight(nu)
+            if ps.is_dominant(ss):
+                key = (ss, q or 0)
+                out[key] = out.get(key, 0) + m
     return out
 
 
@@ -139,25 +132,25 @@ def decompose(emb, lam, collapsed=None):
     """Highest weights of the restricted module, with multiplicities.
 
     Returns {(subgroup highest weight, torus charge): multiplicity},
-    found by repeatedly peeling the top remaining weight class.  A
-    non-integral or negative peel means the collapsed data is not a
-    genuine character and raises LieError.
+    found by repeatedly peeling the top remaining weight of the dominant
+    character.  A non-positive peel or an oversubtracted weight means
+    the given character is not a genuine one and raises LieError.
     """
-    ps = ProductSystem(emb.spec)
+    ps = emb.hsys
     left = dict(restrict_collapsed(emb, lam) if collapsed is None else collapsed)
     out: dict = {}
     while left:
         nu, q = max(left, key=lambda kq: (ps.height_key(kq[0]), kq[0], kq[1]))
-        c, r = divmod(left[(nu, q)], ps.orbit_size(nu))
-        if r or c <= 0:
+        c = left[(nu, q)]
+        if c <= 0:
             raise LieError(
                 f"restriction of {lam} is not a character: "
-                f"peel at {nu} charge {q} gives {c} rem {r}"
+                f"peel at {nu} charge {q} gives {c}"
             )
         out[(nu, q)] = c
         for w, m in dominant_character_product(ps, nu).items():
             key = (w, q)
-            rest = left.get(key, 0) - c * m * ps.orbit_size(w)
+            rest = left.get(key, 0) - c * m
             if rest < 0:
                 raise LieError(
                     f"restriction of {lam} is not a character: "
@@ -173,11 +166,12 @@ def decompose(emb, lam, collapsed=None):
 def multiplicity_of(emb, lam, target, charge=0, collapsed=None):
     """Multiplicity of one subgroup module in the restriction of V(lam).
 
-    Alternating sum of restricted weight multiplicities over the
-    subgroup Weyl orbit of the shifted target; much cheaper than a full
-    decomposition when only one entry is wanted.
+    Alternating sum of restricted weight multiplicities (read from the
+    dominant character) over the subgroup Weyl orbit of the shifted
+    target; much cheaper than a full decomposition when only one entry
+    is wanted.
     """
-    ps = ProductSystem(emb.spec)
+    ps = emb.hsys
     if not ps.is_dominant(target):
         raise LieError(f"target weight must be dominant: {target}")
     if collapsed is None:
@@ -187,12 +181,7 @@ def multiplicity_of(emb, lam, target, charge=0, collapsed=None):
     for w_rho, sign in ps.weyl_orbit_signed(rho):
         xi = tuple(t + 1 - w for t, w in zip(target, w_rho))
         dom, _ = ps.dominant_signed(xi)
-        mass = collapsed.get((dom, charge))
-        if not mass:
-            continue
-        m_res, r = divmod(mass, ps.orbit_size(dom))
-        assert r == 0, "orbit mass must be divisible by the orbit size"
-        total += sign * m_res
+        total += sign * collapsed.get((dom, charge), 0)
     return total
 
 

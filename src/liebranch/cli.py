@@ -157,8 +157,10 @@ def cmd_branch(args):
     g = _ambient(args.group)
     if args.degree < 0:
         raise LieError("degree must be nonnegative")
-    if args.kmax is not None and args.kmax < 1:
-        raise LieError(f"--kmax must be at least 1, got {args.kmax}")
+    kmax = args.degree if args.kmax is None else args.kmax
+    if (args.verify or args.kmax is not None) and kmax < 1:
+        raise LieError(f"--kmax (default: the degree) must be at least 1, got {kmax}")
+    flag_dimension(g, args.node)  # validates the node, raising LieError
     entry = _lookup(load_rules(args.data).get, str(g), args.subgroup, args.node)
     rule = entry.primary
     torus = TypeSpec.parse(args.subgroup).torus > 0
@@ -184,7 +186,6 @@ def cmd_branch(args):
     code = EXIT_OK
     if args.verify:
         emb = _get_embedding(args, g, args.subgroup)
-        kmax = args.kmax if args.kmax is not None else args.degree
         checks = []
         for k in range(1, kmax + 1):
             res = verify_rule(emb, rule, k)

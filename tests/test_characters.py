@@ -132,13 +132,16 @@ RESTRICTION_MASS_CASES = [
 @pytest.mark.parametrize("g,h,lam", RESTRICTION_MASS_CASES)
 def test_restriction_preserves_dimension(g, h, lam):
     emb = CAT.get(g, h)
-    mass = sum(restrict_collapsed(emb, lam).values())
-    assert mass == root_system(emb.ambient).weyl_dimension(lam)
+    ps = ProductSystem(emb.spec)
+    char = restrict_collapsed(emb, lam)
+    total = sum(m * ps.orbit_size(w) for (w, _), m in char.items())
+    assert total == root_system(emb.ambient).weyl_dimension(lam)
 
 
 def full_orbit_restriction(emb, lam):
-    """Oracle: stream the whole Weyl orbit of every dominant weight and fold
-    each restricted weight into the dominant chamber of the subgroup."""
+    """Oracle: stream the whole Weyl orbit of every dominant weight, fold
+    each restricted weight into the dominant chamber of the subgroup, and
+    divide the mass of each class by the size of its subgroup orbit."""
     rs = root_system(emb.ambient)
     rows = emb.restriction_rows()
     cw = emb.coweight
@@ -150,7 +153,12 @@ def full_orbit_restriction(emb, lam):
             dom, _ = ps.dominant_signed(ss)
             q = sum(c * x for c, x in zip(cw, nu)) if cw else 0
             out[(dom, q)] = out.get((dom, q), 0) + m
-    return out
+    char = {}
+    for (dom, q), mass in out.items():
+        mult, rem = divmod(mass, ps.orbit_size(dom))
+        assert rem == 0, (emb, lam, dom, q, mass)
+        char[(dom, q)] = mult
+    return char
 
 
 def _is_equal_rank(emb):
@@ -208,6 +216,26 @@ def test_cone_restriction_matches_full_orbit_on_fundamentals():
     cases = _fundamental_restrictions(bound=20_000)
     assert len({(str(e.ambient), e.name) for e, _ in cases}) == 22
     assert len(cases) == 92
+    for emb, lam in cases:
+        assert restrict_collapsed(emb, lam) == full_orbit_restriction(emb, lam), (
+            emb, lam,
+        )
+
+
+def test_restriction_matches_full_orbit_on_non_equal_rank():
+    # the folded and derived entries have no cone to walk, so their
+    # restriction keeps the dominant images of the full orbit
+    cases = []
+    for g, h in [("E6", "F4"), ("E6", "C4"), ("E7", "A1xF4")]:
+        emb = CAT.get(g, h)
+        assert not _is_equal_rank(emb)
+        rs = root_system(emb.ambient)
+        for i in range(1, rs.rank + 1):
+            for k in (1, 2):
+                lam = tuple(k * x for x in rs.fundamental(i))
+                if _orbit_weights(emb.ambient, lam) <= 40_000:
+                    cases.append((emb, lam))
+    assert len(cases) == 35
     for emb, lam in cases:
         assert restrict_collapsed(emb, lam) == full_orbit_restriction(emb, lam), (
             emb, lam,
@@ -335,6 +363,34 @@ def test_multiplicity_two_counterexamples():
     # the A1 charge of a class is tied to the parity of its A5 part, so
     # an odd A1 weight over the even class cannot occur
     assert multiplicity_of(emb, lam, (0, 0, 2, 0, 0, 3), collapsed=collapsed) == 0
+
+
+def test_decompose_rejects_a_non_character():
+    emb = CAT.get("E6", "F4")
+    lam = (0, 0, 0, 0, 1, 0)
+    collapsed = restrict_collapsed(emb, lam)
+
+    def order(kq):  # the peel order of decompose
+        return emb.hsys.height_key(kq[0]), kq
+
+    top, low = max(collapsed, key=order), min(collapsed, key=order)
+    assert decompose(emb, lam, collapsed=collapsed)  # the genuine one peels
+    short = dict(collapsed)
+    short[low] -= 1
+    with pytest.raises(LieError, match="oversubtracted"):
+        decompose(emb, lam, collapsed=short)
+    for bad in (0, -1):
+        with pytest.raises(LieError, match=f"gives {bad}$"):
+            decompose(emb, lam, collapsed={**collapsed, top: bad})
+
+
+def test_entry_without_generators_fails_before_freudenthal(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("Freudenthal ran for an entry without generators")
+
+    monkeypatch.setattr("liebranch.characters.dominant_character", unreachable)
+    with pytest.raises(LieError):
+        restrict_collapsed(CAT.get("E8", "G2xF4"), (0, 0, 0, 0, 0, 0, 0, 9))
 
 
 def test_multiplicity_free_flags():

@@ -183,6 +183,8 @@ INPUT_DEFECTS = [
     (["spherical", "E6", "F4", "2", "--mod-prime", "2"], 2),
     (["spherical", "E6", "F4", "2", "--mod-prime", "4"], 2),
     (["branch", "G2", "A2", "1", "2", "--verify", "--kmax", "0"], 2),
+    (["branch", "G2", "A2", "2", "0", "--verify"], 2),
+    (["branch", "G2", "A2", "3", "1"], 2),
     (["spherical", "E6", "F4", "2", "--mod-prime", "2147483659"], 0),
 ]
 
