@@ -7,8 +7,8 @@ weight to multiplicity.  Restriction to a subgroup gives the dominant
 character of the restricted module, keyed by torus charge when the
 subgroup has a central torus: it walks the Weyl orbit of each dominant
 weight (only the points in the subgroup's dominant cone when the
-subgroup is a root subgroup, the full orbit for the folded and derived
-subgroups) and keeps the points whose image is dominant.  That
+subgroup is a root subgroup, the full orbit for the folded subgroups)
+and keeps the points whose image is dominant.  That
 character answers both full decompositions (repeated peeling of the
 highest remaining weight) and single multiplicities (alternating sum
 over the subgroup Weyl group).
@@ -113,7 +113,7 @@ def restrict_collapsed(emb, lam):
     walk stays inside the cone of `emb.simple_images` when the entry has
     them (subsystem and Levi entries, whose restriction rows are the
     coroots of those roots, so the cone holds exactly the points with a
-    dominant image); the folded and derived entries walk the full orbit.
+    dominant image); the folded entries walk the full orbit.
     """
     emb.restriction_rows()  # an entry without generators raises LieError
     rs = root_system(emb.ambient)

@@ -157,8 +157,10 @@ def cmd_branch(args):
     g = _ambient(args.group)
     if args.degree < 0:
         raise LieError("degree must be nonnegative")
+    if args.kmax is not None and not args.verify:
+        raise LieError("--kmax only applies with --verify")
     kmax = args.degree if args.kmax is None else args.kmax
-    if (args.verify or args.kmax is not None) and kmax < 1:
+    if args.verify and kmax < 1:
         raise LieError(f"--kmax (default: the degree) must be at least 1, got {kmax}")
     flag_dimension(g, args.node)  # validates the node, raising LieError
     entry = _lookup(load_rules(args.data).get, str(g), args.subgroup, args.node)

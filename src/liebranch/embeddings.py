@@ -1,7 +1,7 @@
 """Distinguished reductive subalgebras of the exceptional Lie algebras.
 
 Each catalog entry describes one conjugacy class of maximal connected
-reductive subgroups H of a simple exceptional group G, in one of five
+reductive subgroups H of a simple exceptional group G, in one of four
 shapes:
 
 - ``subsystem``: H is generated by root subspaces of G; its simple roots
@@ -10,15 +10,15 @@ shapes:
 - ``levi``: H is a maximal Levi subgroup, semisimple part times a
   one-dimensional central torus; a coweight vector records the torus.
 - ``folded``: the simple generators of H are signed sums of root vectors
-  of G (fixed points of a diagram involution).
-- ``derived``: H is assembled from a previously defined embedding plus
-  its centralizer (used for the rank-5 product inside the rank-7 group).
+  of G (fixed points of a diagram involution, or such a subalgebra
+  together with its centralizing sl2).
 - ``typeonly``: only the isomorphism type is known to the catalog; these
   entries carry enough data for dimension counts but no generators.
 
 Generator conventions: for each simple root j of H the entry provides
 ``x_j`` (raising), ``y_j`` (lowering) and ``h_j = [x_j, y_j]`` in the
-ambient Chevalley basis, satisfying ``[h_i, x_j] = C_H[i][j] x_j``.
+ambient Chevalley basis, satisfying ``[h_i, x_j] = C_H[i][j] x_j``.  A
+subsystem or Levi generator is the one-term sum of its simple-root image.
 Weight restriction is the linear map given by pairing with the ``h_j``
 (plus the torus coweight for Levi entries).
 """
@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .chevalley import chevalley_basis, neg
-from .linalg import SpanQ, clear_denominators
+from .linalg import SpanQ
 from .rootsys import (
     LieError,
     ProductSystem,
@@ -44,7 +44,7 @@ from .rootsys import (
     root_system,
 )
 
-KINDS = ("subsystem", "levi", "folded", "derived", "typeonly")
+KINDS = ("subsystem", "levi", "folded", "typeonly")
 
 
 def _pairing_matrix(rs, betas):
@@ -110,23 +110,10 @@ def subsystem_simple_images(g: SimpleType, node: int):
     r = rs.rank
     if not 1 <= node <= r:
         raise LieError(f"node {node} out of range for {g}")
-    # the subsystem is the additive closure of the generators and their
-    # negatives inside the ambient roots (the lattice span would be too
-    # big: long roots can span short ones)
-    gens = [rs.highest_root] + [
-        tuple(1 if k == j else 0 for k in range(r)) for j in range(r) if j != node - 1
-    ]
-    sub = set(gens) | {tuple(-x for x in a) for a in gens}
-    grew = True
-    while grew:
-        grew = False
-        for a in list(sub):
-            for b in list(sub):
-                s = tuple(x + y for x, y in zip(a, b))
-                if s not in sub and rs.is_root(s):
-                    sub.add(s)
-                    grew = True
-    pos = sorted(a for a in sub if a in rs.index)
+    # Borel-de Siebenthal: the roots whose coefficient at the removed node
+    # is divisible by its coefficient m in the highest root
+    m = rs.highest_root[node - 1]
+    pos = sorted(a for a in rs.positive_roots if a[node - 1] % m == 0)
     pos_set = set(pos)
     simples = []
     for a in pos:
@@ -159,8 +146,6 @@ class Embedding:
         self.coweight = None  # torus pairing row (levi)
         self.simple_images = None  # list of G-roots, one per H node
         self.gen_terms = None  # folded: list of [(sign, G-root), ...]
-        self.inner = None  # derived: (name, ambient-name)
-        self.via_omit = None  # derived: node of G whose Levi hosts inner
         self._built = None
         self._roots = None
 
@@ -195,106 +180,22 @@ class Embedding:
             raise LieError(f"{self.name} < {self.ambient}: no generators known")
         cb = chevalley_basis(self.ambient)
         rs = cb.rs
-        if self.kind in ("subsystem", "levi"):
-            betas = self.simple_images
-            xg = [cb.x(b) for b in betas]
-            yg = [cb.x(neg(b)) for b in betas]
-            hg = [cb.h_coroot(b) for b in betas]
-            rows = [rs.coroot(b) for b in betas]
-        elif self.kind == "folded":
-            xg, yg, hg, rows = [], [], [], []
-            for terms in self.gen_terms:
-                x, y, h = {}, {}, {}
-                row = [0] * rs.rank
-                for s, gr in terms:
-                    x[cb.root_index[gr]] = s
-                    y[cb.root_index[neg(gr)]] = s
-                    for k, c in cb.h_coroot(gr).items():
-                        h[k] = h.get(k, 0) + c
-                    cr = rs.coroot(gr)
-                    row = [a + b for a, b in zip(row, cr)]
-                xg.append(x)
-                yg.append(y)
-                hg.append(h)
-                rows.append(tuple(row))
-        elif self.kind == "derived":
-            xg, yg, hg, rows = self._build_derived(cb)
-        else:
-            raise LieError(f"unknown kind {self.kind}")
-        self._built = (xg, yg, hg, [tuple(r) for r in rows])
+        xg, yg, hg, rows = [], [], [], []
+        for terms in self.gen_terms or [[(1, b)] for b in self.simple_images]:
+            x, y, h = {}, {}, {}
+            row = [0] * rs.rank
+            for s, gr in terms:
+                x[cb.root_index[gr]] = s
+                y[cb.root_index[neg(gr)]] = s
+                for k, c in cb.h_coroot(gr).items():
+                    h[k] = h.get(k, 0) + c
+                row = [a + b for a, b in zip(row, rs.coroot(gr))]
+            xg.append(x)
+            yg.append(y)
+            hg.append(h)
+            rows.append(tuple(row))
+        self._built = (xg, yg, hg, rows)
         return self._built
-
-    def _build_derived(self, cb):
-        rs = cb.rs
-        inner = self.inner_embedding
-        pad = rs.rank - root_system(inner.ambient).rank
-        assert self.via_omit == rs.rank  # inner lives in the Levi of the last node
-
-        def lift_root(a):
-            return tuple(a) + (0,) * pad
-
-        ixg, iyg, ihg, irows = inner._build()
-
-        def lift_elem(u, inner_cb):
-            out = {}
-            for k, c in u.items():
-                a = inner_cb.signed_root_of_index(k)
-                if a is None:
-                    out[2 * cb.m + (k - 2 * inner_cb.m)] = c
-                else:
-                    out[cb.root_index[lift_root(a)]] = c
-            return out
-
-        inner_cb = chevalley_basis(inner.ambient)
-        xg = [lift_elem(u, inner_cb) for u in ixg]
-        yg = [lift_elem(u, inner_cb) for u in iyg]
-        hg = [lift_elem(u, inner_cb) for u in ihg]
-        rows = [tuple(r) + (0,) * pad for r in irows]
-
-        # centralizing sl2: raising vector in the +1 block of the grading by
-        # the omitted node's coefficient, annihilated by all inner generators
-        o = self.via_omit - 1
-        plus_idx = [cb.root_index[a] for a in rs.positive_roots if a[o] == 1]
-        minus_idx = [cb.root_index[neg(a)] for a in rs.positive_roots if a[o] == 1]
-
-        def invariant_line(block):
-            basis = cb.centralizer(xg + yg, block)
-            if len(basis) != 1:
-                raise LieError(
-                    f"{self.name}: invariant block rank unexpected ({len(basis)})"
-                )
-            ints = clear_denominators(basis[0])
-            return {k: c for k, c in enumerate(ints) if c}
-
-        E = invariant_line(plus_idx)
-        F = invariant_line(minus_idx)
-        H0 = cb.bracket(E, F)
-        assert all(k >= 2 * cb.m for k in H0), "sl2 coroot not toral"
-        HE = cb.bracket(H0, E)
-        kappa = None
-        for k, c in E.items():
-            kappa = Fraction(HE.get(k, 0), c)
-            break
-        assert kappa and kappa > 0
-        for k, c in E.items():
-            assert Fraction(HE.get(k, 0), c) == kappa
-        scale = 2 / kappa
-        F = {k: c * scale for k, c in F.items()}
-        H = cb.bracket(E, F)
-        hrow = [H.get(2 * cb.m + j, 0) for j in range(rs.rank)]
-        assert all(Fraction(v).denominator == 1 for v in hrow)
-        hrow = [int(v) for v in hrow]
-        H = {2 * cb.m + j: v for j, v in enumerate(hrow) if v}
-        # the first factor of the product is the new sl2
-        return [E] + xg, [F] + yg, [H] + hg, [tuple(hrow)] + rows
-
-    @property
-    def inner_embedding(self):
-        if self._inner_ref is None:
-            raise LieError(f"{self.name}: inner embedding not resolved")
-        return self._inner_ref
-
-    _inner_ref = None
 
     def x_gens(self):
         return self._build()[0]
@@ -487,10 +388,25 @@ def _parse_root(tok, rank):
     raise LieError(f"cannot parse root token {tok!r}")
 
 
+def _check_record(r):
+    """Each kind has the generator lines it reads, and no others."""
+    if r.kind == "folded" and r.gen_terms is None:
+        raise LieError("kind folded needs chev lines")
+    if r.gen_terms is not None and r.kind != "folded":
+        raise LieError("chev lines go only with kind folded")
+    if r.simple_images is not None and r.kind not in ("subsystem", "levi"):
+        raise LieError("root lines go only with kind subsystem or levi")
+    if r.kind == "subsystem" and r.node is None and r.simple_images is None:
+        raise LieError("kind subsystem needs a node or root lines")
+    if r.kind == "levi" and (r.simple_images is None or r.coweight is None):
+        raise LieError("kind levi needs root lines and a coweight")
+
+
 def parse_embeddings(text: str):
     """Parse the embedding catalog file into Embedding objects (in order)."""
     records = []
     cur = None
+    cur_line = None
     cur_roots = {}
     cur_chev = {}
     saw_format = False
@@ -499,16 +415,21 @@ def parse_embeddings(text: str):
         nonlocal cur, cur_roots, cur_chev
         if cur is None:
             return
-        if cur_roots:
-            n = cur.rank_ss
-            if sorted(cur_roots) != list(range(1, n + 1)):
-                raise LieError(f"{cur.name}: root lines must cover 1..{n}")
-            cur.simple_images = [cur_roots[j] for j in range(1, n + 1)]
-        if cur_chev:
-            n = cur.rank_ss
-            if sorted(cur_chev) != list(range(1, n + 1)):
-                raise LieError(f"{cur.name}: chev lines must cover 1..{n}")
-            cur.gen_terms = [cur_chev[j] for j in range(1, n + 1)]
+        n = cur.rank_ss
+        try:
+            if cur_roots:
+                if sorted(cur_roots) != list(range(1, n + 1)):
+                    raise LieError(f"root lines must cover 1..{n}")
+                cur.simple_images = [cur_roots[j] for j in range(1, n + 1)]
+            if cur_chev:
+                if sorted(cur_chev) != list(range(1, n + 1)):
+                    raise LieError(f"chev lines must cover 1..{n}")
+                cur.gen_terms = [cur_chev[j] for j in range(1, n + 1)]
+            _check_record(cur)
+        except LieError as e:
+            raise LieError(
+                f"embeddings data line {cur_line}: {cur.name} in {cur.ambient}: {e}"
+            ) from None
         records.append(cur)
         cur, cur_roots, cur_chev = None, {}, {}
 
@@ -516,20 +437,22 @@ def parse_embeddings(text: str):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        head, _, rest = line.partition(" ")
+        rest = rest.strip()
+        if head == "embed":
+            finish()
         try:
-            head, _, rest = line.partition(" ")
-            rest = rest.strip()
             if head == "format":
                 if rest != "1":
                     raise LieError(f"unsupported format {rest!r}")
                 saw_format = True
             elif head == "embed":
-                finish()
                 m = re.match(r"^(\S+)\s+in\s+([A-G][0-9])$", rest)
                 if not m:
                     raise LieError(f"bad embed line {line!r}")
                 amb = SimpleType(m.group(2)[0], int(m.group(2)[1]))
                 cur = Embedding(amb, m.group(1), kind="typeonly")
+                cur_line = lineno
             elif cur is None:
                 raise LieError(f"directive {head!r} outside a record")
             elif head == "kind":
@@ -563,16 +486,6 @@ def parse_embeddings(text: str):
                         tok = tok[1:]
                     terms.append((sign, _parse_root(tok, cur.ambient.rank)))
                 cur_chev[int(m.group(1))] = terms
-            elif head == "inner":
-                m = re.match(r"^(\S+)\s+in\s+([A-G][0-9])$", rest)
-                if not m:
-                    raise LieError(f"bad inner line {line!r}")
-                cur.inner = (m.group(1), m.group(2))
-            elif head == "via":
-                m = re.match(r"^omit\s+([0-9]+)$", rest)
-                if not m:
-                    raise LieError(f"bad via line {line!r}")
-                cur.via_omit = int(m.group(1))
             else:
                 raise LieError(f"unknown directive {head!r}")
         except LieError as e:
@@ -594,17 +507,11 @@ class Catalog:
                 raise LieError(f"duplicate catalog entry {key}")
             self.by_key[key] = r
             self.by_g.setdefault(str(r.ambient), []).append(r)
-        # resolve derived references and fill subsystem images
+        # fill the simple-root images of subsystems given by their node
         for r in records:
-            if r.kind == "derived":
-                hname, gname = r.inner
-                ref = self.by_key.get((gname, hname))
-                if ref is None:
-                    raise LieError(f"{r.name}: unknown inner embedding {r.inner}")
-                r._inner_ref = ref
             if r.kind == "subsystem" and r.simple_images is None:
                 factors, _ = subsystem_simple_images(r.ambient, r.node)
-                # arrange derived factors to follow the declared factor order
+                # arrange the factors to follow the declared factor order
                 pool = list(factors)
                 images = []
                 for want in r.spec.factors:
@@ -640,10 +547,10 @@ class Catalog:
             if r.kind != "subsystem" or r.node is None:
                 continue
             factors, _ = subsystem_simple_images(r.ambient, r.node)
-            derived = sorted(b for _, ordered in factors for b in ordered)
+            from_node = sorted(b for _, ordered in factors for b in ordered)
             explicit = sorted(r.simple_images)
-            if derived != explicit:
-                problems.append((str(r.ambient), r.name, derived, explicit))
+            if from_node != explicit:
+                problems.append((str(r.ambient), r.name, from_node, explicit))
         return problems
 
 

@@ -122,21 +122,6 @@ def inverse(M):
     return inv
 
 
-def clear_denominators(vec):
-    """Scale a rational vector to a primitive integer vector."""
-    from math import gcd, lcm
-
-    fracs = [Fraction(x) for x in vec]
-    m = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [int(f * m) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
-
-
 def is_probable_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for n < 3.3e24 (covers 64-bit inputs)."""
     if n < 2:

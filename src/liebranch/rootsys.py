@@ -214,7 +214,9 @@ class RootSystem:
         # weight coordinates -> simple-root coordinates
         self.C_inv = inverse(self.C)
         # <omega_j, 2 rho^vee>, twice the height of omega_j: for height keys
-        self._two_rho_covector = [2 * sum(col) for col in zip(*self.C_inv)]
+        two_rho = [2 * sum(col) for col in zip(*self.C_inv)]
+        assert all(c.denominator == 1 for c in two_rho), two_rho
+        self._two_rho_covector = [int(c) for c in two_rho]
 
     # -- construction --------------------------------------------------
 

@@ -274,7 +274,7 @@ def classify_pair(emb: Embedding, node: int, seed=0, trials=8, prime="auto"):
         return ClassifyRow(
             emb.name, emb.kind, node, fd, bd, "undecided", "none", "none"
         )
-    use_translate = emb.kind in ("folded", "derived") or emb.ambient.rank == 8
+    use_translate = emb.kind == "folded" or emb.ambient.rank == 8
     if not use_translate:
         setup = SphericitySetup(emb, node)
         x, t = setup.find_witness(seed=seed, trials=trials)

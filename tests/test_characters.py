@@ -223,7 +223,7 @@ def test_cone_restriction_matches_full_orbit_on_fundamentals():
 
 
 def test_restriction_matches_full_orbit_on_non_equal_rank():
-    # the folded and derived entries have no cone to walk, so their
+    # the folded entries have no cone to walk, so their
     # restriction keeps the dominant images of the full orbit
     cases = []
     for g, h in [("E6", "F4"), ("E6", "C4"), ("E7", "A1xF4")]:

@@ -185,6 +185,7 @@ INPUT_DEFECTS = [
     (["branch", "G2", "A2", "1", "2", "--verify", "--kmax", "0"], 2),
     (["branch", "G2", "A2", "2", "0", "--verify"], 2),
     (["branch", "G2", "A2", "3", "1"], 2),
+    (["branch", "G2", "A2", "1", "2", "--kmax", "1"], 2),
     (["spherical", "E6", "F4", "2", "--mod-prime", "2147483659"], 0),
 ]
 
@@ -248,6 +249,35 @@ class TestDataDir:
 BAD_DATA = {
     "bad_embeddings": ("embeddings.txt", "garbage\n"),
     "bad_rules": ("rules.txt", "format 1\nrule ?\n"),
+    # records that lack the generator lines their kind reads, or carry
+    # lines of another kind
+    "folded_without_chev": (
+        "embeddings.txt", "format 1\nembed A2 in G2\nkind folded\n"
+    ),
+    "levi_without_roots": (
+        "embeddings.txt", "format 1\nembed A2 in G2\nkind levi\ncoweight (1,0)\n"
+    ),
+    "levi_without_coweight": (
+        "embeddings.txt",
+        "format 1\nembed A2 in G2\nkind levi\nroot 1 = (3,1)\nroot 2 = (0,1)\n",
+    ),
+    "subsystem_without_node": (
+        "embeddings.txt", "format 1\nembed A2 in G2\nkind subsystem\n"
+    ),
+    "chev_on_subsystem": (
+        "embeddings.txt",
+        "format 1\nembed A2 in G2\nkind subsystem\nnode 1\n"
+        "chev 1 = +(3,1)\nchev 2 = +(0,1)\n",
+    ),
+    "roots_on_folded": (
+        "embeddings.txt",
+        "format 1\nembed A2 in G2\nkind folded\nroot 1 = (3,1)\nroot 2 = (0,1)\n"
+        "chev 1 = +(3,1)\nchev 2 = +(0,1)\n",
+    ),
+    "kind_derived": (
+        "embeddings.txt",
+        "format 1\nembed A2 in G2\nkind derived\n",
+    ),
 }
 
 
@@ -263,6 +293,14 @@ DATA_EXIT_CASES = [
     (["dims", "G2"], "bad_embeddings", 2),
     (["spherical", "G2", "A2", "1"], "bad_embeddings", 2),
     (["mult", "G2", "A2", "w1", "l1"], "bad_embeddings", 2),
+    (["classify", "G2"], "folded_without_chev", 2),
+    (["classify", "G2"], "levi_without_roots", 2),
+    (["classify", "G2"], "levi_without_coweight", 2),
+    (["dims", "G2"], "subsystem_without_node", 2),
+    (["classify", "G2"], "subsystem_without_node", 2),
+    (["classify", "G2"], "chev_on_subsystem", 2),
+    (["classify", "G2"], "roots_on_folded", 2),
+    (["dims", "G2"], "kind_derived", 2),
     (["branch", "G2", "A2", "1", "1"], "bad_rules", 2),
     (["dims", "A3"], None, 3),
     (["classify", "A3"], None, 3),
@@ -290,14 +328,16 @@ def test_data_exit_codes(capsys, tmp_path, argv, data, want):
     assert err.startswith("error: ")
 
 
-# sha256 of the stdout of `classify <G> --seed 0 --format json`, recorded
-# before the orbit test built its cell in one way for every catalog kind:
-# pins every verdict and witness.
+# sha256 of the stdout of `classify <G> --seed 0 --format json`: pins every
+# verdict and witness.  G2, F4, E6 and E8 were recorded before the orbit
+# test built its cell in one way for every catalog kind.  E7 was re-recorded
+# when E7 > A1xF4 became a folded record: its 7 rows changed only their
+# "kind" from "derived" to "folded".
 CLASSIFY_JSON_SHA256 = {
     "G2": "3cb823ec107cae0246f7e604c9a8ae926ddddff427d570d3118cc22795d1127a",
     "F4": "471d75aeabe06cbf652504e464cb5d336db40da5584e1ac1ea4420d53ce21c2b",
     "E6": "4851164befbd7f758a5114d5443e6a895a21e04b266d5205b3e52659dd58b973",
-    "E7": "356ccc60a6c68dc4ddda117f9df2b0b74835f16e7b9e7dbabf8d2545328cef44",
+    "E7": "618e12e1bd928d1bbc14a790a1cedb43a2778d789779001275d2617c26a45cb8",
     "E8": "a86f9fd6310689df1583941499454f6b378c3caae7bd54e3bc9a9cadfe279e9d",
 }
 

@@ -9,7 +9,7 @@ from liebranch.embeddings import (
     subsystem_simple_images,
 )
 from liebranch.linalg import SpanQ
-from liebranch.rootsys import LieError, SimpleType
+from liebranch.rootsys import LieError, SimpleType, root_system
 
 
 @pytest.fixture(scope="module")
@@ -196,12 +196,67 @@ def test_derived_sl2_row(cat):
 
 
 def test_derived_sl2_triple_pinned(cat):
-    # the centralizing sl2 of E7 > A1xF4, as first computed: any change to
-    # the nullspace solve or the scaling shows up here
+    # the centralizing sl2 of E7 > A1xF4 as the data line states it, at the
+    # values a nullspace solve first gave: any change to that line, or to
+    # how a chev line becomes x, y and h, shows up here
     xg, yg, hg, _ = cat.get("E7", "A1xF4")._build()
     assert xg[0] == {45: -1, 46: -1, 47: 1}
     assert yg[0] == {108: -1, 109: -1, 110: 1}
     assert hg[0] == {126: 2, 127: 3, 128: 4, 129: 6, 130: 5, 131: 4, 132: 3}
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["raising", "lowering"])
+def test_a1_line_spans_the_f4_centralizer(cat, sign):
+    # oracle for the A1 line of E7 > A1xF4: inside the root spaces with
+    # a7 = sign, the elements commuting with every F4 generator form one
+    # line, and the A1 generator spans it
+    emb = cat.get("E7", "A1xF4")
+    cb = chevalley_basis(emb.ambient)
+    xg, yg, _, _ = emb._build()
+    block = [
+        cb.root_index[tuple(sign * c for c in a)]
+        for a in cb.rs.positive_roots
+        if a[6] == 1
+    ]
+    basis = cb.centralizer(xg[1:] + yg[1:], block)
+    assert len(basis) == 1
+    gen = cb.to_dense(xg[0] if sign == 1 else yg[0])
+    line = SpanQ(cb.dim)
+    line.add(basis[0])
+    assert any(gen)
+    assert not any(line.reduce(gen))
+
+
+def additive_closure(rs, node):
+    """Positive roots of the closure of {+-theta} and {+-alpha_j : j != node}
+    under sums that are roots."""
+    r = rs.rank
+    gens = [rs.highest_root] + [
+        tuple(int(k == j) for k in range(r)) for j in range(r) if j != node - 1
+    ]
+    sub = set(gens) | {tuple(-x for x in a) for a in gens}
+    grew = True
+    while grew:
+        grew = False
+        for a in list(sub):
+            for b in list(sub):
+                s = tuple(x + y for x, y in zip(a, b))
+                if s not in sub and rs.is_root(s):
+                    sub.add(s)
+                    grew = True
+    return sorted(a for a in sub if a in rs.index)
+
+
+EXCEPTIONAL_NODES = [
+    (g, node) for g in ("G2", "F4", "E6", "E7", "E8") for node in range(1, int(g[1]) + 1)
+]
+
+
+@pytest.mark.parametrize("g,node", EXCEPTIONAL_NODES)
+def test_subsystem_roots_are_the_additive_closure(g, node):
+    t = SimpleType(g[0], int(g[1]))
+    _, pos = subsystem_simple_images(t, node)
+    assert pos == additive_closure(root_system(t), node)
 
 
 def test_h_positive_root_counts(cat):

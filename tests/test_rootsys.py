@@ -411,3 +411,30 @@ def test_height_key_positive_on_positive_roots():
         assert rs.height_key(rs.weight_of_root(rs.highest_root)) == 2 * (
             2 * rs.n_pos // rs.rank
         ) - 2
+
+
+def _catalog_simple_types():
+    types = set()
+    for r in load_catalog().records:
+        types.add(r.ambient)
+        types.update(r.spec.factors)
+    return sorted(types, key=str)
+
+
+@pytest.mark.parametrize("t", _catalog_simple_types(), ids=str)
+def test_height_key_is_an_int(t):
+    rs = root_system(t)
+    weights = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
+    weights += [rs.rho, tuple((-2) ** j for j in range(rs.rank))]
+    for mu in weights:
+        # the rational key it replaces: 2 * sum_i (C^-1)_ij, paired with mu
+        want = sum(2 * sum(col) * x for col, x in zip(zip(*rs.C_inv), mu))
+        got = rs.height_key(mu)
+        assert type(got) is int and got == want
+
+
+def test_product_height_key_is_an_int():
+    for r in load_catalog().records:
+        if r.hsys is not None:
+            got = r.hsys.height_key(tuple(range(1, r.rank_ss + 1)))
+            assert type(got) is int
