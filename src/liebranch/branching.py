@@ -126,6 +126,8 @@ def _parse_degrees(text, where):
         if idx in degrees:
             raise LieError(f"{where}: generator a{idx} repeated")
         degrees[idx] = int(m.group(1) or 1)
+        if degrees[idx] < 1:
+            raise LieError(f"{where}: generator a{idx} needs a degree of at least 1")
     n = len(degrees)
     if sorted(degrees) != list(range(1, n + 1)):
         raise LieError(f"{where}: generators must be a1..a{n}")
@@ -226,8 +228,10 @@ def parse_rules(text):
         if not saw_format:
             raise LieError(f"{where}: missing 'format {RULE_FILE_FORMAT}' header")
         if line.startswith("rulevariant"):
-            _, label, payload = line.split(None, 2)
-            rules.append(_parse_rule_line(payload, label, where))
+            fields = line.split(None, 2)
+            if len(fields) != 3:
+                raise LieError(f"{where}: expected 'rulevariant <label> <rule>'")
+            rules.append(_parse_rule_line(fields[2], fields[1], where))
         elif line.startswith("rule"):
             rules.append(_parse_rule_line(line[4:], None, where))
         else:

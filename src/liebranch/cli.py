@@ -91,9 +91,7 @@ def cmd_classify(args):
     g = _ambient(args.group)
     catalog = load_catalog(args.data)
     _lookup(catalog.entries, str(g))  # a group without entries is unsupported
-    rows = classify_group(
-        catalog, str(g), seed=args.seed, trials=args.trials, prime=args.mod_prime
-    )
+    rows = classify_group(catalog, str(g), seed=args.seed, trials=args.trials)
     spherical = sum(r.verdict == "spherical" for r in rows)
     consistent = duality_consistent(rows, g)
     lines = []
@@ -120,9 +118,7 @@ def cmd_spherical(args):
     g = _ambient(args.group)
     emb = _get_embedding(args, g, args.subgroup)
     flag_dimension(g, args.node)  # validates the node, raising LieError
-    row = classify_pair(
-        emb, args.node, seed=args.seed, trials=args.trials, prime=args.mod_prime
-    )
+    row = classify_pair(emb, args.node, seed=args.seed, trials=args.trials)
     if row.verdict == "undecided":
         raise Unsupported(
             f"{g} > {args.subgroup} is catalogued without an explicit embedding"
@@ -250,14 +246,6 @@ def cmd_mult(args):
     return EXIT_OK
 
 
-def _prime_arg(text):
-    if text in ("auto", "off"):
-        return text
-    if text.isdigit():
-        return text
-    raise argparse.ArgumentTypeError("expected 'auto', 'off', or a prime")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="liebranch",
@@ -274,12 +262,6 @@ def build_parser():
     random_opts = argparse.ArgumentParser(add_help=False)
     random_opts.add_argument("--seed", type=int, default=0)
     random_opts.add_argument("--trials", type=int, default=8)
-    random_opts.add_argument(
-        "--mod-prime",
-        type=_prime_arg,
-        default="auto",
-        help="prime for modular ranks in the translate test: auto, off, or a prime",
-    )
 
     p = sub.add_parser(
         "classify", parents=[common, random_opts], help="classify all pairs for a group"

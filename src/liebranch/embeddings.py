@@ -40,7 +40,7 @@ from .rootsys import (
     TypeSpec,
     cartan_data,
     diagram_components,
-    component_type,
+    match_cartan,
     root_system,
 )
 
@@ -60,43 +60,17 @@ def _pairing_matrix(rs, betas):
     return M
 
 
-def bourbaki_order(rs, betas):
-    """Order a connected set of mutually-pairing roots to match the
-    standard Cartan matrix of its type; returns (SimpleType, ordered list)."""
-    M = _pairing_matrix(rs, betas)
-    d_sub = [rs.norm2(b) // 2 for b in betas]
-    comps = diagram_components(M)
-    if len(comps) != 1:
-        raise LieError("bourbaki_order wants a connected set")
-    t = component_type(M, d_sub, list(range(len(betas))))
-    Ct, _ = cartan_data(t)
-    n = len(betas)
-    order = [None] * n
-    used = [False] * n
+def node_subsystem_roots(rs, node):
+    """Positive roots of the subsystem left by dropping ``node`` (1-based)
+    from the extended diagram, sorted.
 
-    def place(k):
-        if k == n:
-            return True
-        for cand in range(n):
-            if used[cand]:
-                continue
-            ok = True
-            for m in range(k):
-                if M[order[m]][cand] != Ct[m][k] or M[cand][order[m]] != Ct[k][m]:
-                    ok = False
-                    break
-            if ok:
-                order[k] = cand
-                used[cand] = True
-                if place(k + 1):
-                    return True
-                used[cand] = False
-                order[k] = None
-        return False
-
-    if not place(0):
-        raise LieError(f"cannot order diagram as {t}")
-    return t, [betas[i] for i in order]
+    Borel-de Siebenthal: the roots whose coefficient at the removed node
+    is divisible by its coefficient m in the highest root.
+    """
+    if not 1 <= node <= rs.rank:
+        raise LieError(f"node {node} out of range for {rs.type}")
+    m = rs.highest_root[node - 1]
+    return sorted(a for a in rs.positive_roots if a[node - 1] % m == 0)
 
 
 def subsystem_simple_images(g: SimpleType, node: int):
@@ -107,13 +81,7 @@ def subsystem_simple_images(g: SimpleType, node: int):
     g; the returned factors are Bourbaki-ordered, largest rank first.
     """
     rs = root_system(g)
-    r = rs.rank
-    if not 1 <= node <= r:
-        raise LieError(f"node {node} out of range for {g}")
-    # Borel-de Siebenthal: the roots whose coefficient at the removed node
-    # is divisible by its coefficient m in the highest root
-    m = rs.highest_root[node - 1]
-    pos = sorted(a for a in rs.positive_roots if a[node - 1] % m == 0)
+    pos = node_subsystem_roots(rs, node)
     pos_set = set(pos)
     simples = []
     for a in pos:
@@ -122,12 +90,12 @@ def subsystem_simple_images(g: SimpleType, node: int):
         )
         if not decomposable:
             simples.append(a)
-    # split into connected components and order each
-    Mp = _pairing_matrix(rs, simples)
+    # split into connected components and put each in Bourbaki order
+    M = _pairing_matrix(rs, simples)
     factors = []
-    for comp in diagram_components(Mp):
-        t, ordered = bourbaki_order(rs, [simples[i] for i in comp])
-        factors.append((t, ordered))
+    for comp in diagram_components(M):
+        t, order = match_cartan([[M[i][j] for j in comp] for i in comp])
+        factors.append((t, [simples[comp[k]] for k in order]))
     factors.sort(key=lambda f: (-f[0].rank, f[0].family))
     return factors, pos
 
@@ -173,27 +141,29 @@ class Embedding:
 
     # -- generator construction ---------------------------------------------
 
+    def generator_terms(self):
+        """Each simple generator of H as a list of (sign, G-root) terms: the
+        chev lines, or the one-term sums of the simple-root images."""
+        return self.gen_terms or [[(1, b)] for b in self.simple_images]
+
     def _build(self):
         if self._built is not None:
             return self._built
         if self.kind == "typeonly":
             raise LieError(f"{self.name} < {self.ambient}: no generators known")
         cb = chevalley_basis(self.ambient)
-        rs = cb.rs
         xg, yg, hg, rows = [], [], [], []
-        for terms in self.gen_terms or [[(1, b)] for b in self.simple_images]:
+        for terms in self.generator_terms():
             x, y, h = {}, {}, {}
-            row = [0] * rs.rank
             for s, gr in terms:
                 x[cb.root_index[gr]] = s
                 y[cb.root_index[neg(gr)]] = s
                 for k, c in cb.h_coroot(gr).items():
                     h[k] = h.get(k, 0) + c
-                row = [a + b for a, b in zip(row, rs.coroot(gr))]
             xg.append(x)
             yg.append(y)
             hg.append(h)
-            rows.append(tuple(row))
+            rows.append(_coroot_sum(cb.rs, terms))
         self._built = (xg, yg, hg, rows)
         return self._built
 
@@ -349,6 +319,12 @@ class Embedding:
         assert span.rank == self.h_dim(), (self.name, span.rank, self.h_dim())
 
 
+def _coroot_sum(rs, terms):
+    """Restriction row of one generator: the sum of the coroots of its
+    terms, over the simple coroots."""
+    return tuple(map(sum, zip(*(rs.coroot(b) for _, b in terms))))
+
+
 def _as_exact(u):
     return {k: Fraction(c) for k, c in u.items() if c}
 
@@ -389,17 +365,60 @@ def _parse_root(tok, rank):
 
 
 def _check_record(r):
-    """Each kind has the generator lines it reads, and no others."""
+    """Each kind has the directives it reads, and no others."""
     if r.kind == "folded" and r.gen_terms is None:
         raise LieError("kind folded needs chev lines")
     if r.gen_terms is not None and r.kind != "folded":
         raise LieError("chev lines go only with kind folded")
     if r.simple_images is not None and r.kind not in ("subsystem", "levi"):
         raise LieError("root lines go only with kind subsystem or levi")
+    if r.node is not None and r.kind != "subsystem":
+        raise LieError("a node line goes only with kind subsystem")
+    if (r.coweight is not None or r.omit is not None) and r.kind != "levi":
+        raise LieError("coweight and omit lines go only with kind levi")
     if r.kind == "subsystem" and r.node is None and r.simple_images is None:
         raise LieError("kind subsystem needs a node or root lines")
     if r.kind == "levi" and (r.simple_images is None or r.coweight is None):
         raise LieError("kind levi needs root lines and a coweight")
+
+
+def _check_roots(r):
+    """The root and chev lines of a record describe H, checked on the root
+    system of G alone (the Serre relations and the span dimension need a
+    Chevalley basis and are left to ``Embedding.validate``)."""
+    if r.gen_terms is None and r.simple_images is None:
+        return
+    rs = root_system(r.ambient)
+    gens = r.generator_terms()
+    for terms in gens:
+        for _, b in terms:
+            if not rs.is_root(b):
+                raise LieError(f"{b} is not a root of {r.ambient}")
+    # every root of generator j restricts to column j of the Cartan matrix
+    # of H, and to charge 0 under the coweight of a Levi subgroup
+    rows = [_coroot_sum(rs, terms) for terms in gens]
+    want = r._h_cartan_matrix()
+    if r.coweight is not None:
+        rows.append(r.coweight)
+        want.append([0] * len(gens))
+    for j, terms in enumerate(gens):
+        col = [w[j] for w in want]
+        for k, (_, b) in enumerate(terms):
+            wb = rs.weight_of_root(b)
+            got = [sum(h * w for h, w in zip(row, wb)) for row in rows]
+            if got != col:
+                raise LieError(f"generator {j + 1}: {b} restricts to {got}, not {col}")
+            for _, c in terms[k + 1 :]:
+                if rs.is_root(tuple(x - y for x, y in zip(b, c))):
+                    raise LieError(f"generator {j + 1}: {b} - {c} is a root")
+    if r.node is not None and r.simple_images is not None:
+        pos = set(node_subsystem_roots(rs, r.node))
+        for b in r.simple_images:
+            if b not in pos and neg(b) not in pos:
+                raise LieError(f"root {b} is not in the subsystem of node {r.node}")
+        n_pos = sum(root_system(f).n_pos for f in r.spec.factors)
+        if len(pos) != n_pos:
+            raise LieError(f"node {r.node}: {len(pos)} positive roots, not {n_pos}")
 
 
 def parse_embeddings(text: str):
@@ -426,6 +445,7 @@ def parse_embeddings(text: str):
                     raise LieError(f"chev lines must cover 1..{n}")
                 cur.gen_terms = [cur_chev[j] for j in range(1, n + 1)]
             _check_record(cur)
+            _check_roots(cur)
         except LieError as e:
             raise LieError(
                 f"embeddings data line {cur_line}: {cur.name} in {cur.ambient}: {e}"
@@ -507,26 +527,20 @@ class Catalog:
                 raise LieError(f"duplicate catalog entry {key}")
             self.by_key[key] = r
             self.by_g.setdefault(str(r.ambient), []).append(r)
-        # fill the simple-root images of subsystems given by their node
+        # fill the simple-root images of subsystems given by their node,
+        # factor by factor in the declared order
         for r in records:
             if r.kind == "subsystem" and r.simple_images is None:
                 factors, _ = subsystem_simple_images(r.ambient, r.node)
-                # arrange the factors to follow the declared factor order
-                pool = list(factors)
-                images = []
-                for want in r.spec.factors:
-                    hit = next((f for f in pool if f[0] == want), None)
-                    if hit is None:
-                        got = "x".join(str(t) for t, _ in factors)
-                        raise LieError(
-                            f"{r.name}: removal node {r.node} gives {got}"
-                        )
-                    pool.remove(hit)
-                    images.extend(hit[1])
-                if pool:
-                    got = "x".join(str(t) for t, _ in factors)
+                got = [t for t, _ in factors]
+                if sorted(got) != sorted(r.spec.factors):
+                    got = "x".join(map(str, got))
                     raise LieError(f"{r.name}: removal node {r.node} gives {got}")
-                r.simple_images = images
+                r.simple_images = []
+                for want in r.spec.factors:
+                    hit = next(f for f in factors if f[0] == want)
+                    factors.remove(hit)
+                    r.simple_images.extend(hit[1])
 
     def get(self, gname: str, hname: str) -> Embedding:
         key = (gname, hname)

@@ -120,37 +120,3 @@ def inverse(M):
     for row, p in zip(span.rows, span.pivots):
         inv[p] = row[n:]
     return inv
-
-
-def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24 (covers 64-bit inputs)."""
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
-        if n % q == 0:
-            return n == q
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def derive_prime(seed: int) -> int:
-    """Deterministic 62-bit prime derived from a seed."""
-    n = (0x3FFF_FFFF_FFFF_FFC5 ^ (seed * 0x9E37_79B9_7F4A_7C15)) | (1 << 61) | 1
-    n &= (1 << 62) - 1
-    while not is_probable_prime(n):
-        n += 2
-    return n

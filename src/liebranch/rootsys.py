@@ -137,65 +137,43 @@ def diagram_components(C, nodes=None):
     return comps
 
 
-def component_type(C, d, comp):
-    """Identify the simple type of one connected induced subdiagram.
+def match_cartan(M):
+    """Simple type of a Cartan matrix given in any node order.
 
-    B2 and C2 are the same diagram; the B label is returned for rank 2.
+    Returns (t, order) with ``M[order[i]][order[j]] == C[i][j]`` for the
+    matrix C of ``cartan_data(t)``, and raises LieError when M is the
+    Cartan matrix of no simple type.  The types of rank len(M) are tried
+    in the order A, B, C, D, E, F, G, so the diagrams that two types
+    share are labelled B2 (not C2) and A3 (not D3).
     """
-    n = len(comp)
-    if n == 1:
-        return SimpleType("A", 1)
-    mult = {}
-    deg = {i: 0 for i in comp}
-    for i in comp:
-        for j in comp:
-            if i != j and C[i][j] != 0:
-                deg[i] += 1
-                mult[(i, j)] = C[i][j] * C[j][i]
-    mmax = max(mult.values())
-    if mmax == 3:
-        if n != 2:
-            raise LieError("triple edge in a diagram of rank > 2")
-        return SimpleType("G", 2)
-    if mmax == 2:
-        if n == 2:
-            return SimpleType("B", 2)
-        pair = next(p for p, m in mult.items() if m == 2)
-        if n == 4 and deg[pair[0]] == 2 and deg[pair[1]] == 2:
-            return SimpleType("F", 4)
-        dmax = max(d[i] for i in comp)
-        longs = [i for i in comp if d[i] == dmax]
-        if len(longs) == 1:
-            return SimpleType("C", n)
-        shorts = [i for i in comp if d[i] != dmax]
-        if len(shorts) == 1:
-            return SimpleType("B", n)
-        raise LieError("unrecognized doubly-laced diagram")
-    branch = [i for i in comp if deg[i] == 3]
-    if not branch:
-        return SimpleType("A", n)
-    if len(branch) > 1:
-        raise LieError("diagram with two branch nodes")
-    b = branch[0]
-    # arm lengths away from the branch node
-    arms = []
-    for j in comp:
-        if j != b and C[b][j] != 0:
-            length = 1
-            prev, cur = b, j
-            while True:
-                nxt = [k for k in comp if k not in (prev,) and k != cur and C[cur][k] != 0]
-                if not nxt:
-                    break
-                prev, cur = cur, nxt[0]
-                length += 1
-            arms.append(length)
-    arms.sort()
-    if arms[:2] == [1, 1]:
-        return SimpleType("D", n)
-    if arms[0] == 1 and arms[1] == 2 and n in (6, 7, 8):
-        return SimpleType("E", n)
-    raise LieError(f"unrecognized simply-laced diagram with arms {arms}")
+    n = len(M)
+    for family in "ABCDEFG":
+        try:
+            t = SimpleType(family, n)
+        except LieError:
+            continue
+        C, _ = cartan_data(t)
+        order = []
+
+        def place(k):
+            if k == n:
+                return True
+            for cand in range(n):
+                if cand in order or M[cand][cand] != 2:
+                    continue
+                if all(
+                    M[order[m]][cand] == C[m][k] and M[cand][order[m]] == C[k][m]
+                    for m in range(k)
+                ):
+                    order.append(cand)
+                    if place(k + 1):
+                        return True
+                    order.pop()
+            return False
+
+        if place(0):
+            return t, order
+    raise LieError(f"no simple type has the Cartan matrix {M}")
 
 
 class RootSystem:
@@ -411,8 +389,8 @@ class RootSystem:
         zero = [i for i in range(self.rank) if lam[i] == 0]
         order = 1
         for comp in diagram_components(self.C, zero):
-            ct = component_type(self.C, self.d, comp)
-            order *= root_system(ct).weyl_order()
+            t, _ = match_cartan([[self.C[i][j] for j in comp] for i in comp])
+            order *= root_system(t).weyl_order()
         return order
 
     def orbit_size(self, lam):

@@ -43,8 +43,15 @@ from dataclasses import dataclass, field
 
 from .chevalley import chevalley_basis, neg
 from .embeddings import Embedding
-from .linalg import SpanMod, SpanQ, derive_prime, is_probable_prime
+from .linalg import SpanMod, SpanQ
 from .rootsys import LieError, SimpleType, TypeSpec, root_system
+
+
+# Modulus of the production translate test: the Mersenne prime M61.  Any
+# prime is sound, because a rank that is full modulo p is full over Q (the
+# entries have denominators prime to p, and a minor that is nonzero modulo
+# p is nonzero).  It exceeds dim E8 = 248, so exp(ad n) can divide by every k.
+PRIME = 2**61 - 1
 
 
 def _simple(t):
@@ -248,22 +255,10 @@ class ClassifyRow:
         }
 
 
-def classify_pair(emb: Embedding, node: int, seed=0, trials=8, prime="auto"):
-    """Decide sphericity of G/P_node under one catalog subgroup.
-
-    ``prime`` is "auto" (derived from the seed), "off"/None (ranks over
-    Q), or a prime above dim g, so that exp(ad n) can divide by every k.
-    """
+def classify_pair(emb: Embedding, node: int, seed=0, trials=8):
+    """Decide sphericity of G/P_node under one catalog subgroup."""
     if trials < 1:
         raise LieError(f"trials must be at least 1, got {trials}")
-    p = None
-    if prime not in ("auto", "off", None):
-        p = int(prime)
-        dim = chevalley_basis(emb.ambient).dim
-        if not (p > dim and is_probable_prime(p)):
-            raise LieError(
-                f"modulus must be a prime above dim {emb.ambient} = {dim}, got {p}"
-            )
     fd = flag_dimension(emb.ambient, node)
     bd = emb.borel_dim()
     if bd < fd:
@@ -286,9 +281,7 @@ def classify_pair(emb: Embedding, node: int, seed=0, trials=8, prime="auto"):
         return ClassifyRow(
             emb.name, emb.kind, node, fd, bd, "not-spherical", "orbit", "sampled"
         )
-    if prime == "auto":
-        p = derive_prime(subseed(seed, "prime", emb.name, node))
-    ok, t = generic_translate_test(emb, node, seed=seed, trials=trials, prime=p)
+    ok, t = generic_translate_test(emb, node, seed=seed, trials=trials, prime=PRIME)
     if ok:
         return ClassifyRow(
             emb.name, emb.kind, node, fd, bd, "spherical", "translate", "exact"
@@ -298,12 +291,12 @@ def classify_pair(emb: Embedding, node: int, seed=0, trials=8, prime="auto"):
     )
 
 
-def classify_group(catalog, gname: str, seed=0, trials=8, prime="auto"):
+def classify_group(catalog, gname: str, seed=0, trials=8):
     """All (subgroup, node) verdicts for one ambient group, catalog order."""
     rows = []
     for emb in catalog.entries(gname):
         for node in range(1, emb.ambient.rank + 1):
-            rows.append(classify_pair(emb, node, seed=seed, trials=trials, prime=prime))
+            rows.append(classify_pair(emb, node, seed=seed, trials=trials))
     return rows
 
 

@@ -23,7 +23,10 @@ FLAG_DIMS = {
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as e:  # argparse rejected the command line
+        code = e.code
     out = capsys.readouterr()
     return code or 0, out.out, out.err
 
@@ -117,10 +120,6 @@ class TestSpherical:
         code, _, err = run(capsys, "spherical", "E6", "F4", "9")
         assert code == 2
 
-    def test_mod_prime_off_agrees(self, capsys):
-        _, out1, _ = run(capsys, "spherical", "E6", "C4", "1", "--mod-prime", "off")
-        assert "spherical (translate, exact)" in out1
-
 
 class TestBranch:
     def test_expansion_and_verify(self, capsys):
@@ -173,20 +172,17 @@ class TestBranch:
 
 
 # Inputs that used to give a wrong verdict, a traceback or a vacuous
-# check; each must now exit with code 2 and a one-line error.  The last
-# case keeps a valid explicit prime working.
+# check; each must now exit with code 2 and a one-line error.  The removed
+# --mod-prime option is a usage error: argparse prints the usage line and
+# then the one-line error.
 INPUT_DEFECTS = [
     (["spherical", "G2", "A2", "1", "--trials", "0"], 2),
     (["spherical", "G2", "A2", "1", "--trials", "-3"], 2),
-    (["spherical", "E6", "F4", "2", "--mod-prime", "0"], 2),
-    (["spherical", "E6", "F4", "2", "--mod-prime", "1"], 2),
-    (["spherical", "E6", "F4", "2", "--mod-prime", "2"], 2),
-    (["spherical", "E6", "F4", "2", "--mod-prime", "4"], 2),
+    (["spherical", "E6", "F4", "2", "--mod-prime", "auto"], 2),
     (["branch", "G2", "A2", "1", "2", "--verify", "--kmax", "0"], 2),
     (["branch", "G2", "A2", "2", "0", "--verify"], 2),
     (["branch", "G2", "A2", "3", "1"], 2),
     (["branch", "G2", "A2", "1", "2", "--kmax", "1"], 2),
-    (["spherical", "E6", "F4", "2", "--mod-prime", "2147483659"], 0),
 ]
 
 
@@ -196,11 +192,10 @@ INPUT_DEFECTS = [
 def test_input_defects(capsys, argv, want):
     code, out, err = run(capsys, *argv)
     assert code == want
-    if want:
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-    else:
-        assert "spherical (translate, exact)" in out
+    assert out == ""
+    if err.startswith("usage: "):  # usage lines, then "<prog>: error: ..."
+        err = err[err.index(": error: ") + 2 :]
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestMult:
@@ -278,6 +273,54 @@ BAD_DATA = {
         "embeddings.txt",
         "format 1\nembed A2 in G2\nkind derived\n",
     ),
+    "coweight_on_subsystem": (
+        "embeddings.txt",
+        "format 1\nembed A2 in G2\nkind subsystem\nnode 1\ncoweight (1,0)\n",
+    ),
+    "omit_on_subsystem": (
+        "embeddings.txt", "format 1\nembed A2 in G2\nkind subsystem\nnode 1\nomit 1\n"
+    ),
+    "node_on_levi": (
+        "embeddings.txt",
+        "format 1\nembed A2 in G2\nkind levi\nnode 1\n"
+        "root 1 = (3,1)\nroot 2 = (0,1)\ncoweight (0,0)\n",
+    ),
+    # root lines that contradict the record: the simple roots of G2 do not
+    # pair like those of A2; A2's roots are not in the A1xA1 of node 2, nor
+    # the short A2 in the long A2 of node 1, and an A1 is smaller than the
+    # A1xA1 of node 2; a coweight must vanish on the roots of a Levi
+    # subgroup; the zero vector is not a root
+    "roots_not_of_h": (
+        "embeddings.txt",
+        "format 1\nembed A2 in G2\nkind subsystem\nroot 1 = a1\nroot 2 = a2\n",
+    ),
+    "roots_off_node": (
+        "embeddings.txt",
+        "format 1\nembed A2 in G2\nkind subsystem\nnode 2\n"
+        "root 1 = (3,1)\nroot 2 = (0,1)\n",
+    ),
+    "short_roots_at_node": (
+        "embeddings.txt",
+        "format 1\nembed A2 in G2\nkind subsystem\nnode 1\n"
+        "root 1 = (1,0)\nroot 2 = (1,1)\n",
+    ),
+    "smaller_than_node": (
+        "embeddings.txt",
+        "format 1\nembed A1 in G2\nkind subsystem\nnode 2\nroot 1 = (1,0)\n",
+    ),
+    "coweight_off_roots": (
+        "embeddings.txt",
+        "format 1\nembed A2 in G2\nkind levi\n"
+        "root 1 = (3,1)\nroot 2 = (0,1)\ncoweight (1,0)\n",
+    ),
+    "root_not_a_root": (
+        "embeddings.txt",
+        "format 1\nembed A2 in G2\nkind subsystem\nroot 1 = (0,0)\nroot 2 = (0,1)\n",
+    ),
+    "rulevariant_without_rule": ("rules.txt", "format 1\nrulevariant oops\n"),
+    "zero_degree_rule": (
+        "rules.txt", "format 1\nrule G2 A2 1 : 0*a1 = k -> a1*l1\n"
+    ),
 }
 
 
@@ -301,6 +344,19 @@ DATA_EXIT_CASES = [
     (["classify", "G2"], "chev_on_subsystem", 2),
     (["classify", "G2"], "roots_on_folded", 2),
     (["dims", "G2"], "kind_derived", 2),
+    (["mult", "G2", "A2", "w1", "l1"], "coweight_on_subsystem", 2),
+    (["branch", "G2", "A2", "1", "2", "--verify"], "coweight_on_subsystem", 2),
+    (["classify", "G2"], "omit_on_subsystem", 2),
+    (["classify", "G2"], "node_on_levi", 2),
+    (["spherical", "G2", "A2", "1"], "roots_not_of_h", 2),
+    (["mult", "G2", "A2", "w1", "l1"], "roots_not_of_h", 2),
+    (["classify", "G2"], "roots_off_node", 2),
+    (["classify", "G2"], "short_roots_at_node", 2),
+    (["classify", "G2"], "smaller_than_node", 2),
+    (["classify", "G2"], "coweight_off_roots", 2),
+    (["classify", "G2"], "root_not_a_root", 2),
+    (["branch", "G2", "A2", "1", "1"], "rulevariant_without_rule", 2),
+    (["branch", "G2", "A2", "1", "1"], "zero_degree_rule", 2),
     (["branch", "G2", "A2", "1", "1"], "bad_rules", 2),
     (["dims", "A3"], None, 3),
     (["classify", "A3"], None, 3),

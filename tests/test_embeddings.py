@@ -324,6 +324,15 @@ def test_parser_rejects_bad_input():
         parse_embeddings("format 1\nembed A2 in G2\nkind subsystem\nroot 1 = a1\n")
 
 
+def test_parser_rejects_terms_that_differ_by_a_root():
+    # a4 and (0,1,2,1) are orthogonal short roots of F4, so the pairing is
+    # that of A1; but their difference is a root, so [x, y] would carry
+    # root vectors besides h
+    text = "format 1\nembed A1 in F4\nkind folded\nchev 1 = +a4 +(0,1,2,1)\n"
+    with pytest.raises(LieError, match=r"\) - \(.* is a root"):
+        parse_embeddings(text)
+
+
 def test_parse_roundtrip_minimal():
     recs = parse_embeddings(
         "format 1\n"

@@ -10,9 +10,9 @@ from liebranch.rootsys import (
     SimpleType,
     TypeSpec,
     cartan_data,
-    component_type,
     diagram_components,
     format_weight,
+    match_cartan,
     parse_weight,
     root_system,
 )
@@ -338,12 +338,56 @@ def test_component_identification_after_node_removal():
     ]
     for name, node, expected in cases:
         t = SimpleType(name[0], int(name[1]))
-        C, d = cartan_data(t)
+        C, _ = cartan_data(t)
         nodes = [i for i in range(t.rank) if i != node - 1]
         got = sorted(
-            str(component_type(C, d, comp)) for comp in diagram_components(C, nodes)
+            str(match_cartan([[C[i][j] for j in comp] for i in comp])[0])
+            for comp in diagram_components(C, nodes)
         )
         assert got == sorted(expected), (name, node)
+
+
+# every simple type of the catalog (ambient groups and factors of H), and
+# types it lacks, among them B2 and C3, whose diagrams differ only by the
+# direction of the double edge
+MATCH_TYPES = sorted(
+    {t for r in load_catalog().records for t in (r.ambient, *r.spec.factors)}
+    | {SimpleType(f, n) for f, n in (("B", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2))}
+)
+
+
+def _relabel(C, perm):
+    """The Cartan matrix with node i of C renamed perm[i]."""
+    M = [[0] * len(C) for _ in C]
+    for i, pi in enumerate(perm):
+        for j, pj in enumerate(perm):
+            M[pi][pj] = C[i][j]
+    return M
+
+
+@pytest.mark.parametrize("t", MATCH_TYPES, ids=str)
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_match_cartan_undoes_a_relabelling(t, data):
+    C, _ = cartan_data(t)
+    M = _relabel(C, data.draw(st.permutations(range(t.rank))))
+    got, order = match_cartan(M)
+    assert got == t
+    assert [[M[i][j] for j in order] for i in order] == C
+
+
+def test_match_cartan_labels_of_shared_diagrams():
+    # B2 = C2 and A3 = D3 as diagrams; the catalog names them B2 and A3
+    for t, want in (("B2", "B2"), ("C2", "B2"), ("D3", "A3")):
+        C, _ = cartan_data(SimpleType(t[0], int(t[1])))
+        for perm in (range(len(C)), reversed(range(len(C)))):
+            assert str(match_cartan(_relabel(C, list(perm)))[0]) == want, (t, perm)
+
+
+def test_match_cartan_rejects_a_non_finite_type():
+    # the affine diagram of type A2: a triangle
+    with pytest.raises(LieError):
+        match_cartan([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
 
 
 def test_typespec_parsing():
