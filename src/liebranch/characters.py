@@ -11,7 +11,12 @@ subgroup is a root subgroup, the full orbit for the folded subgroups)
 and keeps the points whose image is dominant.  That
 character answers both full decompositions (repeated peeling of the
 highest remaining weight) and single multiplicities (alternating sum
-over the subgroup Weyl group).
+over the subgroup Weyl group).  That sum visits only the w in W_H whose
+term can be non-zero: the term at w reads the dominant conjugate of
+target + rho - w rho, never lower than that weight, so it is zero once
+the height of rho - w rho passes the top restricted height of the charge
+minus the target's height; that height grows along the weak order, so
+the kept w are a weak-order ideal, walked layer by layer.
 """
 
 from __future__ import annotations
@@ -166,19 +171,25 @@ def decompose(emb, lam, collapsed=None):
 def multiplicity_of(emb, lam, target, charge=0, collapsed=None):
     """Multiplicity of one subgroup module in the restriction of V(lam).
 
-    Alternating sum of restricted weight multiplicities (read from the
-    dominant character) over the subgroup Weyl orbit of the shifted
-    target; much cheaper than a full decomposition when only one entry
-    is wanted.
+    Alternating sum over w in W_H of sign(w) times the restricted
+    multiplicity of xi = target + rho - w rho, read from the dominant
+    character at the dominant conjugate of xi.  Only the w whose term
+    can be non-zero are visited: that conjugate is never lower than xi,
+    so the term vanishes once height_key(rho - w rho) exceeds the top
+    height among the keys of this charge minus height_key(target), and
+    `ProductSystem.weyl_orbit_signed` walks only the order ideal of the
+    weak order below that bound.  Much cheaper than a full
+    decomposition when only one entry is wanted.
     """
     ps = emb.hsys
     if not ps.is_dominant(target):
         raise LieError(f"target weight must be dominant: {target}")
     if collapsed is None:
         collapsed = restrict_collapsed(emb, lam)
-    rho = ps.rho
+    # no key of this charge: a negative bound, so no terms
+    top = max((ps.height_key(w) for w, q in collapsed if q == charge), default=-1)
     total = 0
-    for w_rho, sign in ps.weyl_orbit_signed(rho):
+    for w_rho, sign in ps.weyl_orbit_signed(ps.rho, top - ps.height_key(target)):
         xi = tuple(t + 1 - w for t, w in zip(target, w_rho))
         dom, _ = ps.dominant_signed(xi)
         total += sign * collapsed.get((dom, charge), 0)

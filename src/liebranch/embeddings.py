@@ -350,8 +350,10 @@ def _parse_root(tok, rank):
     tok = tok.strip()
     m = _ROOT_TUPLE_RE.match(tok)
     if m:
-        parts = [p.strip() for p in m.group(1).split(",")]
-        vals = tuple(int(p) for p in parts)
+        try:
+            vals = tuple(int(p) for p in m.group(1).split(","))
+        except ValueError:
+            raise LieError(f"cannot parse root tuple {tok!r}") from None
         if len(vals) != rank:
             raise LieError(f"root tuple {tok} has wrong length")
         return vals
@@ -380,6 +382,13 @@ def _check_record(r):
         raise LieError("kind subsystem needs a node or root lines")
     if r.kind == "levi" and (r.simple_images is None or r.coweight is None):
         raise LieError("kind levi needs root lines and a coweight")
+    if r.kind == "levi" and r.rank_ss + 1 != r.ambient.rank:
+        raise LieError(
+            f"a levi subgroup of {r.ambient} has semisimple rank "
+            f"{r.ambient.rank - 1}, not {r.rank_ss}"
+        )
+    if r.kind == "levi" and not any(r.coweight):
+        raise LieError("a levi coweight must be nonzero")
 
 
 def _check_roots(r):

@@ -550,26 +550,52 @@ class ProductSystem:
     def rho(self):
         return (1,) * self.rank
 
-    def weyl_orbit_signed(self, mu):
-        """Yield (weight, sign) over the orbit of a dominant weight."""
+    def weyl_orbit_signed(self, mu, bound):
+        """Yield (x, sign) over the orbit points x of a dominant weight mu
+        with height_key(mu - x) <= bound.
+
+        The sign is (-1)^k for a point at distance k from mu in the weak
+        order; ``bound = 2 * height_key(mu)`` keeps the whole orbit, and
+        a negative bound keeps nothing.  A weak-order step x -> s_i x
+        with x[i] > 0 adds x[i] * alpha_i to mu - x, so the height grows
+        along every step and the kept points of each factor are an order
+        ideal: walking a factor's orbit layer by layer, a point above the
+        bound is not expanded.  The kept points of the factors are then
+        combined lazily, keeping the tuples whose heights add up to at
+        most the bound.
+        """
         if not self.is_dominant(mu):
             raise LieError("weyl_orbit_signed wants a dominant weight")
+        kept = []
+        for s, part in zip(self.systems, self.split(mu)):
+            top = s.height_key(part)
+            pts = []
+            layer, sign = {part}, 1
+            while layer:
+                nxt = set()
+                for x in layer:
+                    h = top - s.height_key(x)
+                    if h > bound:
+                        continue
+                    pts.append((h, x, sign))
+                    for i in range(s.rank):
+                        if x[i] > 0:
+                            nxt.add(s.reflect(x, i))
+                layer, sign = nxt, -sign
+            pts.sort(key=lambda p: p[0])
+            kept.append(pts)
 
-        def rec(k):
-            if k == len(self.systems):
+        def combine(k, room):
+            if k == len(kept):
                 yield (), 1
                 return
-            s = self.systems[k]
-            part = tuple(mu[self.slices[k]])
-            for rest, rsign in rec(k + 1):
-                depth = 0
-                for layer in s.weyl_orbit_layers(part):
-                    lsign = -1 if depth % 2 else 1
-                    for w in layer:
-                        yield w + rest, lsign * rsign
-                    depth += 1
+            for h, x, sign in kept[k]:
+                if h > room:
+                    return
+                for rest, rsign in combine(k + 1, room - h):
+                    yield x + rest, sign * rsign
 
-        yield from rec(0)
+        yield from combine(0, bound)
 
     def height_key(self, mu):
         return sum(

@@ -329,14 +329,22 @@ def test_criterion_6_e8_computed(catalog):
     decs = {}
     for g, h, lam, mult2 in E8_COMPUTED:
         emb = catalog.get(g, h)
-        dec = decompose(emb, lam)
-        decs[(g, h, lam)] = dec
+        collapsed = restrict_collapsed(emb, lam)
+        dec = decompose(emb, lam, collapsed=collapsed)
+        decs[(g, h, lam)] = (collapsed, dec)
         assert {k: v for k, v in dec.items() if v >= 2} == mult2, (g, h, lam)
         ps = ProductSystem(emb.spec)
         total = sum(m * ps.weyl_dimension(w) for (w, _), m in dec.items())
         assert total == module_dimension(emb.ambient, lam), (g, h, lam)
+        for w, q in mult2:
+            got = multiplicity_of(emb, lam, w, charge=q, collapsed=collapsed)
+            assert got == dec[(w, q)], (g, h, lam, w)
     for g, h, lam, key in E8_EXTERNAL:
-        assert decs[(g, h, lam)].get(key) == E8_EXTERNAL_MULTIPLICITY[h], (g, h, key)
+        collapsed, dec = decs[(g, h, lam)]
+        assert dec.get(key) == E8_EXTERNAL_MULTIPLICITY[h], (g, h, key)
+        w, q = key
+        got = multiplicity_of(catalog.get(g, h), lam, w, charge=q, collapsed=collapsed)
+        assert got == dec[key], (g, h, key)
     assert time.monotonic() - t0 < 600
     print("criterion 6 (E8 restrictions computed): PASS")
 

@@ -1,5 +1,11 @@
 """Freudenthal characters, restriction, and branching decompositions."""
 
+import functools
+import itertools
+import math
+import os
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,9 +21,16 @@ from liebranch.characters import (
 )
 from liebranch.branching import load_rules
 from liebranch.embeddings import load_catalog
-from liebranch.rootsys import LieError, ProductSystem, SimpleType, root_system
+from liebranch.rootsys import (
+    LieError,
+    ProductSystem,
+    SimpleType,
+    parse_weight,
+    root_system,
+)
 
 CAT = load_catalog()
+HEAVY = os.environ.get("LIEBRANCH_HEAVY") == "1"
 
 
 def total_dimension(t, lam):
@@ -330,6 +343,33 @@ def test_decompose_conserves_dimension(g, h, lam):
     assert total == root_system(emb.ambient).weyl_dimension(lam)
 
 
+@functools.lru_cache(maxsize=None)
+def _factor_racah_terms(s, part):
+    """{dominant conjugate of part + rho - w rho: signed count} over every
+    w in the Weyl group of one factor, signed by layer depth."""
+    counts = Counter()
+    for depth, layer in enumerate(s.weyl_orbit_layers(s.rho)):
+        for w in layer:
+            dom, _ = s.dominant_signed(tuple(t + 1 - x for t, x in zip(part, w)))
+            counts[dom] += (-1) ** depth
+    return [(d, c) for d, c in counts.items() if c]
+
+
+def full_racah_sum(emb, target, charge, collapsed):
+    """The alternating sum of `multiplicity_of` over every w in W_H, with
+    no cut: the reference the cut sum is checked against.  W_H is the
+    product of the factors' Weyl groups and the dominant conjugate is
+    taken factor by factor, so each factor's terms are gathered first."""
+    ps = emb.hsys
+    total = 0
+    for combo in itertools.product(
+        *(_factor_racah_terms(s, p) for s, p in zip(ps.systems, ps.split(target)))
+    ):
+        xi = sum((d for d, _ in combo), ())
+        total += math.prod(c for _, c in combo) * collapsed.get((xi, charge), 0)
+    return total
+
+
 def test_racah_matches_decompose():
     emb = CAT.get("E7", "A7")
     lam = (0, 0, 0, 0, 0, 0, 2)
@@ -342,6 +382,28 @@ def test_racah_matches_decompose():
         assert multiplicity_of(emb, lam, w, collapsed=collapsed) == full.get((w, 0), 0)
 
 
+# (group, subgroup, ambient weight, targets): the classes of the
+# restriction and one class that does not occur.  The E7>A7 targets
+# include every target of test_racah_matches_decompose.
+RACAH_FULL_SUM_CASES = [
+    ("E7", "A7", "2w7", ["0", "2l6", "l4", "l2+l6", "2l2", "l1+l7"]),
+    ("E8", "A7xA1", "w8", ["2l8", "l6+l8", "l4", "l2+l8", "l1+l7", "l4+l8"]),
+]
+
+
+@pytest.mark.parametrize("g,h,lam_text,targets", RACAH_FULL_SUM_CASES)
+def test_racah_cut_matches_full_sum(g, h, lam_text, targets):
+    emb = CAT.get(g, h)
+    lam, _ = parse_weight(lam_text, emb.ambient.rank, "w")
+    collapsed = restrict_collapsed(emb, lam)
+    full = decompose(emb, lam, collapsed=collapsed)
+    for text in targets:
+        w, _ = parse_weight(text, emb.rank_ss, "l")
+        got = multiplicity_of(emb, lam, w, collapsed=collapsed)
+        assert got == full_racah_sum(emb, w, 0, collapsed), (g, h, text)
+        assert got == full.get((w, 0), 0), (g, h, text)
+
+
 def test_racah_charge_sectors():
     emb = CAT.get("E7", "E6xT1")
     lam = (0, 0, 0, 0, 0, 0, 1)
@@ -351,6 +413,12 @@ def test_racah_charge_sectors():
     assert multiplicity_of(emb, lam, zero, charge=-3, collapsed=collapsed) == 1
     assert multiplicity_of(emb, lam, zero, charge=0, collapsed=collapsed) == 0
     assert multiplicity_of(emb, lam, (0, 0, 0, 0, 0, 1), charge=1, collapsed=collapsed) == 1
+    # every charge sector, and the empty sector 0, against the full sum
+    for q in sorted({q for _, q in collapsed} | {0}):
+        for w in sorted({w for w, c in collapsed if c == q} | {zero}):
+            assert multiplicity_of(emb, lam, w, charge=q, collapsed=collapsed) == (
+                full_racah_sum(emb, w, q, collapsed)
+            ), (w, q)
 
 
 def test_multiplicity_two_counterexamples():
@@ -363,6 +431,10 @@ def test_multiplicity_two_counterexamples():
     # the A1 charge of a class is tied to the parity of its A5 part, so
     # an odd A1 weight over the even class cannot occur
     assert multiplicity_of(emb, lam, (0, 0, 2, 0, 0, 3), collapsed=collapsed) == 0
+    for w in [(0, 0, 2, 0, 0, 2), (0, 0, 2, 0, 0, 3)]:
+        assert multiplicity_of(emb, lam, w, collapsed=collapsed) == (
+            full_racah_sum(emb, w, 0, collapsed)
+        )
 
 
 def test_decompose_rejects_a_non_character():
@@ -407,3 +479,70 @@ def test_bad_inputs():
         multiplicity_of(emb, (1, 0), (0, -1))
     with pytest.raises(LieError):
         decompose(CAT.get("E7", "G2xC3"), (0, 0, 0, 0, 0, 0, 1))
+
+
+def dominant_weights_up_to(ps, top):
+    """Every dominant weight of ps with height_key at most top."""
+    seen = {(0,) * ps.rank}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for i in range(ps.rank):
+                nu = mu[:i] + (mu[i] + 1,) + mu[i + 1 :]
+                if nu not in seen and ps.height_key(nu) <= top:
+                    seen.add(nu)
+                    nxt.append(nu)
+        frontier = nxt
+    return sorted(seen)
+
+
+RACAH_SMALL_ENTRIES = [
+    (g, h) for g in ("G2", "F4", "E6")
+    for h in [r.name for r in CAT.entries(g) if r.kind != "typeonly"]
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    entry=st.sampled_from(RACAH_SMALL_ENTRIES),
+    data=st.data(),
+)
+def test_racah_cut_matches_full_sum_on_small_weights(entry, data):
+    emb = CAT.get(*entry)
+    ps = emb.hsys
+    rank = emb.ambient.rank
+    # E6 weights stay fundamental: at 2w4 there are 18k targets up to the top
+    nodes = data.draw(st.lists(
+        st.integers(0, rank - 1), min_size=1, max_size=2 if rank < 6 else 1
+    ))
+    lam = tuple(nodes.count(i) for i in range(rank))
+    collapsed = restrict_collapsed(emb, lam)
+    charges = sorted({q for _, q in collapsed})
+    for q in charges:
+        top = max(ps.height_key(w) for w, c in collapsed if c == q)
+        for w in dominant_weights_up_to(ps, top):
+            assert multiplicity_of(emb, lam, w, charge=q, collapsed=collapsed) == (
+                full_racah_sum(emb, w, q, collapsed)
+            ), (entry, lam, w, q)
+    # a class above every restricted weight, and a charge that does not occur
+    top_w = max((w for w, _ in collapsed), key=ps.height_key)
+    above = tuple(x + 1 for x in top_w)
+    for w, q in [(above, charges[0]), (top_w, charges[-1] + 1)]:
+        assert multiplicity_of(emb, lam, w, charge=q, collapsed=collapsed) == 0
+        assert full_racah_sum(emb, w, q, collapsed) == 0
+
+
+# E8 pairs whose full sum is too slow for every run: (subgroup, ambient
+# weight, targets), the classes of the restriction and one that does not
+# occur.  E8>A8 has one factor, so its full sum gathers nothing.
+RACAH_FULL_SUM_HEAVY = [
+    ("E6xA2", "w8", ["l7+l8", "l6+l7", "l2", "l1+l8", "l2+l7"]),
+    ("A8", "w8", ["l1+l8", "l3", "l6", "l2+l7"]),
+]
+
+
+@pytest.mark.skipif(not HEAVY, reason="set LIEBRANCH_HEAVY=1 to run")
+@pytest.mark.parametrize("h,lam_text,targets", RACAH_FULL_SUM_HEAVY)
+def test_racah_cut_matches_full_sum_e8(h, lam_text, targets):
+    test_racah_cut_matches_full_sum("E8", h, lam_text, targets)

@@ -317,6 +317,29 @@ BAD_DATA = {
         "embeddings.txt",
         "format 1\nembed A2 in G2\nkind subsystem\nroot 1 = (0,0)\nroot 2 = (0,1)\n",
     ),
+    "root_tuple_dash": (
+        "embeddings.txt",
+        "format 1\nembed A2 in G2\nkind subsystem\nroot 1 = (1,-)\nroot 2 = (0,1)\n",
+    ),
+    "root_tuple_empty_entry": (
+        "embeddings.txt",
+        "format 1\nembed A2 in G2\nkind subsystem\nroot 1 = (1,,2)\nroot 2 = (0,1)\n",
+    ),
+    # levi records that are no Levi subgroup: a zero coweight, and
+    # semisimple ranks that do not add up to rank G - 1
+    "levi_zero_coweight_too_big": (
+        "embeddings.txt",
+        "format 1\nembed A2 in G2\nkind levi\n"
+        "root 1 = (3,1)\nroot 2 = (0,1)\ncoweight (0,0)\n",
+    ),
+    "levi_zero_coweight": (
+        "embeddings.txt",
+        "format 1\nembed A1 in G2\nkind levi\nroot 1 = (0,1)\ncoweight (0,0)\n",
+    ),
+    "levi_rank_short": (
+        "embeddings.txt",
+        "format 1\nembed A1 in F4\nkind levi\nroot 1 = a1\ncoweight (0,0,0,1)\n",
+    ),
     "rulevariant_without_rule": ("rules.txt", "format 1\nrulevariant oops\n"),
     "zero_degree_rule": (
         "rules.txt", "format 1\nrule G2 A2 1 : 0*a1 = k -> a1*l1\n"
@@ -355,6 +378,11 @@ DATA_EXIT_CASES = [
     (["classify", "G2"], "smaller_than_node", 2),
     (["classify", "G2"], "coweight_off_roots", 2),
     (["classify", "G2"], "root_not_a_root", 2),
+    (["dims", "G2"], "root_tuple_dash", 2),
+    (["dims", "G2"], "root_tuple_empty_entry", 2),
+    (["classify", "G2"], "levi_zero_coweight_too_big", 2),
+    (["classify", "G2"], "levi_zero_coweight", 2),
+    (["classify", "F4"], "levi_rank_short", 2),
     (["branch", "G2", "A2", "1", "1"], "rulevariant_without_rule", 2),
     (["branch", "G2", "A2", "1", "1"], "zero_degree_rule", 2),
     (["branch", "G2", "A2", "1", "1"], "bad_rules", 2),

@@ -324,6 +324,28 @@ def test_parser_rejects_bad_input():
         parse_embeddings("format 1\nembed A2 in G2\nkind subsystem\nroot 1 = a1\n")
 
 
+@pytest.mark.parametrize(
+    "text,why",
+    [
+        ("embed A2 in G2\nkind levi\nroot 1 = (3,1)\nroot 2 = (0,1)\n"
+         "coweight (0,0)\n", "semisimple rank 1, not 2"),
+        ("embed A1 in G2\nkind levi\nroot 1 = (0,1)\ncoweight (0,0)\n",
+         "coweight must be nonzero"),
+        ("embed A1 in F4\nkind levi\nroot 1 = a1\ncoweight (0,0,0,1)\n",
+         "semisimple rank 3, not 1"),
+        ("embed A2 in G2\nkind subsystem\nroot 1 = (1,-)\nroot 2 = (0,1)\n",
+         "cannot parse root tuple"),
+        ("embed A2 in G2\nkind subsystem\nroot 1 = (1,,2)\nroot 2 = (0,1)\n",
+         "cannot parse root tuple"),
+    ],
+)
+def test_parser_rejects_bad_levi_records_and_root_tuples(text, why):
+    # a record error names the record's embed line, a parse error its own
+    line = 2 if "levi" in text else 4
+    with pytest.raises(LieError, match=rf"^embeddings data line {line}: .*{why}"):
+        parse_embeddings("format 1\n" + text)
+
+
 def test_parser_rejects_terms_that_differ_by_a_root():
     # a4 and (0,1,2,1) are orthogonal short roots of F4, so the pairing is
     # that of A1; but their difference is a root, so [x, y] would carry

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -436,14 +439,45 @@ def test_product_system_basics():
     assert sign == 1
 
 
+def full_orbit_signed(ps, mu):
+    """(point, sign) over the whole orbit of mu, factor by factor, with
+    the sign of each factor's layer depth: the reference."""
+    factors = [
+        [(w, (-1) ** depth)
+         for depth, layer in enumerate(s.weyl_orbit_layers(part)) for w in layer]
+        for s, part in zip(ps.systems, ps.split(mu))
+    ]
+    return sorted(
+        (sum((w for w, _ in combo), ()), math.prod(s for _, s in combo))
+        for combo in itertools.product(*factors)
+    )
+
+
 def test_product_orbit_signed_matches_sizes():
     ps = ProductSystem(TypeSpec.parse("A2xA1"))
     mu = (1, 1, 2)
-    pts = list(ps.weyl_orbit_signed(mu))
+    pts = list(ps.weyl_orbit_signed(mu, 2 * ps.height_key(mu)))
     assert len(pts) == ps.orbit_size(mu) == 6 * 2
     assert len({w for w, _ in pts}) == len(pts)
     # signs: sum over orbit of sign equals 0 for a regular weight (pairing s_i)
     assert sum(s for _, s in pts) == 0
+    assert sorted(pts) == full_orbit_signed(ps, mu)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    spec=st.sampled_from(["A2xA1", "G2", "B3", "A1xA1xA2", "C3xA1", "D4"]),
+    data=st.data(),
+)
+def test_product_orbit_signed_bound_filters_the_full_orbit(spec, data):
+    ps = ProductSystem(TypeSpec.parse(spec))
+    mu = tuple(data.draw(st.integers(min_value=0, max_value=2)) for _ in range(ps.rank))
+    full = full_orbit_signed(ps, mu)
+    top = 2 * ps.height_key(mu)
+    assert sorted(ps.weyl_orbit_signed(mu, top)) == full
+    bound = data.draw(st.integers(min_value=-2, max_value=top + 2))
+    want = [(w, s) for w, s in full if ps.height_key(mu) - ps.height_key(w) <= bound]
+    assert sorted(ps.weyl_orbit_signed(mu, bound)) == want
 
 
 def test_height_key_positive_on_positive_roots():
