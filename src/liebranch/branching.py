@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .characters import decompose
 from .embeddings import resolve_data_dir
-from .rootsys import LieError, SimpleType, TypeSpec, root_system
+from .rootsys import LieError, SimpleType, TypeSpec, root_system, simple_type
 
 RULE_FILE_FORMAT = 1
 
@@ -109,32 +109,32 @@ _RHS_TERM = re.compile(r"(\((?:a\d+\+)*a\d+\)|a\d+)\*l(\d+)")
 _CHARGE_TERM = re.compile(r"([+-]?)(?:(\d+)\*)?a(\d+)")
 
 
-def _parse_degrees(text, where):
+def _parse_degrees(text):
     text = text.replace(" ", "")
     if text.endswith("<=k"):
         bounded, body = True, text[:-3]
     elif text.endswith("=k"):
         bounded, body = False, text[:-2]
     else:
-        raise LieError(f"{where}: degree constraint must end in '= k' or '<= k'")
+        raise LieError("degree constraint must end in '= k' or '<= k'")
     degrees = {}
     for term in body.split("+"):
         m = _LHS_TERM.match(term)
         if not m:
-            raise LieError(f"{where}: bad degree term {term!r}")
+            raise LieError(f"bad degree term {term!r}")
         idx = int(m.group(2))
         if idx in degrees:
-            raise LieError(f"{where}: generator a{idx} repeated")
+            raise LieError(f"generator a{idx} repeated")
         degrees[idx] = int(m.group(1) or 1)
         if degrees[idx] < 1:
-            raise LieError(f"{where}: generator a{idx} needs a degree of at least 1")
+            raise LieError(f"generator a{idx} needs a degree of at least 1")
     n = len(degrees)
     if sorted(degrees) != list(range(1, n + 1)):
-        raise LieError(f"{where}: generators must be a1..a{n}")
+        raise LieError(f"generators must be a1..a{n}")
     return [degrees[i] for i in range(1, n + 1)], bounded
 
 
-def _parse_weights(text, n_gens, rank, where):
+def _parse_weights(text, n_gens, rank):
     text = text.replace(" ", "")
     rebuilt = []
     weights = [[0] * rank for _ in range(n_gens)]
@@ -142,19 +142,19 @@ def _parse_weights(text, n_gens, rank, where):
         rebuilt.append(m.group(0))
         node = int(m.group(2))
         if not 1 <= node <= rank:
-            raise LieError(f"{where}: weight index l{node} out of range")
+            raise LieError(f"weight index l{node} out of range")
         coef = m.group(1).strip("()")
         for var in coef.split("+"):
             idx = int(var[1:])
             if not 1 <= idx <= n_gens:
-                raise LieError(f"{where}: unknown generator {var}")
+                raise LieError(f"unknown generator {var}")
             weights[idx - 1][node - 1] += 1
     if "+".join(rebuilt) != text:
-        raise LieError(f"{where}: cannot parse weight terms {text!r}")
+        raise LieError(f"cannot parse weight terms {text!r}")
     return weights
 
 
-def _parse_charges(text, n_gens, where):
+def _parse_charges(text, n_gens):
     text = text.replace(" ", "")
     charges = [0] * n_gens
     rebuilt = []
@@ -164,43 +164,40 @@ def _parse_charges(text, n_gens, where):
         coef = int(m.group(2) or 1)
         idx = int(m.group(3))
         if not 1 <= idx <= n_gens:
-            raise LieError(f"{where}: unknown generator a{idx} in charge form")
+            raise LieError(f"unknown generator a{idx} in charge form")
         charges[idx - 1] += sign * coef
     if "".join(rebuilt) != text:
-        raise LieError(f"{where}: cannot parse charge form {text!r}")
+        raise LieError(f"cannot parse charge form {text!r}")
     return charges
 
 
-def _parse_rule_line(payload, label, where):
+def _parse_rule_line(payload, label):
     head, sep, tail = payload.partition(":")
     if not sep:
-        raise LieError(f"{where}: missing ':'")
+        raise LieError("missing ':'")
     fields = head.split()
     if len(fields) != 3:
-        raise LieError(f"{where}: expected '<G> <H> <node> :'")
+        raise LieError("expected '<G> <H> <node> :'")
     gname, hname, node_text = fields
-    spec = TypeSpec.parse(gname)
-    if len(spec.factors) != 1 or spec.torus:
-        raise LieError(f"{where}: ambient group must be simple")
-    ambient = spec.factors[0]
+    ambient = simple_type(gname)
     try:
         node = int(node_text)
     except ValueError:
-        raise LieError(f"{where}: bad node {node_text!r}") from None
+        raise LieError(f"bad node {node_text!r}") from None
     if not 1 <= node <= ambient.rank:
-        raise LieError(f"{where}: node {node} out of range for {ambient}")
+        raise LieError(f"node {node} out of range for {ambient}")
     lhs, arrow, rhs = tail.partition("->")
     if not arrow:
-        raise LieError(f"{where}: missing '->'")
-    degrees, bounded = _parse_degrees(lhs, where)
+        raise LieError("missing '->'")
+    degrees, bounded = _parse_degrees(lhs)
     hspec = TypeSpec.parse(hname)
     rank = hspec.rank_ss
     weight_text, at, charge_text = rhs.partition("@")
-    weights = _parse_weights(weight_text, len(degrees), rank, where)
+    weights = _parse_weights(weight_text, len(degrees), rank)
     if at:
         if hspec.torus == 0:
-            raise LieError(f"{where}: charge form for a subgroup without torus")
-        charges = _parse_charges(charge_text, len(degrees), where)
+            raise LieError("charge form for a subgroup without torus")
+        charges = _parse_charges(charge_text, len(degrees))
     else:
         charges = [0] * len(degrees)
     gens = [
@@ -219,23 +216,24 @@ def parse_rules(text):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        where = f"line {ln}"
-        if line.startswith("format"):
-            if line.split() != ["format", str(RULE_FILE_FORMAT)]:
-                raise LieError(f"{where}: unsupported format {line!r}")
-            saw_format = True
-            continue
-        if not saw_format:
-            raise LieError(f"{where}: missing 'format {RULE_FILE_FORMAT}' header")
-        if line.startswith("rulevariant"):
-            fields = line.split(None, 2)
-            if len(fields) != 3:
-                raise LieError(f"{where}: expected 'rulevariant <label> <rule>'")
-            rules.append(_parse_rule_line(fields[2], fields[1], where))
-        elif line.startswith("rule"):
-            rules.append(_parse_rule_line(line[4:], None, where))
-        else:
-            raise LieError(f"{where}: unknown directive {line.split()[0]!r}")
+        try:
+            if line.startswith("format"):
+                if line.split() != ["format", str(RULE_FILE_FORMAT)]:
+                    raise LieError(f"unsupported format {line!r}")
+                saw_format = True
+            elif not saw_format:
+                raise LieError(f"missing 'format {RULE_FILE_FORMAT}' header")
+            elif line.startswith("rulevariant"):
+                fields = line.split(None, 2)
+                if len(fields) != 3:
+                    raise LieError("expected 'rulevariant <label> <rule>'")
+                rules.append(_parse_rule_line(fields[2], fields[1]))
+            elif line.startswith("rule"):
+                rules.append(_parse_rule_line(line[4:], None))
+            else:
+                raise LieError(f"unknown directive {line.split()[0]!r}")
+        except LieError as e:
+            raise LieError(f"line {ln}: {e}") from None
     return RuleBook(rules)
 
 

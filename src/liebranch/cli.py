@@ -27,6 +27,7 @@ from .rootsys import (
     format_weight,
     parse_weight,
     root_system,
+    simple_type,
 )
 from .sphericity import classify_group, classify_pair, duality_consistent, flag_dimension
 
@@ -43,13 +44,6 @@ class Unsupported(Exception):
 
 class HeavyGate(Exception):
     pass
-
-
-def _ambient(name):
-    spec = TypeSpec.parse(name)
-    if len(spec.factors) != 1 or spec.torus:
-        raise LieError(f"ambient group must be simple, got {name!r}")
-    return spec.factors[0]
 
 
 def _lookup(method, *key):
@@ -88,7 +82,7 @@ def _row_lines(row):
 
 
 def cmd_classify(args):
-    g = _ambient(args.group)
+    g = simple_type(args.group)
     catalog = load_catalog(args.data)
     _lookup(catalog.entries, str(g))  # a group without entries is unsupported
     rows = classify_group(catalog, str(g), seed=args.seed, trials=args.trials)
@@ -115,7 +109,7 @@ def cmd_classify(args):
 
 
 def cmd_spherical(args):
-    g = _ambient(args.group)
+    g = simple_type(args.group)
     emb = _get_embedding(args, g, args.subgroup)
     flag_dimension(g, args.node)  # validates the node, raising LieError
     row = classify_pair(emb, args.node, seed=args.seed, trials=args.trials)
@@ -132,7 +126,7 @@ def cmd_spherical(args):
 
 
 def cmd_dims(args):
-    g = _ambient(args.group)
+    g = simple_type(args.group)
     rs = root_system(g)
     dims = [flag_dimension(g, i) for i in range(1, rs.rank + 1)]
     entries = _lookup(load_catalog(args.data).entries, str(g))
@@ -150,7 +144,7 @@ def cmd_dims(args):
 
 
 def cmd_branch(args):
-    g = _ambient(args.group)
+    g = simple_type(args.group)
     if args.degree < 0:
         raise LieError("degree must be nonnegative")
     if args.kmax is not None and not args.verify:
@@ -204,7 +198,7 @@ def cmd_branch(args):
 
 
 def cmd_mult(args):
-    g = _ambient(args.group)
+    g = simple_type(args.group)
     emb = _get_embedding(args, g, args.subgroup)
     rs = root_system(g)
     lam, lam_charge = parse_weight(args.weight, rs.rank, "w")

@@ -42,6 +42,7 @@ from .rootsys import (
     diagram_components,
     match_cartan,
     root_system,
+    simple_type,
 )
 
 KINDS = ("subsystem", "levi", "folded", "typeonly")
@@ -110,7 +111,6 @@ class Embedding:
         self.spec = TypeSpec.parse(name)
         self.hsys = ProductSystem(self.spec) if self.spec.factors else None
         self.node = None  # extended-diagram removal node (subsystem)
-        self.omit = None  # omitted node (levi)
         self.coweight = None  # torus pairing row (levi)
         self.simple_images = None  # list of G-roots, one per H node
         self.gen_terms = None  # folded: list of [(sign, G-root), ...]
@@ -192,11 +192,7 @@ class Embedding:
 
     def h_positive_roots_in_g(self):
         """For subsystem and levi entries: positive roots of H as G-roots."""
-        if self.kind == "levi":
-            rs = root_system(self.ambient)
-            o = self.omit - 1
-            return [a for a in rs.positive_roots if a[o] == 0]
-        if self.kind != "subsystem":
+        if self.kind not in ("subsystem", "levi"):
             raise LieError(f"{self.name}: root subsystem not defined")
         rs = root_system(self.ambient)
         betas = self.simple_images
@@ -339,13 +335,6 @@ def _scale(u, c):
 _ROOT_TUPLE_RE = re.compile(r"^\(([-0-9,\s]+)\)$")
 
 
-def _int_directive(text):
-    try:
-        return int(text)
-    except ValueError:
-        raise LieError(f"expected an integer, got {text!r}") from None
-
-
 def _parse_root(tok, rank):
     tok = tok.strip()
     m = _ROOT_TUPLE_RE.match(tok)
@@ -376,8 +365,14 @@ def _check_record(r):
         raise LieError("root lines go only with kind subsystem or levi")
     if r.node is not None and r.kind != "subsystem":
         raise LieError("a node line goes only with kind subsystem")
-    if (r.coweight is not None or r.omit is not None) and r.kind != "levi":
-        raise LieError("coweight and omit lines go only with kind levi")
+    if r.coweight is not None and r.kind != "levi":
+        raise LieError("a coweight line goes only with kind levi")
+    # the central torus is read from the name: one T1 factor for a levi
+    # record, none for any other kind
+    if r.kind == "levi" and r.spec.torus != 1:
+        raise LieError(f"a levi name needs exactly one T1 factor, got {r.name}")
+    if r.kind != "levi" and r.spec.torus:
+        raise LieError(f"a T factor goes only with kind levi, got {r.name}")
     if r.kind == "subsystem" and r.node is None and r.simple_images is None:
         raise LieError("kind subsystem needs a node or root lines")
     if r.kind == "levi" and (r.simple_images is None or r.coweight is None):
@@ -476,11 +471,10 @@ def parse_embeddings(text: str):
                     raise LieError(f"unsupported format {rest!r}")
                 saw_format = True
             elif head == "embed":
-                m = re.match(r"^(\S+)\s+in\s+([A-G][0-9])$", rest)
-                if not m:
+                fields = rest.split()
+                if len(fields) != 3 or fields[1] != "in":
                     raise LieError(f"bad embed line {line!r}")
-                amb = SimpleType(m.group(2)[0], int(m.group(2)[1]))
-                cur = Embedding(amb, m.group(1), kind="typeonly")
+                cur = Embedding(simple_type(fields[2]), fields[0], kind="typeonly")
                 cur_line = lineno
             elif cur is None:
                 raise LieError(f"directive {head!r} outside a record")
@@ -489,9 +483,10 @@ def parse_embeddings(text: str):
                     raise LieError(f"unknown kind {rest!r}")
                 cur.kind = rest
             elif head == "node":
-                cur.node = _int_directive(rest)
-            elif head == "omit":
-                cur.omit = _int_directive(rest)
+                try:
+                    cur.node = int(rest)
+                except ValueError:
+                    raise LieError(f"expected an integer, got {rest!r}") from None
             elif head == "coweight":
                 cur.coweight = _parse_root(rest, cur.ambient.rank)
             elif head == "root":

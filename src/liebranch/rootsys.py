@@ -484,6 +484,17 @@ class TypeSpec:
         return "x".join(parts)
 
 
+def simple_type(t) -> SimpleType:
+    """The simple type of an ambient group: a SimpleType, or a name such
+    as "E6"."""
+    if isinstance(t, SimpleType):
+        return t
+    spec = TypeSpec.parse(t)
+    if len(spec.factors) != 1 or spec.torus:
+        raise LieError(f"ambient group must be simple, got {t!r}")
+    return spec.factors[0]
+
+
 class ProductSystem:
     """Weight combinatorics of a product of simple factors.
 

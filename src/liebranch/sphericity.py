@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from .chevalley import chevalley_basis, neg
 from .embeddings import Embedding
 from .linalg import SpanMod, SpanQ
-from .rootsys import LieError, SimpleType, TypeSpec, root_system
+from .rootsys import LieError, root_system, simple_type
 
 
 # Modulus of the production translate test: the Mersenne prime M61.  Any
@@ -54,17 +54,8 @@ from .rootsys import LieError, SimpleType, TypeSpec, root_system
 PRIME = 2**61 - 1
 
 
-def _simple(t):
-    if isinstance(t, SimpleType):
-        return t
-    spec = TypeSpec.parse(str(t))
-    if len(spec.factors) != 1 or spec.torus:
-        raise LieError(f"not a simple type: {t}")
-    return spec.factors[0]
-
-
 def flag_dimension(g, node):
-    rs = root_system(_simple(g))
+    rs = root_system(simple_type(g))
     if not 1 <= node <= rs.rank:
         raise LieError(f"node {node} out of range for {g}")
     return sum(1 for a in rs.positive_roots if a[node - 1] > 0)
@@ -302,7 +293,7 @@ def classify_group(catalog, gname: str, seed=0, trials=8):
 
 def duality_consistent(rows, g):
     """The spherical set must be stable under the diagram's duality map."""
-    rs = root_system(_simple(g))
+    rs = root_system(simple_type(g))
     verdicts = {(r.h_name, r.node): r.verdict for r in rows}
     for (h, node), v in verdicts.items():
         dual = rs.dual_node(node)

@@ -250,11 +250,11 @@ BAD_DATA = {
         "embeddings.txt", "format 1\nembed A2 in G2\nkind folded\n"
     ),
     "levi_without_roots": (
-        "embeddings.txt", "format 1\nembed A2 in G2\nkind levi\ncoweight (1,0)\n"
+        "embeddings.txt", "format 1\nembed A2xT1 in G2\nkind levi\ncoweight (1,0)\n"
     ),
     "levi_without_coweight": (
         "embeddings.txt",
-        "format 1\nembed A2 in G2\nkind levi\nroot 1 = (3,1)\nroot 2 = (0,1)\n",
+        "format 1\nembed A2xT1 in G2\nkind levi\nroot 1 = (3,1)\nroot 2 = (0,1)\n",
     ),
     "subsystem_without_node": (
         "embeddings.txt", "format 1\nembed A2 in G2\nkind subsystem\n"
@@ -277,8 +277,23 @@ BAD_DATA = {
         "embeddings.txt",
         "format 1\nembed A2 in G2\nkind subsystem\nnode 1\ncoweight (1,0)\n",
     ),
+    # there is no omit directive: the root lines imply the omitted node
     "omit_on_subsystem": (
         "embeddings.txt", "format 1\nembed A2 in G2\nkind subsystem\nnode 1\nomit 1\n"
+    ),
+    "omit_on_levi": (
+        "embeddings.txt",
+        "format 1\nembed A1xT1 in G2\nkind levi\nomit 2\n"
+        "root 1 = (0,1)\ncoweight (2,3)\n",
+    ),
+    # the central torus is read from the name: one T1 factor for a levi
+    # record, none for any other kind
+    "levi_without_torus": (
+        "embeddings.txt",
+        "format 1\nembed A1 in G2\nkind levi\nroot 1 = (0,1)\ncoweight (2,3)\n",
+    ),
+    "torus_on_subsystem": (
+        "embeddings.txt", "format 1\nembed A2xT1 in G2\nkind subsystem\nnode 1\n"
     ),
     "node_on_levi": (
         "embeddings.txt",
@@ -310,8 +325,7 @@ BAD_DATA = {
     ),
     "coweight_off_roots": (
         "embeddings.txt",
-        "format 1\nembed A2 in G2\nkind levi\n"
-        "root 1 = (3,1)\nroot 2 = (0,1)\ncoweight (1,0)\n",
+        "format 1\nembed A1xT1 in G2\nkind levi\nroot 1 = (0,1)\ncoweight (1,0)\n",
     ),
     "root_not_a_root": (
         "embeddings.txt",
@@ -329,21 +343,62 @@ BAD_DATA = {
     # semisimple ranks that do not add up to rank G - 1
     "levi_zero_coweight_too_big": (
         "embeddings.txt",
-        "format 1\nembed A2 in G2\nkind levi\n"
+        "format 1\nembed A2xT1 in G2\nkind levi\n"
         "root 1 = (3,1)\nroot 2 = (0,1)\ncoweight (0,0)\n",
     ),
     "levi_zero_coweight": (
         "embeddings.txt",
-        "format 1\nembed A1 in G2\nkind levi\nroot 1 = (0,1)\ncoweight (0,0)\n",
+        "format 1\nembed A1xT1 in G2\nkind levi\nroot 1 = (0,1)\ncoweight (0,0)\n",
     ),
     "levi_rank_short": (
         "embeddings.txt",
-        "format 1\nembed A1 in F4\nkind levi\nroot 1 = a1\ncoweight (0,0,0,1)\n",
+        "format 1\nembed A1xT1 in F4\nkind levi\nroot 1 = a1\ncoweight (0,0,0,1)\n",
     ),
     "rulevariant_without_rule": ("rules.txt", "format 1\nrulevariant oops\n"),
     "zero_degree_rule": (
         "rules.txt", "format 1\nrule G2 A2 1 : 0*a1 = k -> a1*l1\n"
     ),
+    # a type that does not parse, in the ambient or the subgroup name
+    "rule_bad_ambient": (
+        "rules.txt", "format 1\nrule G2x A2 1 : a1 = k -> a1*l1\n"
+    ),
+    "rule_unknown_factor": (
+        "rules.txt", "format 1\nrule G2 Q2 1 : a1 = k -> a1*l1\n"
+    ),
+}
+
+# the check that rejects each BAD_DATA fixture, as a fragment of its message
+DATA_MESSAGES = {
+    "bad_embeddings": "line 1: directive 'garbage' outside a record",
+    "bad_rules": "line 2: missing ':'",
+    "folded_without_chev": "kind folded needs chev lines",
+    "levi_without_roots": "kind levi needs root lines and a coweight",
+    "levi_without_coweight": "kind levi needs root lines and a coweight",
+    "subsystem_without_node": "kind subsystem needs a node or root lines",
+    "chev_on_subsystem": "chev lines go only with kind folded",
+    "roots_on_folded": "root lines go only with kind subsystem or levi",
+    "kind_derived": "unknown kind 'derived'",
+    "coweight_on_subsystem": "a coweight line goes only with kind levi",
+    "omit_on_subsystem": "line 5: unknown directive 'omit'",
+    "omit_on_levi": "line 4: unknown directive 'omit'",
+    "levi_without_torus": "a levi name needs exactly one T1 factor, got A1",
+    "torus_on_subsystem": "a T factor goes only with kind levi, got A2xT1",
+    "node_on_levi": "a node line goes only with kind subsystem",
+    "roots_not_of_h": "restricts to",
+    "roots_off_node": "is not in the subsystem of node 2",
+    "short_roots_at_node": "is not in the subsystem of node 1",
+    "smaller_than_node": "node 2: 2 positive roots, not 1",
+    "coweight_off_roots": "(0, 1) restricts to [2, -3], not [2, 0]",
+    "root_not_a_root": "(0, 0) is not a root of G2",
+    "root_tuple_dash": "cannot parse root tuple",
+    "root_tuple_empty_entry": "cannot parse root tuple",
+    "levi_zero_coweight_too_big": "semisimple rank 1, not 2",
+    "levi_zero_coweight": "a levi coweight must be nonzero",
+    "levi_rank_short": "semisimple rank 3, not 1",
+    "rulevariant_without_rule": "line 2: expected 'rulevariant <label> <rule>'",
+    "zero_degree_rule": "line 2: generator a1 needs a degree of at least 1",
+    "rule_bad_ambient": "line 2: cannot parse type factor ''",
+    "rule_unknown_factor": "line 2: cannot parse type factor 'Q2'",
 }
 
 
@@ -370,6 +425,10 @@ DATA_EXIT_CASES = [
     (["mult", "G2", "A2", "w1", "l1"], "coweight_on_subsystem", 2),
     (["branch", "G2", "A2", "1", "2", "--verify"], "coweight_on_subsystem", 2),
     (["classify", "G2"], "omit_on_subsystem", 2),
+    (["classify", "G2"], "omit_on_levi", 2),
+    (["mult", "G2", "A1", "w1", "l1"], "levi_without_torus", 2),
+    (["dims", "G2"], "levi_without_torus", 2),
+    (["dims", "G2"], "torus_on_subsystem", 2),
     (["classify", "G2"], "node_on_levi", 2),
     (["spherical", "G2", "A2", "1"], "roots_not_of_h", 2),
     (["mult", "G2", "A2", "w1", "l1"], "roots_not_of_h", 2),
@@ -386,6 +445,8 @@ DATA_EXIT_CASES = [
     (["branch", "G2", "A2", "1", "1"], "rulevariant_without_rule", 2),
     (["branch", "G2", "A2", "1", "1"], "zero_degree_rule", 2),
     (["branch", "G2", "A2", "1", "1"], "bad_rules", 2),
+    (["branch", "G2", "A2", "1", "1"], "rule_bad_ambient", 2),
+    (["branch", "G2", "A2", "1", "1"], "rule_unknown_factor", 2),
     (["dims", "A3"], None, 3),
     (["classify", "A3"], None, 3),
     (["spherical", "A3", "A2", "1"], None, 3),
@@ -410,6 +471,10 @@ def test_data_exit_codes(capsys, tmp_path, argv, data, want):
     assert code == want
     assert out == ""
     assert err.startswith("error: ")
+    assert DATA_MESSAGES.get(data, "") in err
+    if BAD_DATA.get(data, ("",))[0] == "rules.txt":
+        # every rule-file fixture goes wrong on its line 2, and says so
+        assert err.startswith("error: line 2: ")
 
 
 # sha256 of the stdout of `classify <G> --seed 0 --format json`: pins every

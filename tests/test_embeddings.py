@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+from liebranch.characters import decompose
 from liebranch.chevalley import chevalley_basis
 from liebranch.embeddings import (
     Embedding,
@@ -277,6 +280,15 @@ def test_h_positive_root_counts(cat):
         assert len(set(roots)) == n
 
 
+@pytest.mark.parametrize("g,h,omit", [("E6", "D5xT1", 1), ("E7", "E6xT1", 7)])
+def test_levi_roots_are_those_off_the_omitted_node(cat, g, h, omit):
+    # the omitted node is implied by the root lines, not stated
+    emb = cat.get(g, h)
+    rs = root_system(emb.ambient)
+    want = sorted(a for a in rs.positive_roots if a[omit - 1] == 0)
+    assert sorted(emb.h_positive_roots_in_g()) == want
+
+
 def test_g2_long_root_subsystem(cat):
     roots = set(cat.get("G2", "A2").h_positive_roots_in_g())
     assert roots == {(0, 1), (3, 1), (3, 2)}
@@ -327,11 +339,18 @@ def test_parser_rejects_bad_input():
 @pytest.mark.parametrize(
     "text,why",
     [
+        # a levi name without a T1 factor fails on the torus first
         ("embed A2 in G2\nkind levi\nroot 1 = (3,1)\nroot 2 = (0,1)\n"
-         "coweight (0,0)\n", "semisimple rank 1, not 2"),
+         "coweight (0,0)\n", "needs exactly one T1 factor, got A2$"),
         ("embed A1 in G2\nkind levi\nroot 1 = (0,1)\ncoweight (0,0)\n",
-         "coweight must be nonzero"),
+         "needs exactly one T1 factor, got A1$"),
         ("embed A1 in F4\nkind levi\nroot 1 = a1\ncoweight (0,0,0,1)\n",
+         "needs exactly one T1 factor, got A1$"),
+        ("embed A2xT1 in G2\nkind levi\nroot 1 = (3,1)\nroot 2 = (0,1)\n"
+         "coweight (0,0)\n", "semisimple rank 1, not 2"),
+        ("embed A1xT1 in G2\nkind levi\nroot 1 = (0,1)\ncoweight (0,0)\n",
+         "coweight must be nonzero"),
+        ("embed A1xT1 in F4\nkind levi\nroot 1 = a1\ncoweight (0,0,0,1)\n",
          "semisimple rank 3, not 1"),
         ("embed A2 in G2\nkind subsystem\nroot 1 = (1,-)\nroot 2 = (0,1)\n",
          "cannot parse root tuple"),
@@ -344,6 +363,40 @@ def test_parser_rejects_bad_levi_records_and_root_tuples(text, why):
     line = 2 if "levi" in text else 4
     with pytest.raises(LieError, match=rf"^embeddings data line {line}: .*{why}"):
         parse_embeddings("format 1\n" + text)
+
+
+# a Levi A1xT1 of G2 on the long simple root; the coweight vanishes on it
+LEVI_A1 = "kind levi\nroot 1 = (0,1)\ncoweight (2,3)\n"
+
+
+@pytest.mark.parametrize(
+    "text,why",
+    [
+        ("embed A1 in G2\n" + LEVI_A1,
+         "line 2: A1 in G2: a levi name needs exactly one T1 factor, got A1"),
+        ("embed A2xT1 in G2\nkind subsystem\nnode 1\n",
+         "line 2: A2xT1 in G2: a T factor goes only with kind levi, got A2xT1"),
+        ("embed A1xT1 in G2\nkind levi\nomit 2\nroot 1 = (0,1)\ncoweight (2,3)\n",
+         "line 4: unknown directive 'omit'"),
+    ],
+)
+def test_parser_rejects_torus_against_kind_and_omit(text, why):
+    with pytest.raises(LieError, match=f"^embeddings data {re.escape(why)}$"):
+        parse_embeddings("format 1\n" + text)
+
+
+def test_levi_record_without_omit_line():
+    (emb,) = parse_embeddings("format 1\nembed A1xT1 in G2\n" + LEVI_A1)
+    assert emb.h_positive_roots_in_g() == [(0, 1)]
+    # V(w1) of G2 is 7-dimensional: an l1 doublet at charges +-1 and three
+    # trivial classes
+    assert decompose(emb, (1, 0)) == {
+        ((1,), 1): 1,
+        ((1,), -1): 1,
+        ((0,), 2): 1,
+        ((0,), 0): 1,
+        ((0,), -2): 1,
+    }
 
 
 def test_parser_rejects_terms_that_differ_by_a_root():
