@@ -136,6 +136,8 @@ def _parse_degrees(text):
 
 def _parse_weights(text, n_gens, rank):
     text = text.replace(" ", "")
+    if not text:
+        raise LieError("empty weight side after '->'")
     rebuilt = []
     weights = [[0] * rank for _ in range(n_gens)]
     for m in _RHS_TERM.finditer(text):

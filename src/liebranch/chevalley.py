@@ -147,28 +147,35 @@ class ChevalleyBasis:
     # -- bracket table ------------------------------------------------------
 
     def _build_table(self):
-        """table[(i, j)] for i < j, sparse dict values; omitted pairs are 0."""
+        """table[i][j]: [e_i, e_j] as a tuple of (k, c) pairs, () for 0."""
         rs = self.rs
-        table = {}
         m, rank = self.m, self.rank
+        table = [[()] * self.dim for _ in range(self.dim)]
         sr = self._signed_roots
+        # each pair is computed once, for i < j, and stored both ways
         for i in range(2 * m):
             a = sr[i]
+            row = table[i]
             wa = rs.weight_of_root(a)
             for k in range(rank):
                 if wa[k]:
                     # [X_a, H_k] = -<a, alpha_k^vee> X_a
-                    table[(i, 2 * m + k)] = {i: -wa[k]}
+                    row[2 * m + k] = ((i, -wa[k]),)
+                    table[2 * m + k][i] = ((i, wa[k]),)
             for j in range(i + 1, 2 * m):
                 b = sr[j]
                 s = tuple(x + y for x, y in zip(a, b))
                 if not any(s):
                     assert min(a) >= 0  # i < m <= j when b = -a
-                    table[(i, j)] = self.h_coroot(a)
+                    h = self.h_coroot(a)
+                    row[j] = tuple(h.items())
+                    table[j][i] = tuple([(k, -c) for k, c in h.items()])
                 elif rs.is_root(s):
                     n = self.nconst(a, b)
                     if n:
-                        table[(i, j)] = {self.root_index[s]: n}
+                        k = self.root_index[s]
+                        row[j] = ((k, n),)
+                        table[j][i] = ((k, -n),)
         return table
 
     def bracket(self, u, v):
@@ -178,25 +185,31 @@ class ChevalleyBasis:
         for i, ci in u.items():
             if not ci:
                 continue
+            row = table[i]
             for j, cj in v.items():
-                c = ci * cj
-                if not c or i == j:
+                ent = row[j]
+                if not ent:
                     continue
-                ent = table.get((i, j)) if i < j else table.get((j, i))
-                if i > j:
-                    c = -c
-                if ent:
-                    for k, w in ent.items():
-                        nv = out.get(k, 0) + c * w
-                        if nv:
-                            out[k] = nv
-                        else:
-                            out.pop(k, None)
+                c = ci * cj
+                for k, w in ent:
+                    nv = out.get(k, 0) + c * w
+                    if nv:
+                        out[k] = nv
+                    else:
+                        out.pop(k, None)
         return out
 
     def ad_columns(self, u):
-        """Sparse columns of ad(u): col[j] = bracket(u, e_j)."""
-        return [self.bracket(u, {j: 1}) for j in range(self.dim)]
+        """Sparse columns of ad(u): col[j] = [u, e_j], the sum over i of
+        u_i times row i of the table."""
+        cols = [{} for _ in range(self.dim)]
+        for i, ci in u.items():
+            if not ci:
+                continue
+            for col, ent in zip(cols, self._table[i]):
+                for k, w in ent:
+                    col[k] = col.get(k, 0) + ci * w
+        return [{k: c for k, c in col.items() if c} for col in cols]
 
     def to_dense(self, u):
         v = [0] * self.dim
@@ -212,29 +225,35 @@ class ChevalleyBasis:
         Z/p, which needs p > dim for the division by k; otherwise exactly
         over Q, returning Fractions.
         """
-        n = self.dim
         if prime is None:
+            zero = Fraction(0)
+
             def scale(vec, k):
-                return [Fraction(x, k) for x in vec]
+                return {i: Fraction(x, k) for i, x in vec.items() if x}
         else:
+            zero = 0
+
             def scale(vec, k):
                 kin = pow(k, -1, prime)
-                return [x * kin % prime for x in vec]
-        w = scale(v, 1)
-        acc = list(w)
-        for k in range(1, n + 1):
-            nw = [0] * n
-            for j, c in enumerate(w):
-                if c:
-                    for i, a in ad_cols[j].items():
-                        nw[i] += c * a
+                return {i: y for i, x in vec.items() if (y := x * kin % prime)}
+        # the iterates ad(u)^k v / k! are sparse dicts; modulo a prime they
+        # are reduced once a step
+        w = scale({i: x for i, x in enumerate(v) if x}, 1)
+        acc = dict(w)
+        for k in range(1, self.dim + 1):
+            nw = {}
+            for j, c in w.items():
+                for i, a in ad_cols[j].items():
+                    nw[i] = nw.get(i, 0) + c * a
             w = scale(nw, k)
-            if not any(w):
+            if not w:
                 break
-            for i, c in enumerate(w):
-                if c:
-                    acc[i] += c
-        return scale(acc, 1)
+            for i, c in w.items():
+                acc[i] = acc.get(i, 0) + c
+        out = [zero] * self.dim
+        for i, c in scale(acc, 1).items():
+            out[i] = c
+        return out
 
     def centralizer(self, vectors, block=None):
         """Basis of the elements of span(e_k : k in block) commuting with all

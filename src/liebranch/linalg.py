@@ -9,6 +9,7 @@ for nullspaces (``kernel``) and inverts matrices (``inverse``).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 
 class SpanQ:
@@ -74,34 +75,59 @@ class SpanQ:
 
 
 class SpanMod:
-    """Row-echelon span over Z/p for a fixed odd prime p."""
+    """Reduced row-echelon span over Z/p for a fixed odd prime p.
+
+    Every row is 1 at its pivot and 0 at the other rows' pivots, and its
+    first nonzero entry is its pivot, so the rows are the reduced echelon
+    form of the span whatever order the vectors came in.  A vector's
+    coefficients on the rows are then its entries at the pivots, and its
+    residue at a free column f is one dot product with the f-entries of
+    the rows.  The rows are stored by free column: ``cols[q]`` holds the
+    entries of every row at ``free[q]``.
+    """
 
     def __init__(self, dim: int, p: int):
         self.dim = dim
         self.p = p
-        self.rows = []
-        self.pivots = []
+        self.pivots = []  # pivot column of row r
+        self.free = list(range(dim))  # non-pivot columns, ascending
+        self.cols = [[] for _ in range(dim)]  # cols[q][r]: row r at free[q]
 
     @property
     def rank(self):
-        return len(self.rows)
+        return len(self.pivots)
+
+    @property
+    def rows(self):
+        """The reduced rows as dense lists, in the order they were added."""
+        out = [[0] * self.dim for _ in self.pivots]
+        for row, piv in zip(out, self.pivots):
+            row[piv] = 1
+        for f, col in zip(self.free, self.cols):
+            for row, c in zip(out, col):
+                row[f] = c
+        return out
 
     def add(self, vec) -> bool:
+        """Insert a vector; True if it enlarged the span.  The new pivot is
+        the lowest free column where the residue of ``vec`` is nonzero."""
         p = self.p
-        v = [x % p for x in vec]
-        for row, piv in zip(self.rows, self.pivots):
-            c = v[piv]
-            if c:
-                for j in range(self.dim):
-                    if row[j]:
-                        v[j] = (v[j] - c * row[j]) % p
-        piv = next((j for j in range(self.dim) if v[j]), None)
-        if piv is None:
+        coefs = [vec[j] for j in self.pivots]
+        res = [(vec[f] - sum(map(mul, coefs, col))) % p
+               for f, col in zip(self.free, self.cols)]
+        q = next((q for q, c in enumerate(res) if c), None)
+        if q is None:
             return False
-        inv = pow(v[piv], -1, p)
-        v = [(x * inv) % p for x in v]
-        self.rows.append(v)
-        self.pivots.append(piv)
+        inv = pow(res.pop(q), -1, p)
+        pcol = self.cols.pop(q)
+        self.pivots.append(self.free.pop(q))
+        # new row: residue / its pivot entry; clear the new pivot column
+        # from the old rows
+        for col, r in zip(self.cols, res):
+            c = r * inv % p
+            if c:
+                col[:] = [(a - c * b) % p for a, b in zip(col, pcol)]
+            col.append(c)
         return True
 
 

@@ -463,6 +463,8 @@ class TypeSpec:
             part = part.strip().upper()
             m = _TORUS_RE.match(part)
             if m:
+                if int(m.group(1)) < 1:
+                    raise LieError(f"torus factor needs rank at least 1, got {part!r}")
                 torus += int(m.group(1))
                 continue
             m = _FACTOR_RE.match(part)

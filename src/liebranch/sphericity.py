@@ -20,14 +20,16 @@ Two tests use the construction:
   through a point X of N is spanned by the classes in N of [u, X] for u
   in the torus of H and the raising vectors of H whose roots have
   a[i] = 0 (the Levi part of B_H at P_i).  Density of the orbit at a
-  generic X decides sphericity, and an explicit X with full tangent rank
-  is an exact certificate.
+  generic X decides sphericity.  The rank is taken modulo PRIME, with
+  the rational cell projection reduced once per setup; a full rank
+  modulo PRIME is full over Q, so an explicit X with full tangent rank
+  is an exact certificate that can be rechecked over Q.
 - a translation test: pick a random n in the span of the flag columns and
   check rank(lie(B_H) + exp(ad n) lie(P_i)) directly.  Since lie(P_i) is
   spanned by basis vectors, the rank equals dim lie(P_i) plus the rank of
-  the flag-column coordinates of exp(-ad n) lie(B_H).  Full rank modulo a
-  prime certifies full rank over Q, so a hit is exact; a miss after all
-  trials is reported as sampled evidence.
+  the flag-column coordinates of exp(-ad n) lie(B_H).  Its ranks are
+  taken modulo PRIME too, so a hit is exact; a miss after all trials is
+  reported as sampled evidence, as is an orbit test miss.
 
 The number of generators of the ring of functions on the open cell that
 are eigenvectors of B_H (for spherical pairs) is ``dim N - d + 1`` where
@@ -47,7 +49,7 @@ from .linalg import SpanMod, SpanQ
 from .rootsys import LieError, root_system, simple_type
 
 
-# Modulus of the production translate test: the Mersenne prime M61.  Any
+# Modulus of both production rank tests: the Mersenne prime M61.  Any
 # prime is sound, because a rank that is full modulo p is full over Q (the
 # entries have denominators prime to p, and a minor that is nonzero modulo
 # p is nonzero).  It exceeds dim E8 = 248, so exp(ad n) can divide by every k.
@@ -102,6 +104,12 @@ class SphericitySetup:
         self._proj = {cols[f]: [(pos, 1)] for f, pos in at.items()}
         for row, p in zip(span.rows, span.pivots):
             self._proj[cols[p]] = [(at[f], -row[f]) for f in cell if row[f]]
+        # the same coefficients as residues modulo PRIME
+        self._proj_mod = {
+            k: [(pos, w.numerator * pow(w.denominator, -1, PRIME) % PRIME)
+                for pos, w in ent]
+            for k, ent in self._proj.items()
+        }
         i = node - 1
         pos_vecs, _ = emb.root_vectors()
         self.levi_vectors = [
@@ -110,12 +118,16 @@ class SphericitySetup:
         ]
         self.torus_vectors = emb.torus_vectors()
 
-    def project(self, u):
-        """Class of a sparse algebra element in the cell coordinates."""
+    def project(self, u, mod_prime=False):
+        """Class of a sparse algebra element in the cell coordinates: exact
+        over Q, or with ``mod_prime`` as residues modulo PRIME."""
+        proj = self._proj_mod if mod_prime else self._proj
         out = [0] * self.n_dim
         for k, c in u.items():
-            for pos, w in self._proj.get(k, ()):
+            for pos, w in proj.get(k, ()):
                 out[pos] += c * w
+        if mod_prime:
+            out = [x % PRIME for x in out]
         return out
 
     def point_from_cell(self, coeffs):
@@ -129,12 +141,15 @@ class SphericitySetup:
         }
 
     def tangent_rank(self, x, include_torus=True):
+        """Rank modulo PRIME of the tangent space at the cell point x of the
+        B_H-orbit, or without ``include_torus`` of the orbit of the
+        unipotent part of the Levi of B_H."""
         gens = list(self.levi_vectors)
         if include_torus:
             gens = list(self.torus_vectors) + gens
-        span = SpanQ(self.n_dim)
+        span = SpanMod(self.n_dim, PRIME)
         for u in gens:
-            span.add(self.project(self.cb.bracket(u, x)))
+            span.add(self.project(self.cb.bracket(u, x), mod_prime=True))
             if span.rank == self.n_dim:
                 break
         return span.rank

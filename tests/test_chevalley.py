@@ -188,3 +188,26 @@ def test_bracket_antisymmetry_random_elements():
         uv = cb.bracket(u, v)
         vu = cb.bracket(v, u)
         assert uv == {k: -c for k, c in vu.items()}
+
+
+@pytest.mark.parametrize("name", ["G2", "F4", "E6"])
+def test_ad_columns_match_bracket(name):
+    cb = chevalley_basis(T(name))
+    rng = random.Random(5)
+    for _ in range(3):
+        u = {k: rng.randint(-5, 5) for k in rng.sample(range(cb.dim), 6)}
+        cols = cb.ad_columns(u)
+        assert len(cols) == cb.dim
+        for j in range(cb.dim):
+            assert cols[j] == cb.bracket(u, {j: 1}), (name, u, j)
+
+
+@pytest.mark.parametrize("name", ["G2", "F4", "E6"])
+def test_bracket_table_antisymmetric(name):
+    cb = chevalley_basis(T(name))
+    for i in range(cb.dim):
+        for j in range(cb.dim):
+            ij = cb.bracket({i: 1}, {j: 1})
+            assert ij == {k: -c for k, c in cb.bracket({j: 1}, {i: 1}).items()}
+            if i == j:
+                assert ij == {}

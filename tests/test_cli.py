@@ -365,6 +365,11 @@ BAD_DATA = {
     "rule_unknown_factor": (
         "rules.txt", "format 1\nrule G2 Q2 1 : a1 = k -> a1*l1\n"
     ),
+    # a rule line cut off after its arrow
+    "rule_empty_weights": ("rules.txt", "format 1\nrule G2 A2 1 : a1 = k -> \n"),
+    "torus_of_rank_zero": (
+        "embeddings.txt", "format 1\nembed A2xT0 in G2\nkind subsystem\nnode 1\n"
+    ),
 }
 
 # the check that rejects each BAD_DATA fixture, as a fragment of its message
@@ -399,6 +404,8 @@ DATA_MESSAGES = {
     "zero_degree_rule": "line 2: generator a1 needs a degree of at least 1",
     "rule_bad_ambient": "line 2: cannot parse type factor ''",
     "rule_unknown_factor": "line 2: cannot parse type factor 'Q2'",
+    "rule_empty_weights": "line 2: empty weight side after '->'",
+    "torus_of_rank_zero": "line 2: torus factor needs rank at least 1, got 'T0'",
 }
 
 
@@ -447,6 +454,9 @@ DATA_EXIT_CASES = [
     (["branch", "G2", "A2", "1", "1"], "bad_rules", 2),
     (["branch", "G2", "A2", "1", "1"], "rule_bad_ambient", 2),
     (["branch", "G2", "A2", "1", "1"], "rule_unknown_factor", 2),
+    (["branch", "G2", "A2", "1", "1"], "rule_empty_weights", 2),
+    (["dims", "G2"], "torus_of_rank_zero", 2),
+    (["classify", "G2"], "torus_of_rank_zero", 2),
     (["dims", "A3"], None, 3),
     (["classify", "A3"], None, 3),
     (["spherical", "A3", "A2", "1"], None, 3),
@@ -498,6 +508,25 @@ def test_classify_json_golden(capsys, group):
     assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_JSON_SHA256[group]
 
 
+# The same for `classify <G> --seed 1 --format json`, recorded before the
+# orbit test took its ranks modulo sphericity.PRIME, before SpanMod became
+# a reduced echelon form and before the bracket table was indexed by row.
+CLASSIFY_JSON_SHA256_SEED1 = {
+    "G2": "0e0ccd137701b9b4f92d977349ce6b5d76e959b512bad93512fcdeb60dbac183",
+    "F4": "48cb6efb96bd596e9973dc54c20ddadb806923ffc8db697d6a01322eab24b277",
+    "E6": "70d127e3d353f4e0107db99aa98cce2dd317ca07ae0eaad6ad6e975c525faf22",
+    "E7": "98e54d8abba4655d54d6a2efdd7f9a15aee1240b540a8f29db145d4c6fca9135",
+    "E8": "cf7cb34cd800a740217401cb44ffe51d164d1c35d88cbc0a8f45bea8b4cc7893",
+}
+
+
+@pytest.mark.parametrize("group", sorted(CLASSIFY_JSON_SHA256_SEED1))
+def test_classify_json_golden_seed_1(capsys, group):
+    code, out, _ = run(capsys, "classify", group, "--seed", "1", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_JSON_SHA256_SEED1[group]
+
+
 class TestSubprocess:
     """End-to-end runs in a fresh interpreter (env vars, real exit codes)."""
 
@@ -522,6 +551,19 @@ class TestSubprocess:
         assert self._run("dims", "G2").returncode == 0
         assert self._run("classify", "X9").returncode == 2
         assert self._run("branch", "E6", "F4", "4", "1").returncode == 3
+
+    @pytest.mark.parametrize("hashseed", ["1", "2"])
+    def test_classify_ignores_hash_randomization(self, hashseed):
+        # no set or dict iteration order that depends on string hashes may
+        # reach the output
+        env = {"PYTHONHASHSEED": hashseed}
+        for group, seed, pins in (
+            ("E7", "1", CLASSIFY_JSON_SHA256_SEED1),
+            ("E8", "0", CLASSIFY_JSON_SHA256),
+        ):
+            proc = self._run("classify", group, "--seed", seed, "--format", "json", env=env)
+            assert proc.returncode == 0
+            assert hashlib.sha256(proc.stdout.encode()).hexdigest() == pins[group]
 
     def test_heavy_env_flag(self):
         proc = self._run("mult", "E7", "A7", "4w1", "l4", env={"LIEBRANCH_HEAVY": "1"})

@@ -407,6 +407,13 @@ def test_typespec_parsing():
             TypeSpec.parse(bad)
 
 
+def test_typespec_rejects_torus_of_rank_zero():
+    assert TypeSpec.parse("A2xT2").torus == 2
+    for bad in ["A2xT0", "T0", "D5xT1xT0"]:
+        with pytest.raises(LieError, match="torus factor needs rank at least 1"):
+            TypeSpec.parse(bad)
+
+
 def test_parse_weight():
     assert parse_weight("3w1+w2", 2, "w") == ((3, 1), None)
     assert parse_weight("2l3+l6", 6, "l") == ((0, 0, 2, 0, 0, 1), None)

@@ -1,12 +1,14 @@
 """Dense-orbit machinery: cell setups, witnesses, and the classification."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liebranch.chevalley import chevalley_basis
 from liebranch.embeddings import load_catalog
-from liebranch.linalg import SpanQ
+from liebranch.linalg import SpanMod, SpanQ
 from liebranch.rootsys import LieError, root_system
 from liebranch.sphericity import (
     PRIME,
@@ -15,6 +17,7 @@ from liebranch.sphericity import (
     classify_group,
     classify_pair,
     duality_consistent,
+    flag_columns,
     flag_dimension,
     generic_translate_test,
     subseed,
@@ -257,7 +260,6 @@ def test_cell_split_counts(seed, node):
     emb = CAT.get("E6", "A5xA1")
     setup = SphericitySetup(emb, node)
     assert setup.n_dim + setup.removed == setup.flag_dim
-    import random
     x = setup.random_point(random.Random(seed))
     assert setup.tangent_rank(x) <= setup.n_dim
 
@@ -268,7 +270,58 @@ def test_witness_projection_roundtrip():
     coeffs[0], coeffs[-1] = 4, -2
     x = setup.point_from_cell(coeffs)
     assert setup.project(x) == coeffs
+    assert setup.project(x, mod_prime=True) == [c % PRIME for c in coeffs]
     assert setup.describe_point(x)[0][0] in (4, -2)
+
+
+ORBIT_PAIRS = [
+    (emb, node)
+    for g in ("G2", "F4", "E6", "E7")
+    for emb in CAT.entries(g)
+    if emb.kind != "typeonly"
+    for node in range(1, emb.ambient.rank + 1)
+    if emb.borel_dim() >= flag_dimension(emb.ambient, node)
+]
+
+
+@pytest.mark.parametrize(
+    "emb,node", ORBIT_PAIRS, ids=[f"{e.ambient}-{e.name}-{n}" for e, n in ORBIT_PAIRS]
+)
+def test_orbit_rank_mod_prime_equals_rank_over_q(emb, node):
+    # the oracle: the same projected tangent rows, reduced exactly over Q
+    setup = SphericitySetup(emb, node)
+    rng = random.Random(subseed(0, "witness", emb.name, node))
+    for _ in range(2):
+        x = setup.random_point(rng)
+        for include_torus in (True, False):
+            gens = list(setup.levi_vectors)
+            if include_torus:
+                gens = list(setup.torus_vectors) + gens
+            span = SpanQ(setup.n_dim)
+            for u in gens:
+                span.add(setup.project(setup.cb.bracket(u, x)))
+            assert setup.tangent_rank(x, include_torus) == span.rank
+
+
+@pytest.mark.parametrize(
+    "g,h,node", [("E8", "D8", 8), ("E8", "E7xA1", 8), ("E7", "A1xF4", 7)]
+)
+def test_translate_rank_mod_prime_equals_rank_over_q(g, h, node):
+    # the first trial of generic_translate_test on its three negative pairs
+    emb = CAT.get(g, h)
+    cb = chevalley_basis(emb.ambient)
+    flag = flag_columns(cb, node)
+    rng = random.Random(subseed(0, "translate", emb.name, node))
+    n = {k: c for k in flag if (c := rng.randint(-9, 9))}
+    cols = cb.ad_columns({k: -c for k, c in n.items()})
+    span_q, span_p = SpanQ(len(flag)), SpanMod(len(flag), PRIME)
+    for v in emb.borel_h_vectors():
+        dense = cb.to_dense(v)
+        w_q = cb.exp_ad_apply(cols, dense)
+        w_p = cb.exp_ad_apply(cols, dense, prime=PRIME)
+        span_q.add([w_q[k] for k in flag])
+        span_p.add([w_p[k] for k in flag])
+    assert span_p.rank == span_q.rank < len(flag)
 
 
 ROOT_PAIRS = [
