@@ -57,7 +57,7 @@ def dominant_weights(rs, lam):
 
 def dominant_character(t, lam):
     """{dominant weight: multiplicity} for the module with h.w. lam."""
-    rs = root_system(t) if not hasattr(t, "positive_roots") else t
+    rs = root_system(t)
     lam = tuple(lam)
     key = (str(rs.type), lam)
     hit = _DOM_CHAR_CACHE.get(key)
@@ -90,8 +90,7 @@ def dominant_character(t, lam):
 
 
 def module_dimension(t, lam):
-    rs = root_system(t) if not hasattr(t, "positive_roots") else t
-    return rs.weyl_dimension(lam)
+    return root_system(t).weyl_dimension(lam)
 
 
 def dominant_character_product(ps: ProductSystem, lam):
@@ -194,7 +193,3 @@ def multiplicity_of(emb, lam, target, charge=0, collapsed=None):
         dom, _ = ps.dominant_signed(xi)
         total += sign * collapsed.get((dom, charge), 0)
     return total
-
-
-def is_multiplicity_free(emb, lam, collapsed=None):
-    return all(c == 1 for c in decompose(emb, lam, collapsed=collapsed).values())

@@ -3,7 +3,7 @@
 Basis order: root vectors ``X_a`` for positive roots a (in the root
 system's height/lex order), then ``X_{-a}`` in the same order, then the
 simple coroots ``H_1 .. H_r``.  Elements are sparse dicts mapping basis
-index to an int or Fraction coefficient.
+index to a coefficient; the package builds only integer elements.
 
 Structure constants follow the classical normalization: for each
 non-simple positive root g, its extraspecial factorization g = a1 + b1
@@ -18,10 +18,8 @@ defining identities hold by construction.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import SpanQ
 from .rootsys import SimpleType, root_system
 
 
@@ -217,27 +215,20 @@ class ChevalleyBasis:
             v[k] = c
         return v
 
-    def exp_ad_apply(self, ad_cols, v, prime=None):
-        """Apply exp(ad u) to a dense vector given sparse columns of ad u.
+    def exp_ad_apply(self, ad_cols, v, prime):
+        """Apply exp(ad u) modulo ``prime`` to a dense vector given sparse
+        columns of ad u; returns the residues as a dense list.
 
         ad u must be nilpotent (this is not checked; the loop runs until the
-        iterate vanishes, at most dim steps).  With ``prime`` set, works in
-        Z/p, which needs p > dim for the division by k; otherwise exactly
-        over Q, returning Fractions.
+        iterate vanishes, at most dim steps), and ``prime`` must exceed dim
+        so that every k! is invertible.
         """
-        if prime is None:
-            zero = Fraction(0)
 
-            def scale(vec, k):
-                return {i: Fraction(x, k) for i, x in vec.items() if x}
-        else:
-            zero = 0
+        def scale(vec, k):
+            kin = pow(k, -1, prime)
+            return {i: y for i, x in vec.items() if (y := x * kin % prime)}
 
-            def scale(vec, k):
-                kin = pow(k, -1, prime)
-                return {i: y for i, x in vec.items() if (y := x * kin % prime)}
-        # the iterates ad(u)^k v / k! are sparse dicts; modulo a prime they
-        # are reduced once a step
+        # the iterates ad(u)^k v / k! are sparse dicts, reduced once a step
         w = scale({i: x for i, x in enumerate(v) if x}, 1)
         acc = dict(w)
         for k in range(1, self.dim + 1):
@@ -250,31 +241,10 @@ class ChevalleyBasis:
                 break
             for i, c in w.items():
                 acc[i] = acc.get(i, 0) + c
-        out = [zero] * self.dim
+        out = [0] * self.dim
         for i, c in scale(acc, 1).items():
             out[i] = c
         return out
-
-    def centralizer(self, vectors, block=None):
-        """Basis of the elements of span(e_k : k in block) commuting with all
-        the given elements, as dense rows over Q (block: all of g by default)."""
-        block = list(range(self.dim) if block is None else block)
-        span = SpanQ(len(block))
-        for v in vectors:
-            cols = [self.bracket({k: 1}, v) for k in block]
-            for i in sorted(set().union(*cols)):
-                span.add([col.get(i, 0) for col in cols])
-        basis = []
-        for kv in span.kernel():
-            vec = [Fraction(0)] * self.dim
-            for k, c in zip(block, kv):
-                vec[k] = c
-            basis.append(vec)
-        for bvec in basis:
-            bu = {j: c for j, c in enumerate(bvec) if c}
-            for v in vectors:
-                assert not self.bracket(bu, v), "centralizer solve failed"
-        return basis
 
 
 @lru_cache(maxsize=None)

@@ -2,8 +2,9 @@
 
 Vectors are dense lists of Fraction/int.  The incremental reduced
 row-echelon span SpanQ is the only elimination over Q in the package: it
-counts ranks, projects onto a complement of a spanned subspace, solves
-for nullspaces (``kernel``) and inverts matrices (``inverse``).
+splits the flag columns of a sphericity setup into pivots and the free
+columns of the open cell, and inverts matrices (``inverse``).  SpanMod
+takes every rank the sphericity tests need, modulo a prime.
 """
 
 from __future__ import annotations
@@ -57,21 +58,6 @@ class SpanQ:
 
     def nonpivot_columns(self):
         return [j for j in range(self.dim) if j not in self.pivot_set]
-
-    def kernel(self):
-        """Basis of the vectors annihilated by every added row.
-
-        One basis vector per non-pivot column f: 1 at f, minus the f-entry
-        of each reduced row at that row's pivot, 0 elsewhere.
-        """
-        basis = []
-        for f in self.nonpivot_columns():
-            vec = [Fraction(0)] * self.dim
-            vec[f] = Fraction(1)
-            for row, p in zip(self.rows, self.pivots):
-                vec[p] = -row[f]
-            basis.append(vec)
-        return basis
 
 
 class SpanMod:

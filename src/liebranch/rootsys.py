@@ -274,9 +274,6 @@ class RootSystem:
             out.append(num // da)
         return tuple(out)
 
-    def height(self, a):
-        return sum(a)
-
     # -- Weyl group action on weights ------------------------------------
 
     def reflect(self, mu, i):

@@ -31,6 +31,10 @@ Two tests use the construction:
   taken modulo PRIME too, so a hit is exact; a miss after all trials is
   reported as sampled evidence, as is an orbit test miss.
 
+Neither test has a mode over Q.  The tests compare both against exact
+ranks over Q; exp(ad n) and the translate test over Q are test oracles
+(``tests/oracles.py``), not package code.
+
 The number of generators of the ring of functions on the open cell that
 are eigenvectors of B_H (for spherical pairs) is ``dim N - d + 1`` where
 d is the generic orbit dimension of the unipotent part of the Levi of
@@ -134,12 +138,6 @@ class SphericitySetup:
         """Sparse element from cell coordinates."""
         return {k: c for k, c in zip(self.n_coords, coeffs) if c}
 
-    def point_from_neg_roots(self, roots):
-        """Sparse element -- sum of X_{-a} over the given positive roots a."""
-        return {
-            self.cb.root_index[neg(tuple(a))]: 1 for a in roots
-        }
-
     def tangent_rank(self, x, include_torus=True):
         """Rank modulo PRIME of the tangent space at the cell point x of the
         B_H-orbit, or without ``include_torus`` of the orbit of the
@@ -203,11 +201,10 @@ class SphericitySetup:
         return out
 
 
-def generic_translate_test(emb: Embedding, node: int, seed=0, trials=8, prime=None):
+def generic_translate_test(emb: Embedding, node: int, seed=0, trials=8):
     """Randomized translation test; returns (is_spherical, trial_or_count).
 
-    With ``prime`` set the ranks are computed modulo that prime (a full
-    rank is still an exact certificate); otherwise exactly over Q.
+    The ranks are taken modulo PRIME, so a hit is an exact certificate.
     """
     cb = chevalley_basis(emb.ambient)
     flag = flag_columns(cb, node)
@@ -218,12 +215,9 @@ def generic_translate_test(emb: Embedding, node: int, seed=0, trials=8, prime=No
         n = {k: rng.randint(-9, 9) for k in flag}
         n = {k: c for k, c in n.items() if c}
         cols = cb.ad_columns({k: -c for k, c in n.items()})
-        if prime is None:
-            span = SpanQ(target)
-        else:
-            span = SpanMod(target, prime)
+        span = SpanMod(target, PRIME)
         for v in bvecs:
-            w = cb.exp_ad_apply(cols, v, prime=prime)
+            w = cb.exp_ad_apply(cols, v, PRIME)
             row = [w[k] for k in flag]
             span.add(row)
             if span.rank == target:
@@ -287,7 +281,7 @@ def classify_pair(emb: Embedding, node: int, seed=0, trials=8):
         return ClassifyRow(
             emb.name, emb.kind, node, fd, bd, "not-spherical", "orbit", "sampled"
         )
-    ok, t = generic_translate_test(emb, node, seed=seed, trials=trials, prime=PRIME)
+    ok, t = generic_translate_test(emb, node, seed=seed, trials=trials)
     if ok:
         return ClassifyRow(
             emb.name, emb.kind, node, fd, bd, "spherical", "translate", "exact"

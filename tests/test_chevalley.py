@@ -6,6 +6,8 @@ from fractions import Fraction
 
 from liebranch.chevalley import chevalley_basis, neg
 from liebranch.rootsys import SimpleType
+from liebranch.sphericity import PRIME
+from oracles import centralizer, exp_ad_apply_exact
 
 
 def T(name):
@@ -124,12 +126,16 @@ def test_exp_ad_on_opposite_root_vector():
     for a in cb.rs.positive_roots:
         cols = cb.ad_columns(cb.x(a))
         v = cb.to_dense(cb.x(neg(a)))
-        out = cb.exp_ad_apply(cols, v)
+        out = exp_ad_apply_exact(cb, cols, v)
         want = {cb.root_index[neg(a)]: 1, cb.root_index[a]: -1}
         for j, c in cb.h_coroot(a).items():
             want[j] = want.get(j, 0) + c
         got = {j: c for j, c in enumerate(out) if c}
         assert got == want
+        modp = cb.exp_ad_apply(cols, v, PRIME)
+        assert {j: c for j, c in enumerate(modp) if c} == {
+            j: c % PRIME for j, c in want.items()
+        }
 
 
 def test_exp_ad_mod_p_matches_exact():
@@ -143,8 +149,8 @@ def test_exp_ad_mod_p_matches_exact():
             u[cb.root_index[a]] = rng.randint(-4, 4)
         cols = cb.ad_columns(u)
         v = [rng.randint(-9, 9) for _ in range(cb.dim)]
-        exact = cb.exp_ad_apply(cols, v)
-        modp = cb.exp_ad_apply(cols, v, prime=p)
+        exact = exp_ad_apply_exact(cb, cols, v)
+        modp = cb.exp_ad_apply(cols, v, p)
         assert all(type(e) is Fraction for e in exact)
         for e, mres in zip(exact, modp):
             fe = Fraction(e)
@@ -158,14 +164,16 @@ def test_exp_ad_inverse():
     cols_f = cb.ad_columns(u)
     cols_b = cb.ad_columns({k: -c for k, c in u.items()})
     v = [rng.randint(-9, 9) for _ in range(cb.dim)]
-    w = cb.exp_ad_apply(cols_f, v)
-    back = cb.exp_ad_apply(cols_b, w)
+    w = exp_ad_apply_exact(cb, cols_f, v)
+    back = exp_ad_apply_exact(cb, cols_b, w)
     assert [Fraction(x) for x in v] == back
+    w = cb.exp_ad_apply(cols_f, v, PRIME)
+    assert cb.exp_ad_apply(cols_b, w, PRIME) == [x % PRIME for x in v]
 
 
 def test_centralizer_of_cartan_is_cartan():
     cb = chevalley_basis(T("A2"))
-    basis = cb.centralizer([cb.h(0), cb.h(1)])
+    basis = centralizer(cb, [cb.h(0), cb.h(1)])
     assert len(basis) == 2
     for v in basis:
         assert all(v[k] == 0 for k in range(2 * cb.m))
@@ -175,7 +183,7 @@ def test_centralizer_of_regular_nilpotent_has_rank_dim():
     # centralizer of a principal nilpotent in sl3 is 2-dimensional (= rank)
     cb = chevalley_basis(T("A2"))
     e = {cb.root_index[(1, 0)]: 1, cb.root_index[(0, 1)]: 1}
-    basis = cb.centralizer([e])
+    basis = centralizer(cb, [e])
     assert len(basis) == 2
 
 

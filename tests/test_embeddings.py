@@ -13,6 +13,12 @@ from liebranch.embeddings import (
 )
 from liebranch.linalg import SpanQ
 from liebranch.rootsys import LieError, SimpleType, root_system
+from oracles import (
+    centralizer,
+    cross_check_subsystems,
+    h_positive_roots_in_g,
+    validate,
+)
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +96,7 @@ def test_borel_dimensions(cat):
 
 
 def test_subsystem_images_match_removal_derivation(cat):
-    assert cat.cross_check_subsystems() == []
+    assert cross_check_subsystems(cat) == []
 
 
 @pytest.mark.parametrize(
@@ -123,7 +129,7 @@ def test_subsystem_images_match_removal_derivation(cat):
     ],
 )
 def test_generator_relations(cat, g, h):
-    cat.get(g, h).validate()
+    validate(cat.get(g, h))
 
 
 def fw(rank, i):
@@ -221,7 +227,7 @@ def test_a1_line_spans_the_f4_centralizer(cat, sign):
         for a in cb.rs.positive_roots
         if a[6] == 1
     ]
-    basis = cb.centralizer(xg[1:] + yg[1:], block)
+    basis = centralizer(cb, xg[1:] + yg[1:], block)
     assert len(basis) == 1
     gen = cb.to_dense(xg[0] if sign == 1 else yg[0])
     line = SpanQ(cb.dim)
@@ -275,7 +281,7 @@ def test_h_positive_root_counts(cat):
         ("E8", "A8"): 36,
     }
     for (g, h), n in cases.items():
-        roots = cat.get(g, h).h_positive_roots_in_g()
+        roots = h_positive_roots_in_g(cat.get(g, h))
         assert len(roots) == n
         assert len(set(roots)) == n
 
@@ -286,11 +292,11 @@ def test_levi_roots_are_those_off_the_omitted_node(cat, g, h, omit):
     emb = cat.get(g, h)
     rs = root_system(emb.ambient)
     want = sorted(a for a in rs.positive_roots if a[omit - 1] == 0)
-    assert sorted(emb.h_positive_roots_in_g()) == want
+    assert sorted(h_positive_roots_in_g(emb)) == want
 
 
 def test_g2_long_root_subsystem(cat):
-    roots = set(cat.get("G2", "A2").h_positive_roots_in_g())
+    roots = set(h_positive_roots_in_g(cat.get("G2", "A2")))
     assert roots == {(0, 1), (3, 1), (3, 2)}
 
 
@@ -314,7 +320,7 @@ def test_e8_removal_types():
 def test_typeonly_has_no_generators(cat):
     emb = cat.get("E6", "A2xG2")
     with pytest.raises(LieError):
-        emb.x_gens()
+        emb.restriction_rows()
     assert emb.borel_dim() == 13
 
 
@@ -387,7 +393,7 @@ def test_parser_rejects_torus_against_kind_and_omit(text, why):
 
 def test_levi_record_without_omit_line():
     (emb,) = parse_embeddings("format 1\nembed A1xT1 in G2\n" + LEVI_A1)
-    assert emb.h_positive_roots_in_g() == [(0, 1)]
+    assert h_positive_roots_in_g(emb) == [(0, 1)]
     # V(w1) of G2 is 7-dimensional: an l1 doublet at charges +-1 and three
     # trivial classes
     assert decompose(emb, (1, 0)) == {

@@ -22,6 +22,13 @@ from liebranch.sphericity import (
     generic_translate_test,
     subseed,
 )
+from oracles import (
+    exp_ad_apply_exact,
+    h_dim,
+    h_positive_roots_in_g,
+    point_from_neg_roots,
+    translate_test_exact,
+)
 
 CAT = load_catalog()
 
@@ -151,7 +158,7 @@ def test_e7_levi_sizes():
 @pytest.mark.parametrize("g,h,node,supports", WITNESSES)
 def test_witnesses(g, h, node, supports):
     setup = SphericitySetup(CAT.get(g, h), node)
-    x = setup.point_from_neg_roots(supports)
+    x = point_from_neg_roots(setup, supports)
     assert setup.dense_orbit(x)
     assert not setup.dense_orbit({})
 
@@ -233,7 +240,7 @@ TRANSLATE_CASES = [
 @pytest.mark.parametrize("g,h,node,expect", TRANSLATE_CASES)
 def test_translate_agrees_with_orbit_method(g, h, node, expect):
     emb = CAT.get(g, h)
-    ok, _ = generic_translate_test(emb, node, seed=0, trials=6, prime=PRIME)
+    ok, _ = generic_translate_test(emb, node, seed=0, trials=6)
     assert ok is expect
     setup = SphericitySetup(emb, node)
     x, _ = setup.find_witness(seed=0, trials=6)
@@ -243,8 +250,8 @@ def test_translate_agrees_with_orbit_method(g, h, node, expect):
 def test_translate_exact_matches_modular():
     emb = CAT.get("E6", "F4")
     for node in (1, 2):
-        exact, _ = generic_translate_test(emb, node, seed=5, trials=2, prime=None)
-        modular, _ = generic_translate_test(emb, node, seed=5, trials=2, prime=PRIME)
+        exact, _ = translate_test_exact(emb, node, seed=5, trials=2)
+        modular, _ = generic_translate_test(emb, node, seed=5, trials=2)
         assert exact is modular is True
 
 
@@ -317,8 +324,8 @@ def test_translate_rank_mod_prime_equals_rank_over_q(g, h, node):
     span_q, span_p = SpanQ(len(flag)), SpanMod(len(flag), PRIME)
     for v in emb.borel_h_vectors():
         dense = cb.to_dense(v)
-        w_q = cb.exp_ad_apply(cols, dense)
-        w_p = cb.exp_ad_apply(cols, dense, prime=PRIME)
+        w_q = exp_ad_apply_exact(cb, cols, dense)
+        w_p = cb.exp_ad_apply(cols, dense, PRIME)
         span_q.add([w_q[k] for k in flag])
         span_p.add([w_p[k] for k in flag])
     assert span_p.rank == span_q.rank < len(flag)
@@ -341,7 +348,7 @@ def test_cell_matches_root_oracle(emb, node):
     setup = SphericitySetup(emb, node)
     rs = root_system(emb.ambient)
     i = node - 1
-    h_pos = emb.h_positive_roots_in_g()
+    h_pos = h_positive_roots_in_g(emb)
     assert setup.n_roots == [
         a for a in rs.positive_roots if a[i] > 0 and a not in h_pos
     ]
@@ -366,5 +373,5 @@ def span_rank(emb, vectors):
 )
 def test_lie_and_borel_span_dims(emb):
     # the Levi entries' central torus comes from the coweight
-    assert span_rank(emb, emb.lie_h_vectors()) == emb.h_dim()
+    assert span_rank(emb, emb.lie_h_vectors()) == h_dim(emb)
     assert span_rank(emb, emb.borel_h_vectors()) == emb.borel_dim()
