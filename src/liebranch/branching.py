@@ -158,9 +158,13 @@ def _parse_weights(text, n_gens, rank):
 
 def _parse_charges(text, n_gens):
     text = text.replace(" ", "")
+    if not text:
+        raise LieError("empty charge form after '@'")
     charges = [0] * n_gens
     rebuilt = []
     for m in _CHARGE_TERM.finditer(text):
+        if rebuilt and not m.group(1):  # only the first term may omit its sign
+            raise LieError(f"cannot parse charge form {text!r}")
         rebuilt.append(m.group(0))
         sign = -1 if m.group(1) == "-" else 1
         coef = int(m.group(2) or 1)

@@ -23,10 +23,6 @@ from __future__ import annotations
 
 from .rootsys import LieError, ProductSystem, root_system
 
-# beyond this module dimension the command line refuses to enumerate
-# weight orbits unless explicitly allowed
-HEAVY_DIM_LIMIT = 100_000
-
 _DOM_CHAR_CACHE: dict = {}
 
 

@@ -9,17 +9,15 @@ dims       flag-variety and subgroup Borel dimensions
 mult       exact multiplicity of one class in a restriction
 
 Exit codes: 0 success, 2 bad input, 3 unsupported pair or node,
-4 refused heavy computation (see --enable-heavy), 5 internal
-inconsistency (a failed verification or duality check).
+5 internal inconsistency (a failed verification or duality check).
 """
 
 import argparse
 import json
-import os
 import sys
 
 from .branching import load_rules, verify_rule
-from .characters import HEAVY_DIM_LIMIT, module_dimension, multiplicity_of
+from .characters import module_dimension, multiplicity_of
 from .embeddings import load_catalog
 from .rootsys import (
     LieError,
@@ -34,15 +32,10 @@ from .sphericity import classify_group, classify_pair, duality_consistent, flag_
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
-EXIT_HEAVY = 4
 EXIT_INCONSISTENT = 5
 
 
 class Unsupported(Exception):
-    pass
-
-
-class HeavyGate(Exception):
     pass
 
 
@@ -209,12 +202,6 @@ def cmd_mult(args):
     if charge is not None and hspec.torus == 0:
         raise LieError(f"{args.subgroup} has no torus charge")
     dim = module_dimension(g, lam)
-    heavy_ok = args.enable_heavy or os.environ.get("LIEBRANCH_HEAVY") == "1"
-    if dim > HEAVY_DIM_LIMIT and not heavy_ok:
-        raise HeavyGate(
-            f"dim V({args.weight}) = {dim} exceeds {HEAVY_DIM_LIMIT}; "
-            "rerun with --enable-heavy"
-        )
     try:
         m = multiplicity_of(emb, lam, target, charge=charge or 0)
     except LieError as e:
@@ -297,7 +284,6 @@ def build_parser():
     p.add_argument("subgroup")
     p.add_argument("weight", help="ambient highest weight, e.g. 4w1")
     p.add_argument("target", help="subgroup class, e.g. 2l5+2l7 or l4@-3")
-    p.add_argument("--enable-heavy", action="store_true")
     p.set_defaults(func=cmd_mult)
 
     return parser
@@ -307,9 +293,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except HeavyGate as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_HEAVY
     except Unsupported as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_UNSUPPORTED

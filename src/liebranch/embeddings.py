@@ -361,10 +361,16 @@ def parse_embeddings(text: str):
     cur_line = None
     cur_roots = {}
     cur_chev = {}
+    seen = set()
     saw_format = False
 
+    def once(directive):  # a second line in one record would override the first
+        if directive in seen:
+            raise LieError(f"repeated {directive} line")
+        seen.add(directive)
+
     def finish():
-        nonlocal cur, cur_roots, cur_chev
+        nonlocal cur, cur_roots, cur_chev, seen
         if cur is None:
             return
         n = cur.rank_ss
@@ -384,7 +390,7 @@ def parse_embeddings(text: str):
                 f"embeddings data line {cur_line}: {cur.name} in {cur.ambient}: {e}"
             ) from None
         records.append(cur)
-        cur, cur_roots, cur_chev = None, {}, {}
+        cur, cur_roots, cur_chev, seen = None, {}, {}, set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -408,20 +414,24 @@ def parse_embeddings(text: str):
             elif cur is None:
                 raise LieError(f"directive {head!r} outside a record")
             elif head == "kind":
+                once(head)
                 if rest not in KINDS:
                     raise LieError(f"unknown kind {rest!r}")
                 cur.kind = rest
             elif head == "node":
+                once(head)
                 try:
                     cur.node = int(rest)
                 except ValueError:
                     raise LieError(f"expected an integer, got {rest!r}") from None
             elif head == "coweight":
+                once(head)
                 cur.coweight = _parse_root(rest, cur.ambient.rank)
             elif head == "root":
                 m = re.match(r"^([0-9]+)\s*=\s*(.+)$", rest)
                 if not m:
                     raise LieError(f"bad root line {line!r}")
+                once(f"root {int(m.group(1))}")
                 cur_roots[int(m.group(1))] = _parse_root(
                     m.group(2), cur.ambient.rank
                 )
@@ -429,6 +439,7 @@ def parse_embeddings(text: str):
                 m = re.match(r"^([0-9]+)\s*=\s*(.+)$", rest)
                 if not m:
                     raise LieError(f"bad chev line {line!r}")
+                once(f"chev {int(m.group(1))}")
                 terms = []
                 for tok in m.group(2).split():
                     sign = 1

@@ -261,33 +261,26 @@ def classify_pair(emb: Embedding, node: int, seed=0, trials=8):
         raise LieError(f"trials must be at least 1, got {trials}")
     fd = flag_dimension(emb.ambient, node)
     bd = emb.borel_dim()
+    witness = []
     if bd < fd:
-        return ClassifyRow(
-            emb.name, emb.kind, node, fd, bd, "not-spherical", "dimension", "exact"
-        )
-    if emb.kind == "typeonly":
-        return ClassifyRow(
-            emb.name, emb.kind, node, fd, bd, "undecided", "none", "none"
-        )
-    use_translate = emb.kind == "folded" or emb.ambient.rank == 8
-    if not use_translate:
+        verdict, method, certainty = "not-spherical", "dimension", "exact"
+    elif emb.kind == "typeonly":
+        verdict, method, certainty = "undecided", "none", "none"
+    elif emb.kind == "folded" or emb.ambient.rank == 8:
+        ok, _ = generic_translate_test(emb, node, seed=seed, trials=trials)
+        method = "translate"
+        verdict, certainty = ("spherical", "exact") if ok else ("not-spherical", "sampled")
+    else:
         setup = SphericitySetup(emb, node)
-        x, t = setup.find_witness(seed=seed, trials=trials)
-        if x is not None:
-            return ClassifyRow(
-                emb.name, emb.kind, node, fd, bd, "spherical", "orbit", "exact",
-                witness=setup.describe_point(x),
-            )
-        return ClassifyRow(
-            emb.name, emb.kind, node, fd, bd, "not-spherical", "orbit", "sampled"
-        )
-    ok, t = generic_translate_test(emb, node, seed=seed, trials=trials)
-    if ok:
-        return ClassifyRow(
-            emb.name, emb.kind, node, fd, bd, "spherical", "translate", "exact"
-        )
+        x, _ = setup.find_witness(seed=seed, trials=trials)
+        method = "orbit"
+        if x is None:
+            verdict, certainty = "not-spherical", "sampled"
+        else:
+            verdict, certainty = "spherical", "exact"
+            witness = setup.describe_point(x)
     return ClassifyRow(
-        emb.name, emb.kind, node, fd, bd, "not-spherical", "translate", "sampled"
+        emb.name, emb.kind, node, fd, bd, verdict, method, certainty, witness
     )
 
 

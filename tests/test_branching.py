@@ -185,6 +185,8 @@ class TestParsing:
             "format 1\nrule G2 A2 1 : a1 = k -> a1*l9",
             "format 1\nrule G2 A2 1 : a1 = k -> a5*l1",
             "format 1\nrule G2 A2 1 : a1 = k -> a1*l1 @ a1",  # no torus
+            "format 1\nrule E6 D5xT1 1 : a1 + a2 = k -> a1*l1 + a2*l4 @",
+            "format 1\nrule E6 D5xT1 1 : a1 + a2 = k -> a1*l1 + a2*l4 @ a1a2",
             "format 1\nrule G2 A2 1 : a1 = k  a1*l1",  # no arrow
             "format 1\nrule G2 A2 1 a1 = k -> a1*l1",  # no colon
             "format 1\nrule G2 A2 9 : a1 = k -> a1*l1",

@@ -1,8 +1,10 @@
 """Exit codes, output shapes, and determinism of the command line."""
 
+import argparse
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,6 +12,7 @@ import sys
 import pytest
 
 import liebranch
+from liebranch import cli
 from liebranch.cli import main
 from liebranch.embeddings import data_dir_default
 
@@ -209,10 +212,17 @@ class TestMult:
         assert code == 0
         assert out.strip().endswith(": 0")
 
-    def test_heavy_gate(self, capsys):
-        code, _, err = run(capsys, "mult", "E7", "A7", "4w1", "l4")
-        assert code == 4
-        assert "--enable-heavy" in err
+    def test_large_module_needs_no_flag(self, capsys):
+        # dim V(4w1) is far above the 100,000 of the retired size gate
+        code, out, _ = run(capsys, "mult", "E7", "A7", "4w1", "2l4")
+        assert code == 0
+        assert out.strip().endswith(": 2")
+
+    def test_enable_heavy_rejected(self, capsys):
+        code, out, err = run(capsys, "mult", "E7", "A7", "w1", "l1", "--enable-heavy")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --enable-heavy" in err
 
     def test_charge_on_torus_free(self, capsys):
         code, _, err = run(capsys, "mult", "E6", "F4", "w1", "l4@3")
@@ -225,6 +235,13 @@ class TestMult:
     def test_typeonly_unsupported(self, capsys):
         code, _, err = run(capsys, "mult", "E8", "G2xF4", "w8", "l1")
         assert code == 3
+
+    def test_typeonly_large_weight_unsupported(self, capsys):
+        # a typeonly pair is unsupported at every weight, however large
+        code, out, err = run(capsys, "mult", "E8", "G2xF4", "4w8", "l1")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestDataDir:
@@ -370,6 +387,24 @@ BAD_DATA = {
     "torus_of_rank_zero": (
         "embeddings.txt", "format 1\nembed A2xT0 in G2\nkind subsystem\nnode 1\n"
     ),
+    # a directive given twice in one record: the second line is an error,
+    # not an override
+    "root_line_repeated": (
+        "embeddings.txt",
+        "format 1\nembed A2 in G2\nkind subsystem\n"
+        "root 1 = (1,0)\nroot 1 = (3,1)\nroot 2 = (0,1)\n",
+    ),
+    "node_line_repeated": (
+        "embeddings.txt", "format 1\nembed A1xA1 in G2\nkind subsystem\nnode 1\nnode 2\n"
+    ),
+    # a rule line cut off after its '@', and charge terms with no sign
+    # between them
+    "rule_empty_charges": (
+        "rules.txt", "format 1\nrule E6 D5xT1 1 : a1 + a2 = k -> a1*l1 + a2*l4 @\n"
+    ),
+    "rule_unsigned_charges": (
+        "rules.txt", "format 1\nrule E6 D5xT1 1 : a1 + a2 = k -> a1*l1 + a2*l4 @ a1a2\n"
+    ),
 }
 
 # the check that rejects each BAD_DATA fixture, as a fragment of its message
@@ -406,6 +441,10 @@ DATA_MESSAGES = {
     "rule_unknown_factor": "line 2: cannot parse type factor 'Q2'",
     "rule_empty_weights": "line 2: empty weight side after '->'",
     "torus_of_rank_zero": "line 2: torus factor needs rank at least 1, got 'T0'",
+    "root_line_repeated": "line 5: repeated root 1 line",
+    "node_line_repeated": "line 5: repeated node line",
+    "rule_empty_charges": "line 2: empty charge form after '@'",
+    "rule_unsigned_charges": "line 2: cannot parse charge form 'a1a2'",
 }
 
 
@@ -457,6 +496,10 @@ DATA_EXIT_CASES = [
     (["branch", "G2", "A2", "1", "1"], "rule_empty_weights", 2),
     (["dims", "G2"], "torus_of_rank_zero", 2),
     (["classify", "G2"], "torus_of_rank_zero", 2),
+    (["classify", "G2"], "root_line_repeated", 2),
+    (["dims", "G2"], "node_line_repeated", 2),
+    (["branch", "G2", "A2", "1", "1"], "rule_empty_charges", 2),
+    (["branch", "G2", "A2", "1", "1"], "rule_unsigned_charges", 2),
     (["dims", "A3"], None, 3),
     (["classify", "A3"], None, 3),
     (["spherical", "A3", "A2", "1"], None, 3),
@@ -566,7 +609,8 @@ class TestSubprocess:
             assert hashlib.sha256(proc.stdout.encode()).hexdigest() == pins[group]
 
     def test_heavy_env_flag(self):
-        proc = self._run("mult", "E7", "A7", "4w1", "l4", env={"LIEBRANCH_HEAVY": "1"})
+        # a large module needs neither a flag nor an environment variable
+        proc = self._run("mult", "E7", "A7", "4w1", "l4")
         assert proc.returncode == 0
         assert proc.stdout.strip().endswith(": 1")
 
@@ -578,3 +622,31 @@ class TestSubprocess:
         )
         assert proc.returncode == 0
         assert "spherical: 2 of" in proc.stdout
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+
+
+def _exit_codes(text):
+    """The codes named in the sentence that starts 'Exit codes:'."""
+    sentence = text[text.index("Exit codes:") :].split(".", 1)[0]
+    return {int(c) for c in re.findall(r"\b(\d+)\s+[a-z]", sentence)}
+
+
+def test_readme_names_every_option_and_exit_code():
+    with open(README, encoding="utf-8") as f:
+        readme = f.read()
+    (subparsers,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    accepted = {
+        option
+        for parser in subparsers.choices.values()
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert set(re.findall(r"--[a-z][a-z-]*", readme)) == accepted
+    codes = {v for k, v in vars(cli).items() if k.startswith("EXIT_")}
+    assert _exit_codes(readme) == codes
+    assert _exit_codes(cli.__doc__) == codes

@@ -391,6 +391,24 @@ def test_parser_rejects_torus_against_kind_and_omit(text, why):
         parse_embeddings("format 1\n" + text)
 
 
+@pytest.mark.parametrize(
+    "text,why",
+    [
+        ("embed A2 in G2\nkind levi\nkind subsystem\nnode 1\n", "line 4: repeated kind"),
+        ("embed A1xT1 in G2\n" + LEVI_A1 + "coweight (2,3)\n", "line 6: repeated coweight"),
+        ("embed A2 in G2\nkind subsystem\nroot 1 = (3,1)\nroot 01 = (3,1)\n"
+         "root 2 = (0,1)\n", "line 5: repeated root 1"),
+        ("embed A1 in G2\nkind folded\nchev 1 = +(0,1)\nchev 1 = +(0,1)\n",
+         "line 5: repeated chev 1"),
+    ],
+)
+def test_parser_rejects_repeated_directives(text, why):
+    # the second line is an error, not an override, even when it repeats
+    # the first
+    with pytest.raises(LieError, match=f"^embeddings data {why} line$"):
+        parse_embeddings("format 1\n" + text)
+
+
 def test_levi_record_without_omit_line():
     (emb,) = parse_embeddings("format 1\nembed A1xT1 in G2\n" + LEVI_A1)
     assert h_positive_roots_in_g(emb) == [(0, 1)]
