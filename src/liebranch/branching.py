@@ -77,25 +77,31 @@ class RuleEntry:
     variants: list = field(default_factory=list)
 
 
+def _rule_key(g, h, node):
+    """Rule-book key: subgroup names are read as types, so d5xt1 names
+    D5xT1."""
+    return (str(g), str(TypeSpec.parse(h)), node)
+
+
 class RuleBook:
     def __init__(self, rules):
         self.rules = list(rules)
         self.by_key = {}
         for r in self.rules:
-            key = (str(r.ambient), r.h_name, r.node)
+            key = _rule_key(r.ambient, r.h_name, r.node)
             if r.label is None:
                 if key in self.by_key:
                     raise LieError(f"duplicate rule for {key}")
                 self.by_key[key] = RuleEntry(r)
         for r in self.rules:
             if r.label is not None:
-                key = (str(r.ambient), r.h_name, r.node)
+                key = _rule_key(r.ambient, r.h_name, r.node)
                 if key not in self.by_key:
                     raise LieError(f"variant without a primary rule: {key}")
                 self.by_key[key].variants.append(r)
 
     def get(self, g, h, node):
-        entry = self.by_key.get((str(g), h, node))
+        entry = self.by_key.get(_rule_key(g, h, node))
         if entry is None:
             raise LieError(f"no branching rule for {g} {h} node {node}")
         return entry

@@ -27,28 +27,30 @@ _DOM_CHAR_CACHE: dict = {}
 
 
 def dominant_weights(rs, lam):
-    """All dominant weights of the module with highest weight lam.
+    """All dominant weights mu of the module with highest weight lam.
 
     These are exactly the dominant mu with lam - mu a nonnegative root
     sum; every such mu is reachable from lam by subtracting one positive
-    root at a time while staying dominant.
+    root at a time while staying dominant, and the walk adds up those
+    roots.  Returns {mu: simple-root coefficients of lam - mu}, highest
+    mu first.
     """
     lam = tuple(lam)
     if not rs.is_dominant(lam):
         raise LieError(f"not a dominant weight: {lam}")
-    pos_w = [rs.weight_of_root(a) for a in rs.positive_roots]
-    seen = {lam}
+    steps = [(a, rs.weight_of_root(a)) for a in rs.positive_roots]
+    coeffs = {lam: (0,) * rs.rank}
     frontier = [lam]
     while frontier:
         nxt = []
         for mu in frontier:
-            for wa in pos_w:
+            for a, wa in steps:
                 nu = tuple(x - y for x, y in zip(mu, wa))
-                if nu not in seen and all(c >= 0 for c in nu):
-                    seen.add(nu)
+                if nu not in coeffs and all(c >= 0 for c in nu):
+                    coeffs[nu] = tuple(x + y for x, y in zip(coeffs[mu], a))
                     nxt.append(nu)
         frontier = nxt
-    return sorted(seen, key=rs.height_key, reverse=True)
+    return {mu: coeffs[mu] for mu in sorted(coeffs, key=rs.height_key, reverse=True)}
 
 
 def dominant_character(t, lam):
@@ -59,10 +61,10 @@ def dominant_character(t, lam):
     hit = _DOM_CHAR_CACHE.get(key)
     if hit is not None:
         return hit
-    wts = dominant_weights(rs, lam)
+    wts = list(dominant_weights(rs, lam).items())
     pos_w = [rs.weight_of_root(a) for a in rs.positive_roots]
     mult = {lam: 1}
-    for mu in wts[1:]:
+    for mu, coeffs in wts[1:]:
         num = 0
         for a, wa in zip(rs.positive_roots, pos_w):
             t_step = 1
@@ -74,7 +76,6 @@ def dominant_character(t, lam):
                     break
                 num += m_up * rs.pair_wr(nu, a)
                 t_step += 1
-        coeffs = rs.root_coefficients([x - y for x, y in zip(lam, mu)])
         shifted = [x + y + 2 for x, y in zip(lam, mu)]
         denom = sum(c * d * s for c, d, s in zip(coeffs, rs.d, shifted))
         q, r = divmod(2 * num, denom)

@@ -108,7 +108,7 @@ def cmd_spherical(args):
     row = classify_pair(emb, args.node, seed=args.seed, trials=args.trials)
     if row.verdict == "undecided":
         raise Unsupported(
-            f"{g} > {args.subgroup} is catalogued without an explicit embedding"
+            f"{g} > {emb.name} is catalogued without an explicit embedding"
         )
     _emit(
         args,
@@ -148,13 +148,13 @@ def cmd_branch(args):
     flag_dimension(g, args.node)  # validates the node, raising LieError
     entry = _lookup(load_rules(args.data).get, str(g), args.subgroup, args.node)
     rule = entry.primary
-    torus = TypeSpec.parse(args.subgroup).torus > 0
+    torus = TypeSpec.parse(rule.h_name).torus > 0
     classes = rule.expand(args.degree)
     omega = format_weight(
         tuple(args.degree if j == rule.node - 1 else 0 for j in range(g.rank)), "w"
     )
     lines = [
-        f"res V({omega}) [{g} -> {args.subgroup}]: {len(classes)} classes"
+        f"res V({omega}) [{g} -> {rule.h_name}]: {len(classes)} classes"
     ]
     class_payload = []
     for (w, q), m in sorted(classes.items()):
@@ -163,7 +163,7 @@ def cmd_branch(args):
         class_payload.append({"weight": list(w), "charge": q, "mult": m})
     payload = {
         "group": str(g),
-        "subgroup": args.subgroup,
+        "subgroup": rule.h_name,
         "node": args.node,
         "degree": args.degree,
         "classes": class_payload,
@@ -197,10 +197,9 @@ def cmd_mult(args):
     lam, lam_charge = parse_weight(args.weight, rs.rank, "w")
     if lam_charge is not None:
         raise LieError("the ambient weight takes no torus charge")
-    hspec = TypeSpec.parse(args.subgroup)
-    target, charge = parse_weight(args.target, hspec.rank_ss, "l")
-    if charge is not None and hspec.torus == 0:
-        raise LieError(f"{args.subgroup} has no torus charge")
+    target, charge = parse_weight(args.target, emb.rank_ss, "l")
+    if charge is not None and emb.spec.torus == 0:
+        raise LieError(f"{emb.name} has no torus charge")
     dim = module_dimension(g, lam)
     try:
         m = multiplicity_of(emb, lam, target, charge=charge or 0)
@@ -212,7 +211,7 @@ def cmd_mult(args):
         args,
         {
             "group": str(g),
-            "subgroup": args.subgroup,
+            "subgroup": emb.name,
             "weight": list(lam),
             "target": list(target),
             "charge": charge or 0,

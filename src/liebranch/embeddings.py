@@ -466,7 +466,7 @@ class Catalog:
         self.by_key = {}
         self.by_g = {}
         for r in records:
-            key = (str(r.ambient), r.name)
+            key = (str(r.ambient), str(r.spec))
             if key in self.by_key:
                 raise LieError(f"duplicate catalog entry {key}")
             self.by_key[key] = r
@@ -487,7 +487,9 @@ class Catalog:
                     r.simple_images.extend(hit[1])
 
     def get(self, gname: str, hname: str) -> Embedding:
-        key = (gname, hname)
+        """The entry for subgroup hname of gname; hname is read as a
+        type, so d5xt1 names D5xT1."""
+        key = (gname, str(TypeSpec.parse(hname)))
         if key not in self.by_key:
             raise LieError(f"no catalog entry for {hname} in {gname}")
         return self.by_key[key]

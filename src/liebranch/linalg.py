@@ -1,10 +1,10 @@
 """Exact linear algebra over Q and over prime fields.
 
 Vectors are dense lists of Fraction/int.  The incremental reduced
-row-echelon span SpanQ is the only elimination over Q in the package: it
-splits the flag columns of a sphericity setup into pivots and the free
-columns of the open cell, and inverts matrices (``inverse``).  SpanMod
-takes every rank the sphericity tests need, modulo a prime.
+row-echelon span SpanQ is the only elimination over Q, and the only
+rational arithmetic, in the package: it splits the flag columns of a
+sphericity setup into pivots and the free columns of the open cell.
+SpanMod takes every rank the sphericity tests need, modulo a prime.
 """
 
 from __future__ import annotations
@@ -116,19 +116,3 @@ class SpanMod:
             col.append(c)
         return True
 
-
-def inverse(M):
-    """Exact inverse of an invertible square matrix, as rows of Fractions.
-
-    Reduces the rows of [M | I]: each reduced row is [e_p | row p of M^-1].
-    """
-    n = len(M)
-    span = SpanQ(2 * n)
-    for i, row in enumerate(M):
-        span.add(list(row) + [int(i == j) for j in range(n)])
-    if max(span.pivots) >= n:
-        raise ValueError("matrix is singular")
-    inv = [None] * n
-    for row, p in zip(span.rows, span.pivots):
-        inv[p] = row[n:]
-    return inv

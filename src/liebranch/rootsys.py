@@ -20,8 +20,6 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .linalg import inverse
-
 
 class LieError(ValueError):
     """Bad input: unknown type, malformed weight or rank out of range."""
@@ -189,12 +187,10 @@ class RootSystem:
         self.highest_root = self.positive_roots[-1]
         self.rho = (1,) * self.rank
         self.dual_perm = self._dual_permutation()
-        # weight coordinates -> simple-root coordinates
-        self.C_inv = inverse(self.C)
-        # <omega_j, 2 rho^vee>, twice the height of omega_j: for height keys
-        two_rho = [2 * sum(col) for col in zip(*self.C_inv)]
-        assert all(c.denominator == 1 for c in two_rho), two_rho
-        self._two_rho_covector = [int(c) for c in two_rho]
+        # <omega_j, 2 rho^vee> for height keys: 2 rho^vee is the sum of
+        # the positive coroots
+        coroots = [self.coroot(a) for a in self.positive_roots]
+        self._two_rho_covector = [sum(col) for col in zip(*coroots)]
 
     # -- construction --------------------------------------------------
 
@@ -396,15 +392,6 @@ class RootSystem:
 
     # -- weights ---------------------------------------------------------
 
-    def fundamental(self, i):
-        """Fundamental weight for 1-based node i."""
-        if not 1 <= i <= self.rank:
-            raise LieError(f"node {i} out of range for {self.type}")
-        return tuple(1 if j == i - 1 else 0 for j in range(self.rank))
-
-    def dual_weight(self, lam):
-        return tuple(lam[self.dual_perm[j]] for j in range(self.rank))
-
     def dual_node(self, i):
         """-w0 as an involution of 1-based node labels."""
         return self.dual_perm[i - 1] + 1
@@ -424,16 +411,6 @@ class RootSystem:
     def height_key(self, mu):
         """<mu, 2 rho^vee>: a linear functional positive on positive roots."""
         return sum(c * x for c, x in zip(self._two_rho_covector, mu))
-
-    def root_coefficients(self, mu):
-        """Expansion of a weight over the simple roots (integer list)."""
-        out = []
-        for row in self.C_inv:
-            v = sum(c * x for c, x in zip(row, mu))
-            if v.denominator != 1:
-                raise LieError(f"{list(mu)} is not in the root lattice")
-            out.append(int(v))
-        return out
 
 
 @lru_cache(maxsize=None)
@@ -456,7 +433,7 @@ class TypeSpec:
     def parse(text: str) -> "TypeSpec":
         factors = []
         torus = 0
-        for part in text.strip().split("x"):
+        for part in re.split("[xX]", text.strip()):
             part = part.strip().upper()
             m = _TORUS_RE.match(part)
             if m:
@@ -550,11 +527,6 @@ class ProductSystem:
         for s, p in zip(self.systems, self.split(mu)):
             n *= s.weyl_dimension(p)
         return n
-
-    def dual_weight(self, mu):
-        return self.join(
-            [s.dual_weight(p) for s, p in zip(self.systems, self.split(mu))]
-        )
 
     @property
     def rho(self):

@@ -27,6 +27,10 @@ loading does not check.  None of them is imported by the package.
   only that each root line lies in the node's subsystem.
 - ``point_from_neg_roots``: a cell point from a list of roots, for the
   recorded dense-orbit witnesses checked by ``SphericitySetup.dense_orbit``.
+- ``fundamental`` and ``dual_weight``: the fundamental weights, and -w0
+  on weights, of a ``RootSystem`` (``dual_weight`` also of a
+  ``ProductSystem``).  Test inputs, and the duality that characters and
+  branching rules are checked against.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from fractions import Fraction
 from liebranch.chevalley import chevalley_basis, neg
 from liebranch.embeddings import subsystem_simple_images
 from liebranch.linalg import SpanQ
-from liebranch.rootsys import root_system
+from liebranch.rootsys import LieError, ProductSystem, root_system
 from liebranch.sphericity import flag_columns, subseed
 
 
@@ -212,3 +216,22 @@ def cross_check_subsystems(catalog):
 def point_from_neg_roots(setup, roots):
     """Sparse element -- sum of X_{-a} over the given positive roots a."""
     return {setup.cb.root_index[neg(tuple(a))]: 1 for a in roots}
+
+
+# -- weights -------------------------------------------------------------------
+
+
+def fundamental(rs, i):
+    """Fundamental weight of a RootSystem for 1-based node i."""
+    if not 1 <= i <= rs.rank:
+        raise LieError(f"node {i} out of range for {rs.type}")
+    return tuple(1 if j == i - 1 else 0 for j in range(rs.rank))
+
+
+def dual_weight(system, mu):
+    """-w0 mu for a RootSystem, or factor by factor for a ProductSystem."""
+    if isinstance(system, ProductSystem):
+        return system.join(
+            [dual_weight(s, p) for s, p in zip(system.systems, system.split(mu))]
+        )
+    return tuple(mu[system.dual_node(j + 1) - 1] for j in range(system.rank))

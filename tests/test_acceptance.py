@@ -132,8 +132,17 @@ ORBIT_NUMBERS = {
     ("E6", "F4", 6): (1, 0, 2),
     ("E6", "C4", 1): (5, 3, 3),
     ("E6", "C4", 6): (5, 3, 3),
+    ("E6", "D5xT1", 1): (16, 14, 3),
+    ("E6", "D5xT1", 2): (11, 8, 4),
+    ("E6", "D5xT1", 3): (15, 10, 6),
+    ("E6", "D5xT1", 5): (12, 7, 6),
+    ("E6", "D5xT1", 6): (8, 6, 3),
     ("E7", "A7", 7): (15, 12, 4),
     ("E7", "D6xA1", 7): (16, 14, 3),
+    # the bounded rule of node 1 counts its slack generator
+    ("E7", "E6xT1", 1): (17, 14, 4),
+    ("E7", "E6xT1", 2): (21, 15, 7),
+    ("E7", "E6xT1", 7): (27, 24, 4),
 }
 
 KMAX = {"G2": 5, "F4": 3, "E6": 2, "E7": 2}

@@ -16,6 +16,7 @@ from liebranch.branching import (
 )
 from liebranch.embeddings import load_catalog
 from liebranch.rootsys import LieError, ProductSystem, SimpleType, TypeSpec
+from oracles import dual_weight
 
 
 @pytest.fixture(scope="module")
@@ -260,7 +261,7 @@ class TestExpansion:
         for k in (1, 2, 3):
             classes = rule.expand(k)
             flipped = Counter(
-                {(ps.dual_weight(w), -q): m for (w, q), m in classes.items()}
+                {(dual_weight(ps, w), -q): m for (w, q), m in classes.items()}
             )
             assert flipped == classes
 

@@ -27,6 +27,7 @@ from liebranch.rootsys import (
     parse_weight,
     root_system,
 )
+from oracles import dual_weight, fundamental
 
 CAT = load_catalog()
 HEAVY = os.environ.get("LIEBRANCH_HEAVY") == "1"
@@ -107,7 +108,7 @@ def test_known_inner_multiplicities():
 def test_dominant_weights_shape():
     rs = root_system(SimpleType("G", 2))
     wts = dominant_weights(rs, (1, 1))
-    assert wts[0] == (1, 1)
+    assert next(iter(wts)) == (1, 1)
     assert all(rs.is_dominant(w) for w in wts)
     keys = [rs.height_key(w) for w in wts]
     assert keys == sorted(keys, reverse=True)
@@ -115,13 +116,33 @@ def test_dominant_weights_shape():
         dominant_weights(rs, (-1, 0))
 
 
+def _catalog_simple_types():
+    types = set()
+    for r in CAT.records:
+        types.add(r.ambient)
+        types.update(r.spec.factors)
+    return sorted(types, key=str)
+
+
+@pytest.mark.parametrize("t", _catalog_simple_types(), ids=str)
+def test_dominant_weights_root_coefficients(t):
+    # the walk's coefficients of lam - mu are what the Freudenthal
+    # denominator reads
+    rs = root_system(t)
+    for i in range(1, rs.rank + 1):
+        lam = fundamental(rs, i)
+        for mu, c in dominant_weights(rs, lam).items():
+            assert all(type(x) is int and x >= 0 for x in c), (lam, mu, c)
+            assert rs.weight_of_root(c) == tuple(x - y for x, y in zip(lam, mu))
+
+
 def test_character_duality():
     t = SimpleType("A", 3)
     rs = root_system(t)
     lam = (2, 0, 1)
     ch = dominant_character(t, lam)
-    dual = dominant_character(t, rs.dual_weight(lam))
-    assert dual == {rs.dual_weight(mu): m for mu, m in ch.items()}
+    dual = dominant_character(t, dual_weight(rs, lam))
+    assert dual == {dual_weight(rs, mu): m for mu, m in ch.items()}
 
 
 def test_product_character():
@@ -207,7 +228,7 @@ def _fundamental_restrictions(bound):
             continue
         rs = root_system(emb.ambient)
         for i in range(1, rs.rank + 1):
-            lam = rs.fundamental(i)
+            lam = fundamental(rs, i)
             if _orbit_weights(emb.ambient, lam) <= bound:
                 out.append((emb, lam))
     return out
@@ -244,7 +265,7 @@ def test_restriction_matches_full_orbit_on_non_equal_rank():
         rs = root_system(emb.ambient)
         for i in range(1, rs.rank + 1):
             for k in (1, 2):
-                lam = tuple(k * x for x in rs.fundamental(i))
+                lam = tuple(k * x for x in fundamental(rs, i))
                 if _orbit_weights(emb.ambient, lam) <= 40_000:
                     cases.append((emb, lam))
     assert len(cases) == 35

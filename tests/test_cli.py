@@ -244,6 +244,32 @@ class TestMult:
         assert err.startswith("error: ")
 
 
+# Subgroup names are read as types, as group names are: typed in any case
+# they name the same entry, and the output gives the catalog's name.
+SUBGROUP_CASES = [
+    (["spherical", "E6", "a5xa1", "1"], ["spherical", "E6", "A5xA1", "1"]),
+    (["spherical", "E6", "A5XA1", "1"], ["spherical", "E6", "A5xA1", "1"]),
+    (["branch", "E6", "d5xt1", "1", "1"], ["branch", "E6", "D5xT1", "1", "1"]),
+    (["mult", "E6", "f4", "w1", "l4"], ["mult", "E6", "F4", "w1", "l4"]),
+]
+
+
+@pytest.mark.parametrize(
+    "typed,canonical", SUBGROUP_CASES, ids=[" ".join(a) for a, _ in SUBGROUP_CASES]
+)
+def test_subgroup_name_case(capsys, typed, canonical):
+    code, out, err = run(capsys, *typed)
+    assert (code, err) == (0, "")
+    assert (code, out) == run(capsys, *canonical)[:2]
+
+
+@pytest.mark.parametrize("name", ["B3", "b3", "A5xQ1", "A5x"])
+def test_unlisted_or_malformed_subgroup(capsys, name):
+    code, out, err = run(capsys, "spherical", "E6", name, "1")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ")
+
+
 class TestDataDir:
     def test_data_flag(self, capsys, tmp_path):
         for name in ("embeddings.txt", "rules.txt"):

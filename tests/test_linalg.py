@@ -1,14 +1,11 @@
-"""Exact elimination: SpanQ nullspaces, SpanMod ranks and the Cartan inverse."""
+"""Exact elimination: SpanQ nullspaces and SpanMod ranks."""
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liebranch.embeddings import load_catalog
 from liebranch.linalg import SpanMod, SpanQ
-from liebranch.rootsys import LieError, SimpleType, root_system
 from oracles import kernel
 
 
@@ -66,29 +63,3 @@ def test_spanmod_matches_naive_elimination(p, data):
     assert span.rank == len(want)
     # the reduced echelon form of a span is unique
     assert [r for _, r in sorted(zip(span.pivots, span.rows))] == want
-
-
-def _catalog_simple_types():
-    types = set()
-    for emb in load_catalog().records:
-        types.add(emb.ambient)
-        types.update(emb.spec.factors)
-    return sorted(types)
-
-
-@pytest.mark.parametrize("t", _catalog_simple_types(), ids=str)
-def test_cartan_inverse(t):
-    rs = root_system(t)
-    n = rs.rank
-    for i in range(n):
-        for j in range(n):
-            got = sum(rs.C[i][k] * rs.C_inv[k][j] for k in range(n))
-            assert got == (1 if i == j else 0)
-    for a in rs.positive_roots:
-        assert rs.root_coefficients(rs.weight_of_root(a)) == list(a)
-
-
-def test_root_coefficients_off_the_root_lattice():
-    rs = root_system(SimpleType("E", 6))
-    with pytest.raises(LieError):
-        rs.root_coefficients(rs.fundamental(1))

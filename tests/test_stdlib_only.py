@@ -1,4 +1,5 @@
-"""The runtime imports nothing outside the standard library."""
+"""The runtime imports nothing outside the standard library, and only the
+sphericity setup reaches rational arithmetic."""
 
 import ast
 import pathlib
@@ -9,25 +10,52 @@ import liebranch
 SRC = pathlib.Path(liebranch.__file__).parent
 
 
-def _imported_roots(tree):
+def _imported_modules(tree):
+    """Dotted names a module imports; relative imports are read inside
+    liebranch, and ``from m import n`` names both m and m.n."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                yield alias.name.split(".")[0]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            yield node.module.split(".")[0]
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(
+                filter(None, ["liebranch" if node.level else None, node.module])
+            )
+            yield base
+            for alias in node.names:
+                yield f"{base}.{alias.name}"
+
+
+def _imports():
+    """{file name: set of imported module names} over the package."""
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    return {
+        path.name: set(
+            _imported_modules(
+                ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            )
+        )
+        for path in files
+    }
 
 
 def test_runtime_is_stdlib_only():
-    files = sorted(SRC.glob("*.py"))
-    assert files
     allowed = set(sys.stdlib_module_names) | {"liebranch"}
-    bad = []
-    for path in files:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        bad.extend(
-            f"{path.name}: {name}"
-            for name in _imported_roots(tree)
-            if name not in allowed
-        )
+    bad = [
+        f"{name}: {module}"
+        for name, modules in _imports().items()
+        for module in sorted(modules)
+        if module.split(".")[0] not in allowed
+    ]
     assert not bad, bad
+
+
+def test_rationals_stay_in_the_open_cell_split():
+    # characters and root systems run over the integers: only the
+    # sphericity setup eliminates over Q, through linalg.SpanQ
+    imports = _imports()
+    assert [n for n, m in imports.items() if "liebranch.linalg" in m] == [
+        "sphericity.py"
+    ]
+    assert [n for n, m in imports.items() if "fractions" in m] == ["linalg.py"]
