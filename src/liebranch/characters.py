@@ -135,13 +135,19 @@ def decompose(emb, lam, collapsed=None):
     Returns {(subgroup highest weight, torus charge): multiplicity},
     found by repeatedly peeling the top remaining weight of the dominant
     character.  A non-positive peel or an oversubtracted weight means
-    the given character is not a genuine one and raises LieError.
+    the given character is not a genuine one and raises LieError.  A
+    peel never creates a key (a missing one is oversubtracted), so the
+    keys are sorted once and peeled in that order, skipping those gone.
     """
     ps = emb.hsys
     left = dict(restrict_collapsed(emb, lam) if collapsed is None else collapsed)
     out: dict = {}
-    while left:
-        nu, q = max(left, key=lambda kq: (ps.height_key(kq[0]), kq[0], kq[1]))
+    order = sorted(
+        left, key=lambda kq: (ps.height_key(kq[0]), kq[0], kq[1]), reverse=True
+    )
+    for nu, q in order:
+        if (nu, q) not in left:
+            continue
         c = left[(nu, q)]
         if c <= 0:
             raise LieError(

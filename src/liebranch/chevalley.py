@@ -19,6 +19,7 @@ defining identities hold by construction.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add, sub
 
 from .rootsys import SimpleType, root_system
 
@@ -35,13 +36,14 @@ class ChevalleyBasis:
         self.m = rs.n_pos
         self.rank = rs.rank
         self.dim = 2 * self.m + self.rank
-        self.root_index = {}
-        for k, a in enumerate(rs.positive_roots):
-            self.root_index[a] = k
-            self.root_index[neg(a)] = self.m + k
         self._signed_roots = list(rs.positive_roots) + [
             neg(a) for a in rs.positive_roots
         ]
+        sr = self._signed_roots
+        # every signed root (never 0), its index, its negative and its norm
+        self.root_index = {a: k for k, a in enumerate(sr)}
+        self._neg = dict(zip(sr, sr[self.m :] + sr[: self.m]))
+        self._norm2 = {a: rs.norm2(a) for a in sr}
         self._n_cache = {}
         self._extraspecial = self._pick_extraspecial()
         self._table = self._build_table()
@@ -73,22 +75,20 @@ class ChevalleyBasis:
             if sum(g) == 1:
                 continue
             for a in rs.positive_roots:
-                b = tuple(x - y for x, y in zip(g, a))
-                if min(b) >= 0 and b in rs.index:
+                b = tuple(map(sub, g, a))
+                if b in rs.index:
                     pairs[g] = (a, b)
                     break  # positive_roots is ordered; first hit is minimal
         return pairs
 
     def _string_down(self, b, a):
         """Largest p with b - p*a a root."""
-        rs = self.rs
         p = 0
-        cur = b
-        while True:
-            cur = tuple(x - y for x, y in zip(cur, a))
-            if not any(cur) or not rs.is_root(cur):
-                return p
+        cur = tuple(map(sub, b, a))
+        while cur in self.root_index:
             p += 1
+            cur = tuple(map(sub, cur, a))
+        return p
 
     def nconst(self, a, b):
         """N(a, b) with [X_a, X_b] = N(a,b) X_{a+b}; requires a+b a root."""
@@ -99,46 +99,46 @@ class ChevalleyBasis:
         return self._n_cache[key]
 
     def _nconst_compute(self, a, b):
-        rs = self.rs
-        g = tuple(x + y for x, y in zip(a, b))
-        assert rs.is_root(g), (a, b)
-        if min(a) < 0 and min(b) < 0:
-            return -self.nconst(neg(a), neg(b))
-        if min(a) < 0:
+        index, minus, norm2, m = self.root_index, self._neg, self._norm2, self.m
+        g = tuple(map(add, a, b))
+        assert g in index, (a, b)
+        if index[a] >= m and index[b] >= m:
+            return -self.nconst(minus[a], minus[b])
+        if index[a] >= m:
             return -self.nconst(b, a)
-        if min(b) < 0:
-            # N(xi, -eta) with xi, eta positive roots, xi - eta a root
-            xi, eta = a, neg(b)
-            zeta = tuple(x - y for x, y in zip(xi, eta))
-            if min(zeta) >= 0:
-                num = -self.nconst(eta, zeta) * rs.norm2(zeta)
-                den = rs.norm2(xi)
+        if index[b] >= m:
+            # N(xi, -eta) with xi, eta positive roots and zeta = xi - eta = g
+            xi, eta, zeta = a, minus[b], g
+            if index[zeta] < m:
+                num = -self.nconst(eta, zeta) * norm2[zeta]
+                den = norm2[xi]
             else:
-                zetap = neg(zeta)
-                num = self.nconst(zetap, xi) * rs.norm2(zetap)
-                den = rs.norm2(eta)
+                zetap = minus[zeta]
+                num = self.nconst(zetap, xi) * norm2[zetap]
+                den = norm2[eta]
             assert num % den == 0, (a, b)
             return num // den
         # both positive
         a1, b1 = self._extraspecial[g]
+        p1 = self._string_down(b1, a1) + 1
         if (a, b) == (a1, b1):
-            return self._string_down(b1, a1) + 1
+            return p1
         if (b, a) == (a1, b1):
-            return -(self._string_down(b1, a1) + 1)
+            return -p1
         # Jacobi on (X_{-a1}, X_a, X_b); neither a nor b equals a1 or b1 here,
         # so no [X_r, X_{-r}] terms arise and the X_{b1} coefficient gives
         #   N(a,b) N(-a1,g) = N(-a1,a) N(a-a1,b) + N(b,-a1) N(b-a1,a)
         t1 = 0
-        am = tuple(x - y for x, y in zip(a, a1))
-        if any(am) and rs.is_root(am):
-            t1 = self.nconst(neg(a1), a) * self.nconst(am, b)
+        am = tuple(map(sub, a, a1))
+        if am in index:
+            t1 = self.nconst(minus[a1], a) * self.nconst(am, b)
         t2 = 0
-        bm = tuple(x - y for x, y in zip(b, a1))
-        if any(bm) and rs.is_root(bm):
-            t2 = self.nconst(b, neg(a1)) * self.nconst(bm, a)
+        bm = tuple(map(sub, b, a1))
+        if bm in index:
+            t2 = self.nconst(b, minus[a1]) * self.nconst(bm, a)
         # N(-a1, g) = (p+1) |b1|^2 / |g|^2 by the cyclic identity
-        den = (self._string_down(b1, a1) + 1) * rs.norm2(b1)
-        num = (t1 + t2) * rs.norm2(g)
+        den = p1 * norm2[b1]
+        num = (t1 + t2) * norm2[g]
         assert den != 0 and num % den == 0, (a, b)
         return num // den
 
@@ -148,6 +148,7 @@ class ChevalleyBasis:
         """table[i][j]: [e_i, e_j] as a tuple of (k, c) pairs, () for 0."""
         rs = self.rs
         m, rank = self.m, self.rank
+        index = self.root_index
         table = [[()] * self.dim for _ in range(self.dim)]
         sr = self._signed_roots
         # each pair is computed once, for i < j, and stored both ways
@@ -162,18 +163,15 @@ class ChevalleyBasis:
                     table[2 * m + k][i] = ((i, wa[k]),)
             for j in range(i + 1, 2 * m):
                 b = sr[j]
-                s = tuple(x + y for x, y in zip(a, b))
-                if not any(s):
-                    assert min(a) >= 0  # i < m <= j when b = -a
+                k = index.get(tuple(map(add, a, b)))
+                if k is not None:
+                    n = self.nconst(a, b)  # never 0: N(a, b) = +-(p+1)
+                    row[j] = ((k, n),)
+                    table[j][i] = ((k, -n),)
+                elif j == i + m:  # b = -a, a positive
                     h = self.h_coroot(a)
                     row[j] = tuple(h.items())
                     table[j][i] = tuple([(k, -c) for k, c in h.items()])
-                elif rs.is_root(s):
-                    n = self.nconst(a, b)
-                    if n:
-                        k = self.root_index[s]
-                        row[j] = ((k, n),)
-                        table[j][i] = ((k, -n),)
         return table
 
     def bracket(self, u, v):

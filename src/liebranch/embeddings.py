@@ -29,6 +29,7 @@ import importlib.resources
 import os
 import re
 from functools import lru_cache
+from operator import sub
 
 from .chevalley import chevalley_basis, neg
 from .rootsys import (
@@ -84,10 +85,8 @@ def subsystem_simple_images(g: SimpleType, node: int):
     pos_set = set(pos)
     simples = []
     for a in pos:
-        decomposable = any(
-            tuple(x - y for x, y in zip(a, b)) in pos_set for b in pos if b != a
-        )
-        if not decomposable:
+        # a - a = 0 is not in pos_set
+        if not any(tuple(map(sub, a, b)) in pos_set for b in pos):
             simples.append(a)
     # split into connected components and put each in Bourbaki order
     M = _pairing_matrix(rs, simples)

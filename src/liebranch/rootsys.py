@@ -19,6 +19,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import mul
 
 
 class LieError(ValueError):
@@ -242,13 +243,11 @@ class RootSystem:
         return a in self.index or tuple(-x for x in a) in self.index
 
     def weight_of_root(self, a):
-        C = self.C
-        return tuple(sum(C[i][j] * a[j] for j in range(self.rank)) for i in range(self.rank))
+        return tuple(sum(map(mul, row, a)) for row in self.C)
 
     def inner_rr(self, a, b):
         """Invariant form of two roots given in root coordinates."""
-        wb = self.weight_of_root(b)
-        return sum(self.d[k] * a[k] * wb[k] for k in range(self.rank))
+        return sum(map(mul, map(mul, self.d, a), self.weight_of_root(b)))
 
     def norm2(self, a):
         return self.inner_rr(a, a)

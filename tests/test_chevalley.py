@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -219,3 +220,21 @@ def test_bracket_table_antisymmetric(name):
             assert ij == {k: -c for k, c in cb.bracket({j: 1}, {i: 1}).items()}
             if i == j:
                 assert ij == {}
+
+
+# sha256 of repr(table): every bracket of the five exceptional algebras,
+# structure constants and coroot entries alike
+BRACKET_TABLE_SHA256 = {
+    "G2": "ab1ac17a1078c89b562f3f317170eda049f591f7259f102ffe51ce5ffaf6c5d1",
+    "F4": "dfe6912241744cb51d6467ce63331091930172e9dceb879251b0e16da882fed9",
+    "E6": "dc1ccd9afddc0c5313060c1a5fba1cadc2e0b5cb88103a129c05a801c98d8ccf",
+    "E7": "cc37a1cd47fa66346551a3935c59186d4416d916551c1ad896c18601b3374d6f",
+    "E8": "04dd6f0b6e2212cf78a4b3a907ec7b3f39d8799628cf3f8231c5c50ec82d91ba",
+}
+
+
+@pytest.mark.parametrize("name", list(BRACKET_TABLE_SHA256))
+def test_bracket_table_digest(name):
+    table = chevalley_basis(T(name))._table
+    digest = hashlib.sha256(repr(table).encode()).hexdigest()
+    assert digest == BRACKET_TABLE_SHA256[name]

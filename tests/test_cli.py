@@ -599,7 +599,7 @@ def test_classify_json_golden_seed_1(capsys, group):
 class TestSubprocess:
     """End-to-end runs in a fresh interpreter (env vars, real exit codes)."""
 
-    def _run(self, *argv, env=None):
+    def _run(self, *argv, env=None, module="liebranch.cli"):
         # the child imports the same liebranch as this process, installed
         # or not
         src = os.path.dirname(os.path.dirname(liebranch.__file__))
@@ -610,7 +610,7 @@ class TestSubprocess:
         if env:
             full_env.update(env)
         return subprocess.run(
-            [sys.executable, "-m", "liebranch.cli", *argv],
+            [sys.executable, "-m", module, *argv],
             capture_output=True,
             text=True,
             env=full_env,
@@ -633,6 +633,14 @@ class TestSubprocess:
             proc = self._run("classify", group, "--seed", seed, "--format", "json", env=env)
             assert proc.returncode == 0
             assert hashlib.sha256(proc.stdout.encode()).hexdigest() == pins[group]
+
+    def test_package_runs_as_a_module(self, capsys):
+        # python -m liebranch runs the tool from a checkout, uninstalled
+        argv = ("classify", "G2", "--format", "json")
+        proc = self._run(*argv, module="liebranch")
+        code, out, _ = run(capsys, *argv)
+        assert proc.returncode == code == 0
+        assert proc.stdout == out
 
     def test_heavy_env_flag(self):
         # a large module needs neither a flag nor an environment variable

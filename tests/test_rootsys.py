@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liebranch.embeddings import load_catalog
+from liebranch.embeddings import load_catalog, subsystem_simple_images
 from liebranch.rootsys import (
     LieError,
     ProductSystem,
@@ -155,6 +156,47 @@ def test_root_norms_and_coroots(t):
         mu = rs.rho
         pairing = sum(h * m for h, m in zip(hv, mu))
         assert isinstance(pairing, int)
+
+
+def _catalog_types():
+    """Every simple type the catalog names: ambients and subgroup factors."""
+    out = set()
+    for r in load_catalog().records:
+        out.add(r.ambient)
+        out.update(r.spec.factors)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("t", _catalog_types(), ids=str)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_root_arithmetic_is_the_cartan_matrix(t, data):
+    # any integer tuples, not only roots
+    rs = root_system(t)
+    n = rs.rank
+    coords = st.tuples(*[st.integers(min_value=-9, max_value=9)] * n)
+    a, b = data.draw(coords), data.draw(coords)
+    wb = [sum(rs.C[i][j] * b[j] for j in range(n)) for i in range(n)]
+    assert rs.weight_of_root(b) == tuple(wb)
+    assert rs.inner_rr(a, b) == sum(rs.d[k] * a[k] * wb[k] for k in range(n))
+
+
+# sha256 of repr([subsystem_simple_images(g, node) for every node])
+SUBSYSTEM_IMAGES_SHA256 = {
+    "G2": "b64c63cd99f16311df4cdf97a45f83c1677fa6a47636c4fdeacf7172ce3516aa",
+    "F4": "984884423b0e8a72556480fc3924894962cfcdd1193fb4d37928c862667fcf2b",
+    "E6": "40fb9138956a280e8f926c431c288620d2daf79763cc8de0aa2513be3ab0ef58",
+    "E7": "19cfe3eddb9582e2323a8f60639e890dc145ecd6a1cb0b0947f4f3df8e77ca88",
+    "E8": "9e9abc88f001b10faa3c50543d9257e3a2d66bf065e792115474e3035855523c",
+}
+
+
+@pytest.mark.parametrize("name", list(SUBSYSTEM_IMAGES_SHA256))
+def test_subsystem_simple_images_digest(name):
+    t = SimpleType(name[0], int(name[1]))
+    got = [subsystem_simple_images(t, node) for node in range(1, t.rank + 1)]
+    digest = hashlib.sha256(repr(got).encode()).hexdigest()
+    assert digest == SUBSYSTEM_IMAGES_SHA256[name]
 
 
 def test_dual_involutions():
