@@ -106,9 +106,6 @@ class RuleBook:
             raise LieError(f"no branching rule for {g} {h} node {node}")
         return entry
 
-    def triples(self):
-        return sorted(self.by_key)
-
 
 _LHS_TERM = re.compile(r"^(?:(\d+)\*)?a(\d+)$")
 _RHS_TERM = re.compile(r"(\((?:a\d+\+)*a\d+\)|a\d+)\*l(\d+)")
@@ -265,10 +262,6 @@ class VerifyResult:
     k: int
     direct: bool
     dual: bool
-
-    @property
-    def matched(self):
-        return self.direct or self.dual
 
 
 def verify_rule(emb, rule, k):

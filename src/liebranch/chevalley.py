@@ -50,18 +50,13 @@ class ChevalleyBasis:
 
     # -- basic indexing ---------------------------------------------------
 
-    def x(self, a):
-        """Basis element X_a for a signed root a."""
-        return {self.root_index[tuple(a)]: 1}
-
-    def h(self, i):
-        """Simple coroot H_i, 0-based."""
-        return {2 * self.m + i: 1}
+    def h_vector(self, coeffs):
+        """The element sum_j coeffs[j] H_j of the Cartan subalgebra."""
+        return {2 * self.m + j: c for j, c in enumerate(coeffs) if c}
 
     def h_coroot(self, a):
         """H_a = [X_a, X_{-a}] for a positive root, as a sparse element."""
-        hv = self.rs.coroot(a)
-        return {2 * self.m + j: c for j, c in enumerate(hv) if c}
+        return self.h_vector(self.rs.coroot(a))
 
     def signed_root_of_index(self, k):
         return self._signed_roots[k] if k < 2 * self.m else None
@@ -207,15 +202,9 @@ class ChevalleyBasis:
                     col[k] = col.get(k, 0) + ci * w
         return [{k: c for k, c in col.items() if c} for col in cols]
 
-    def to_dense(self, u):
-        v = [0] * self.dim
-        for k, c in u.items():
-            v[k] = c
-        return v
-
     def exp_ad_apply(self, ad_cols, v, prime):
-        """Apply exp(ad u) modulo ``prime`` to a dense vector given sparse
-        columns of ad u; returns the residues as a dense list.
+        """Apply exp(ad u) modulo ``prime`` to a sparse element given sparse
+        columns of ad u; returns the nonzero residues as a sparse element.
 
         ad u must be nilpotent (this is not checked; the loop runs until the
         iterate vanishes, at most dim steps), and ``prime`` must exceed dim
@@ -227,7 +216,7 @@ class ChevalleyBasis:
             return {i: y for i, x in vec.items() if (y := x * kin % prime)}
 
         # the iterates ad(u)^k v / k! are sparse dicts, reduced once a step
-        w = scale({i: x for i, x in enumerate(v) if x}, 1)
+        w = scale(v, 1)
         acc = dict(w)
         for k in range(1, self.dim + 1):
             nw = {}
@@ -239,10 +228,7 @@ class ChevalleyBasis:
                 break
             for i, c in w.items():
                 acc[i] = acc.get(i, 0) + c
-        out = [0] * self.dim
-        for i, c in scale(acc, 1).items():
-            out[i] = c
-        return out
+        return scale(acc, 1)
 
 
 @lru_cache(maxsize=None)

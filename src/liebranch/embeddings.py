@@ -17,10 +17,16 @@ shapes:
 
 Generator conventions: for each simple root j of H the entry provides
 ``x_j`` (raising), ``y_j`` (lowering) and ``h_j = [x_j, y_j]`` in the
-ambient Chevalley basis, satisfying ``[h_i, x_j] = C_H[i][j] x_j``.  A
-subsystem or Levi generator is the one-term sum of its simple-root image.
-Weight restriction is the linear map given by pairing with the ``h_j``
-(plus the torus coweight for Levi entries).
+ambient Chevalley basis, satisfying ``[h_i, x_j] = C_H[i][j] x_j``.  Each
+generator is a list of signed G-roots: the chev lines of a folded entry,
+or the one-term list of the simple-root image of a subsystem or Levi
+entry (filled from the removal node when a subsystem has no root lines).
+h_j is the sum of the coroots of those roots, a row over the simple
+coroots of G.  Loading finishes every record this way and checks the
+rows against the Cartan matrix of H, so each entry holds one generator
+list and its rows from the start.  Weight restriction is the linear map
+given by the rows (plus the torus coweight for Levi entries), and needs
+no Chevalley basis; only the sphericity tests build x_j and y_j in one.
 """
 
 from __future__ import annotations
@@ -110,7 +116,8 @@ class Embedding:
         self.node = None  # extended-diagram removal node (subsystem)
         self.coweight = None  # torus pairing row (levi)
         self.simple_images = None  # list of G-roots, one per H node
-        self.gen_terms = None  # folded: list of [(sign, G-root), ...]
+        self.gen_terms = None  # per H node, a list of (sign, G-root) terms
+        self.rows = None  # per H node, its restriction row
         self._built = None
         self._roots = None
 
@@ -132,37 +139,23 @@ class Embedding:
 
     # -- generator construction ---------------------------------------------
 
-    def generator_terms(self):
-        """Each simple generator of H as a list of (sign, G-root) terms: the
-        chev lines, or the one-term sums of the simple-root images."""
-        return self.gen_terms or [[(1, b)] for b in self.simple_images]
+    def restriction_rows(self):
+        """Row j: the coroot sum of generator j over the simple coroots of
+        G, computed and checked when the catalog loads."""
+        if self.rows is None:
+            raise LieError(f"{self.name} < {self.ambient}: no generators known")
+        return self.rows
 
     def _build(self):
-        if self._built is not None:
-            return self._built
-        if self.kind == "typeonly":
-            raise LieError(f"{self.name} < {self.ambient}: no generators known")
-        cb = chevalley_basis(self.ambient)
-        xg, yg, hg, rows = [], [], [], []
-        for terms in self.generator_terms():
-            x, y, h = {}, {}, {}
-            for s, gr in terms:
-                x[cb.root_index[gr]] = s
-                y[cb.root_index[neg(gr)]] = s
-                for k, c in cb.h_coroot(gr).items():
-                    h[k] = h.get(k, 0) + c
-            xg.append(x)
-            yg.append(y)
-            hg.append(h)
-            rows.append(_coroot_sum(cb.rs, terms))
-        self._built = (xg, yg, hg, rows)
+        """The raising and lowering vectors x_j and y_j."""
+        if self._built is None:
+            self.restriction_rows()  # an entry without generators raises
+            index = chevalley_basis(self.ambient).root_index
+            self._built = (
+                [{index[b]: s for s, b in terms} for terms in self.gen_terms],
+                [{index[neg(b)]: s for s, b in terms} for terms in self.gen_terms],
+            )
         return self._built
-
-    def h_gens(self):
-        return self._build()[2]
-
-    def restriction_rows(self):
-        return self._build()[3]
 
     # -- weight restriction ---------------------------------------------------
 
@@ -181,11 +174,10 @@ class Embedding:
     def torus_vectors(self):
         """Sparse vectors spanning a Cartan subalgebra of Lie(H): the simple
         coroots of H, plus the central torus sum c_j H_j for a Levi entry."""
-        out = list(self.h_gens())
+        rows = self.restriction_rows()
         if self.coweight is not None:
-            m = chevalley_basis(self.ambient).m
-            out.append({2 * m + j: c for j, c in enumerate(self.coweight) if c})
-        return out
+            rows = rows + [self.coweight]
+        return [chevalley_basis(self.ambient).h_vector(r) for r in rows]
 
     def lie_h_vectors(self):
         """Sparse vectors spanning Lie(H) inside the ambient algebra."""
@@ -204,7 +196,7 @@ class Embedding:
         if self._roots is not None:
             return self._roots
         cb = chevalley_basis(self.ambient)
-        xg, yg, _, _ = self._build()
+        xg, yg = self._build()
         pos_out, neg_out = [], []
         at = 0
         for f in self.spec.factors:
@@ -314,14 +306,39 @@ def _check_record(r):
         raise LieError("a levi coweight must be nonzero")
 
 
-def _check_roots(r):
-    """The root and chev lines of a record describe H, checked on the root
-    system of G alone (the Serre relations and the span dimension need a
-    Chevalley basis and are checked by the tests, in ``tests/oracles.py``)."""
-    if r.gen_terms is None and r.simple_images is None:
+def _node_roots(r):
+    """The simple-root images of a subsystem given by its removal node:
+    filled from the node, factor by factor in the declared order, when the
+    record has no root lines, and checked against the node when it has."""
+    if r.kind != "subsystem" or r.node is None:
         return
+    if r.simple_images is not None:
+        pos = set(node_subsystem_roots(root_system(r.ambient), r.node))
+        for b in r.simple_images:
+            if b not in pos and neg(b) not in pos:
+                raise LieError(f"root {b} is not in the subsystem of node {r.node}")
+        n_pos = sum(root_system(f).n_pos for f in r.spec.factors)
+        if len(pos) != n_pos:
+            raise LieError(f"node {r.node}: {len(pos)} positive roots, not {n_pos}")
+        return
+    factors, _ = subsystem_simple_images(r.ambient, r.node)
+    got = [t for t, _ in factors]
+    if sorted(got) != sorted(r.spec.factors):
+        raise LieError(f"removal node {r.node} gives {'x'.join(map(str, got))}")
+    r.simple_images = []
+    for want in r.spec.factors:
+        hit = next(f for f in factors if f[0] == want)
+        factors.remove(hit)
+        r.simple_images.extend(hit[1])
+
+
+def _check_roots(r):
+    """The generators of a record describe H, checked on the root system
+    of G alone (the Serre relations and the span dimension need a
+    Chevalley basis and are checked by the tests, in ``tests/oracles.py``).
+    Returns the restriction rows."""
     rs = root_system(r.ambient)
-    gens = r.generator_terms()
+    gens = r.gen_terms
     for terms in gens:
         for _, b in terms:
             if not rs.is_root(b):
@@ -329,28 +346,22 @@ def _check_roots(r):
     # every root of generator j restricts to column j of the Cartan matrix
     # of H, and to charge 0 under the coweight of a Levi subgroup
     rows = [_coroot_sum(rs, terms) for terms in gens]
+    checks = list(rows)
     want = r._h_cartan_matrix()
     if r.coweight is not None:
-        rows.append(r.coweight)
+        checks.append(r.coweight)
         want.append([0] * len(gens))
     for j, terms in enumerate(gens):
         col = [w[j] for w in want]
         for k, (_, b) in enumerate(terms):
             wb = rs.weight_of_root(b)
-            got = [sum(h * w for h, w in zip(row, wb)) for row in rows]
+            got = [sum(h * w for h, w in zip(row, wb)) for row in checks]
             if got != col:
                 raise LieError(f"generator {j + 1}: {b} restricts to {got}, not {col}")
             for _, c in terms[k + 1 :]:
                 if rs.is_root(tuple(x - y for x, y in zip(b, c))):
                     raise LieError(f"generator {j + 1}: {b} - {c} is a root")
-    if r.node is not None and r.simple_images is not None:
-        pos = set(node_subsystem_roots(rs, r.node))
-        for b in r.simple_images:
-            if b not in pos and neg(b) not in pos:
-                raise LieError(f"root {b} is not in the subsystem of node {r.node}")
-        n_pos = sum(root_system(f).n_pos for f in r.spec.factors)
-        if len(pos) != n_pos:
-            raise LieError(f"node {r.node}: {len(pos)} positive roots, not {n_pos}")
+    return rows
 
 
 def parse_embeddings(text: str):
@@ -383,7 +394,11 @@ def parse_embeddings(text: str):
                     raise LieError(f"chev lines must cover 1..{n}")
                 cur.gen_terms = [cur_chev[j] for j in range(1, n + 1)]
             _check_record(cur)
-            _check_roots(cur)
+            _node_roots(cur)
+            if cur.simple_images is not None:
+                cur.gen_terms = [[(1, b)] for b in cur.simple_images]
+            if cur.gen_terms is not None:
+                cur.rows = _check_roots(cur)
         except LieError as e:
             raise LieError(
                 f"embeddings data line {cur_line}: {cur.name} in {cur.ambient}: {e}"
@@ -470,20 +485,6 @@ class Catalog:
                 raise LieError(f"duplicate catalog entry {key}")
             self.by_key[key] = r
             self.by_g.setdefault(str(r.ambient), []).append(r)
-        # fill the simple-root images of subsystems given by their node,
-        # factor by factor in the declared order
-        for r in records:
-            if r.kind == "subsystem" and r.simple_images is None:
-                factors, _ = subsystem_simple_images(r.ambient, r.node)
-                got = [t for t, _ in factors]
-                if sorted(got) != sorted(r.spec.factors):
-                    got = "x".join(map(str, got))
-                    raise LieError(f"{r.name}: removal node {r.node} gives {got}")
-                r.simple_images = []
-                for want in r.spec.factors:
-                    hit = next(f for f in factors if f[0] == want)
-                    factors.remove(hit)
-                    r.simple_images.extend(hit[1])
 
     def get(self, gname: str, hname: str) -> Embedding:
         """The entry for subgroup hname of gname; hname is read as a

@@ -298,16 +298,25 @@ class RootSystem:
             else:
                 return tuple(mu), sign
 
-    def weyl_orbit_layers(self, lam):
+    def weyl_orbit_layers(self, lam, bound=None):
         """Yield the orbit of a dominant weight layer by layer.
 
         Layer k holds the orbit elements at distance k from the dominant
         chamber in the weak order; each element appears exactly once.
+        With ``bound``, only the points x with height_key(lam - x) <= bound
+        are kept and expanded.  A step x -> s_i x with x[i] > 0 adds
+        x[i] * alpha_i to lam - x, so the height grows along every step and
+        the kept points are an order ideal, each in its own layer.
         """
         if not self.is_dominant(lam):
             raise LieError("weyl_orbit_layers wants a dominant weight")
+        top = self.height_key(lam)
         layer = {tuple(lam)}
-        while layer:
+        while True:
+            if bound is not None:
+                layer = {x for x in layer if top - self.height_key(x) <= bound}
+            if not layer:
+                return
             yield layer
             nxt = set()
             for w in layer:
@@ -540,29 +549,20 @@ class ProductSystem:
         a negative bound keeps nothing.  A weak-order step x -> s_i x
         with x[i] > 0 adds x[i] * alpha_i to mu - x, so the height grows
         along every step and the kept points of each factor are an order
-        ideal: walking a factor's orbit layer by layer, a point above the
-        bound is not expanded.  The kept points of the factors are then
-        combined lazily, keeping the tuples whose heights add up to at
-        most the bound.
+        ideal, which `RootSystem.weyl_orbit_layers` walks.  The kept points
+        of the factors are then combined lazily, keeping the tuples whose
+        heights add up to at most the bound.
         """
         if not self.is_dominant(mu):
             raise LieError("weyl_orbit_signed wants a dominant weight")
         kept = []
         for s, part in zip(self.systems, self.split(mu)):
             top = s.height_key(part)
-            pts = []
-            layer, sign = {part}, 1
-            while layer:
-                nxt = set()
-                for x in layer:
-                    h = top - s.height_key(x)
-                    if h > bound:
-                        continue
-                    pts.append((h, x, sign))
-                    for i in range(s.rank):
-                        if x[i] > 0:
-                            nxt.add(s.reflect(x, i))
-                layer, sign = nxt, -sign
+            pts = [
+                (top - s.height_key(x), x, (-1) ** depth)
+                for depth, layer in enumerate(s.weyl_orbit_layers(part, bound))
+                for x in layer
+            ]
             pts.sort(key=lambda p: p[0])
             kept.append(pts)
 

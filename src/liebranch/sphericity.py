@@ -47,7 +47,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 
-from .chevalley import chevalley_basis, neg
+from .chevalley import chevalley_basis
 from .embeddings import Embedding
 from .linalg import SpanMod, SpanQ
 from .rootsys import LieError, root_system, simple_type
@@ -100,9 +100,7 @@ class SphericitySetup:
                 span.add(row)
         cell = span.nonpivot_columns()
         self.n_dim = len(cell)
-        self.removed = span.rank
         self.n_coords = [cols[f] for f in cell]
-        self.n_roots = [neg(cb.signed_root_of_index(k)) for k in self.n_coords]
         # _proj[k]: cell coordinates of basis vector k modulo lie(H) + lie(P_i)
         at = {f: pos for pos, f in enumerate(cell)}
         self._proj = {cols[f]: [(pos, 1)] for f, pos in at.items()}
@@ -209,7 +207,7 @@ def generic_translate_test(emb: Embedding, node: int, seed=0, trials=8):
     cb = chevalley_basis(emb.ambient)
     flag = flag_columns(cb, node)
     target = len(flag)
-    bvecs = [cb.to_dense(v) for v in emb.borel_h_vectors()]
+    bvecs = emb.borel_h_vectors()
     rng = random.Random(subseed(seed, "translate", emb.name, node))
     for t in range(trials):
         n = {k: rng.randint(-9, 9) for k in flag}
@@ -218,8 +216,7 @@ def generic_translate_test(emb: Embedding, node: int, seed=0, trials=8):
         span = SpanMod(target, PRIME)
         for v in bvecs:
             w = cb.exp_ad_apply(cols, v, PRIME)
-            row = [w[k] for k in flag]
-            span.add(row)
+            span.add([w.get(k, 0) for k in flag])
             if span.rank == target:
                 break
         if span.rank == target:

@@ -4,6 +4,8 @@ Each oracle recomputes, by a second and simpler route, something the
 package computes in production, or checks a fact about the data that
 loading does not check.  None of them is imported by the package.
 
+- ``x``, ``h`` and ``to_dense``: basis elements X_a and H_i of a
+  Chevalley basis, and a sparse element as a dense list.  Test inputs.
 - ``kernel``: nullspace of a ``linalg.SpanQ``.  Used by ``centralizer``
   and checked on its own against rank-nullity.
 - ``centralizer``: centralizer of a set of elements of a Chevalley basis,
@@ -27,6 +29,9 @@ loading does not check.  None of them is imported by the package.
   only that each root line lies in the node's subsystem.
 - ``point_from_neg_roots``: a cell point from a list of roots, for the
   recorded dense-orbit witnesses checked by ``SphericitySetup.dense_orbit``.
+- ``n_roots`` and ``removed``: the roots of the cell coordinates of a
+  ``SphericitySetup``, and the rank of the image of lie(H) in
+  g/lie(P_i), recomputed from ``Embedding.lie_h_vectors``.
 - ``fundamental`` and ``dual_weight``: the fundamental weights, and -w0
   on weights, of a ``RootSystem`` (``dual_weight`` also of a
   ``ProductSystem``).  Test inputs, and the duality that characters and
@@ -46,6 +51,24 @@ from liebranch.sphericity import flag_columns, subseed
 
 
 # -- linear algebra and Chevalley bases over Q ---------------------------------
+
+
+def x(cb, a):
+    """Basis element X_a for a signed root a."""
+    return {cb.root_index[tuple(a)]: 1}
+
+
+def h(cb, i):
+    """Simple coroot H_i, 0-based."""
+    return cb.h_vector([int(j == i) for j in range(cb.rank)])
+
+
+def to_dense(cb, u):
+    """A sparse element as a list of dim coefficients."""
+    v = [0] * cb.dim
+    for k, c in u.items():
+        v[k] = c
+    return v
 
 
 def kernel(span):
@@ -110,7 +133,7 @@ def translate_test_exact(emb, node, seed=0, trials=8):
     translates n, the same rows of exp(-ad n) lie(B_H), one SpanQ each."""
     cb = chevalley_basis(emb.ambient)
     flag = flag_columns(cb, node)
-    bvecs = [cb.to_dense(v) for v in emb.borel_h_vectors()]
+    bvecs = [to_dense(cb, v) for v in emb.borel_h_vectors()]
     rng = random.Random(subseed(seed, "translate", emb.name, node))
     for t in range(trials):
         n = {k: c for k in flag if (c := rng.randint(-9, 9))}
@@ -148,7 +171,8 @@ def validate(emb):
     if emb.kind == "typeonly":
         return
     cb = chevalley_basis(emb.ambient)
-    xg, yg, hg, _ = emb._build()
+    xg, yg = emb._build()
+    hg = [cb.h_vector(row) for row in emb.restriction_rows()]
     n = emb.rank_ss
     CH = emb._h_cartan_matrix()
     for i in range(n):
@@ -171,7 +195,7 @@ def check_span_dimension(emb):
     cb = chevalley_basis(emb.ambient)
     span = SpanQ(cb.dim)
     for v in emb.lie_h_vectors():
-        span.add(cb.to_dense(v))
+        span.add(to_dense(cb, v))
     assert span.rank == h_dim(emb), (emb.name, span.rank, h_dim(emb))
 
 
@@ -216,6 +240,20 @@ def cross_check_subsystems(catalog):
 def point_from_neg_roots(setup, roots):
     """Sparse element -- sum of X_{-a} over the given positive roots a."""
     return {setup.cb.root_index[neg(tuple(a))]: 1 for a in roots}
+
+
+def n_roots(setup):
+    """The positive roots a whose X_{-a} are the cell coordinates."""
+    return [neg(setup.cb.signed_root_of_index(k)) for k in setup.n_coords]
+
+
+def removed(setup):
+    """Rank of the image of lie(H) in g/lie(P_i), over Q."""
+    cols = flag_columns(setup.cb, setup.node)
+    span = SpanQ(len(cols))
+    for v in setup.emb.lie_h_vectors():
+        span.add([v.get(k, 0) for k in cols])
+    return span.rank
 
 
 # -- weights -------------------------------------------------------------------

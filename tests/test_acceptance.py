@@ -226,12 +226,12 @@ def test_criterion_4_invariant_ring_dimensions(catalog, book):
 
 def test_criterion_5_rule_verification(catalog, book):
     t0 = time.monotonic()
-    for g, h, node in book.triples():
+    for g, h, node in sorted(book.by_key):
         emb = catalog.get(g, h)
         rule = book.get(g, h, node).primary
         for k in range(1, KMAX[g] + 1):
             res = verify_rule(emb, rule, k)
-            assert res.matched, (g, h, node, k)
+            assert res.direct or res.dual, (g, h, node, k)
     assert time.monotonic() - t0 < 1800
     print("criterion 5 (rule verification): PASS")
 
@@ -404,7 +404,7 @@ def test_criterion_7b_freudenthal_vs_weyl():
 
 
 def test_criterion_7c_decompose_conserves_dimension(catalog, book):
-    for g, h, node in book.triples():
+    for g, h, node in sorted(book.by_key):
         emb = catalog.get(g, h)
         rs = root_system(emb.ambient)
         ps = ProductSystem(emb.spec)

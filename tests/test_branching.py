@@ -112,7 +112,7 @@ class TestLoading:
         assert len(variants) == 4
 
     def test_triples(self, book):
-        assert book.triples() == TRIPLES
+        assert sorted(book.by_key) == TRIPLES
 
     def test_variant_keys(self, book):
         seen = []
@@ -120,7 +120,7 @@ class TestLoading:
             entry = book.get(g, h, node)
             assert label in [v.label for v in entry.variants]
             seen.append((g, h, node))
-        for key in book.triples():
+        for key in sorted(book.by_key):
             if key not in seen:
                 assert book.get(*key).variants == []
 
@@ -276,7 +276,7 @@ class TestVerification:
             res = verify_rule(emb, rule, k)
             assert res.direct is expect_direct, (k, "direct")
             assert res.dual is expect_dual, (k, "dual")
-            assert res.matched
+            assert res.direct or res.dual
 
     @pytest.mark.parametrize("g,h,node,label", VARIANTS)
     def test_variants_fail(self, book, catalog, g, h, node, label):
@@ -287,7 +287,7 @@ class TestVerification:
         res = verify_rule(emb, var, 1)
         assert not res.direct
         assert not res.dual
-        assert not res.matched
+        assert not (res.direct or res.dual)
 
     def test_degree_zero_matches(self, book, catalog):
         emb = catalog.get("G2", "A2")

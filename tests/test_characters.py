@@ -210,7 +210,7 @@ RULE_KMAX = {"G2": 5, "F4": 3, "E6": 2, "E7": 2}
 
 def _rule_restrictions():
     out = []
-    for g, h, node in load_rules().triples():
+    for g, h, node in sorted(load_rules().by_key):
         emb = CAT.get(g, h)
         if not _is_equal_rank(emb):
             continue

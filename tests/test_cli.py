@@ -244,6 +244,32 @@ class TestMult:
         assert err.startswith("error: ")
 
 
+# restriction reads the rows that the catalog checks at load, so these
+# commands, on a root subgroup, a folded entry and a Levi entry, never build
+# a Chevalley basis
+BASIS_FREE = [
+    ("mult", "E8", "E6xA2", "w8", "l7+l8"),
+    ("mult", "E7", "A1xF4", "w7", "l1+l5"),
+    ("branch", "E6", "F4", "3", "2", "--verify"),
+    ("branch", "E6", "D5xT1", "1", "2", "--verify"),
+]
+
+
+@pytest.mark.parametrize("argv", BASIS_FREE, ids=" ".join)
+def test_restriction_builds_no_chevalley_basis(capsys, monkeypatch, tmp_path, argv):
+    want = run(capsys, *argv)
+    assert want[0] == 0
+
+    def no_basis(t):
+        raise AssertionError(f"chevalley_basis({t}) called")
+
+    for module in (liebranch.chevalley, liebranch.embeddings, liebranch.sphericity):
+        monkeypatch.setattr(module, "chevalley_basis", no_basis)
+    # a fresh data path: a catalog that no earlier command has used
+    shutil.copytree(data_dir_default(), tmp_path / "data")
+    assert run(capsys, *argv, "--data", str(tmp_path / "data")) == want
+
+
 # Subgroup names are read as types, as group names are: typed in any case
 # they name the same entry, and the output gives the catalog's name.
 SUBGROUP_CASES = [
@@ -423,6 +449,10 @@ BAD_DATA = {
     "node_line_repeated": (
         "embeddings.txt", "format 1\nembed A1xA1 in G2\nkind subsystem\nnode 1\nnode 2\n"
     ),
+    # the removal node of a subsystem without root lines gives another type
+    "node_gives_other_type": (
+        "embeddings.txt", "format 1\nembed A2 in G2\nkind subsystem\nnode 2\n"
+    ),
     # a rule line cut off after its '@', and charge terms with no sign
     # between them
     "rule_empty_charges": (
@@ -469,6 +499,7 @@ DATA_MESSAGES = {
     "torus_of_rank_zero": "line 2: torus factor needs rank at least 1, got 'T0'",
     "root_line_repeated": "line 5: repeated root 1 line",
     "node_line_repeated": "line 5: repeated node line",
+    "node_gives_other_type": "embeddings data line 2: A2 in G2: removal node 2 gives A1xA1",
     "rule_empty_charges": "line 2: empty charge form after '@'",
     "rule_unsigned_charges": "line 2: cannot parse charge form 'a1a2'",
 }
@@ -524,6 +555,8 @@ DATA_EXIT_CASES = [
     (["classify", "G2"], "torus_of_rank_zero", 2),
     (["classify", "G2"], "root_line_repeated", 2),
     (["dims", "G2"], "node_line_repeated", 2),
+    (["dims", "G2"], "node_gives_other_type", 2),
+    (["mult", "G2", "A2", "w1", "l1"], "node_gives_other_type", 2),
     (["branch", "G2", "A2", "1", "1"], "rule_empty_charges", 2),
     (["branch", "G2", "A2", "1", "1"], "rule_unsigned_charges", 2),
     (["dims", "A3"], None, 3),

@@ -1,0 +1,108 @@
+"""Only production code in the package: every function and method in
+``src/liebranch`` is referenced elsewhere in the package, is exported in
+``__all__``, or is a command line entry point.  Code that only the tests
+call belongs in ``tests/oracles.py``."""
+
+import ast
+import pathlib
+import re
+from collections import Counter
+
+import liebranch
+
+SRC = pathlib.Path(liebranch.__file__).parent
+PYPROJECT = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+
+# definitions kept without a caller in the package, each with its reason
+ALLOWED = {
+    # bench/ computes orbit sizes, |W_H| and the dimension check with them
+    "RootSystem.weyl_order": "called by bench/",
+    "RootSystem.stabilizer_order": "called by bench/",
+    "RootSystem.orbit_size": "called by bench/",
+    "ProductSystem.weyl_order": "called by bench/",
+    "ProductSystem.orbit_size": "called by bench/",
+    "ProductSystem.weyl_dimension": "called by bench/",
+    # the derivation of the monoid rank from the orbit side (ROADMAP item 4)
+    "SphericitySetup.generic_orbit_dim": "kept for branch --derive",
+    "SphericitySetup.invariant_ring_dim": "kept for branch --derive",
+}
+
+
+def _trees():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    return {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in files}
+
+
+def _references(node):
+    """Names read under a node: variable names and attribute names."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+    return out
+
+
+def _definitions(tree, prefix=""):
+    """(qualified name, node) of every function and method, nested ones
+    included."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name, node
+            yield from _definitions(node, prefix + node.name + ".")
+        elif isinstance(node, ast.ClassDef):
+            yield from _definitions(node, prefix + node.name + ".")
+        else:
+            yield from _definitions(node, prefix)
+
+
+def _exported(trees):
+    (names,) = [
+        node.value
+        for node in ast.walk(trees["__init__.py"])
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    ]
+    return {elt.value for elt in names.elts}
+
+
+def _entry_points():
+    """module.function of each [project.scripts] line of pyproject.toml."""
+    text = PYPROJECT.read_text(encoding="utf-8")
+    scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    return {
+        f"{m}.{f}" for m, f in re.findall(r'=\s*"liebranch\.(\w+):(\w+)"', scripts)
+    }
+
+
+def _unreferenced():
+    trees = _trees()
+    total = Counter()
+    for tree in trees.values():
+        total += _references(tree)
+    exported = _exported(trees)
+    entries = _entry_points()
+    out = []
+    for fname, tree in trees.items():
+        for qual, node in _definitions(tree):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue  # called by the language
+            if total[name] > _references(node)[name]:
+                continue
+            if name in exported or f"{fname[:-3]}.{qual}" in entries:
+                continue
+            out.append(qual)
+    return out
+
+
+def test_every_definition_has_a_production_use():
+    assert sorted(set(_unreferenced()) - set(ALLOWED)) == []
+
+
+def test_allowed_names_are_definitions():
+    # an allow-list entry whose definition is gone is removed with it
+    defined = {q for tree in _trees().values() for q, _ in _definitions(tree)}
+    assert sorted(set(ALLOWED) - defined) == []

@@ -347,6 +347,14 @@ def test_orbit_layers_partition_orbit(data, ti):
     for w in seen:
         dom, _ = rs.dominant_signed(w)
         assert dom == lam
+    # with a bound, each layer keeps its points within the bound, and the
+    # walk stops at the first layer that keeps none
+    top = rs.height_key(lam)
+    bound = data.draw(st.integers(min_value=-2, max_value=2 * top + 2))
+    kept = [{w for w in layer if top - rs.height_key(w) <= bound} for layer in layers]
+    while kept and not kept[-1]:
+        kept.pop()
+    assert list(rs.weyl_orbit_layers(lam, bound)) == kept
 
 
 @settings(max_examples=60, deadline=None)

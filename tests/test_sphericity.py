@@ -26,7 +26,10 @@ from oracles import (
     exp_ad_apply_exact,
     h_dim,
     h_positive_roots_in_g,
+    n_roots,
     point_from_neg_roots,
+    removed,
+    to_dense,
     translate_test_exact,
 )
 
@@ -103,41 +106,41 @@ def test_flag_dimension_bad_node():
 
 def test_g2_cell_roots():
     setup = SphericitySetup(CAT.get("G2", "A2"), 1)
-    assert setup.n_roots == [(1, 0), (1, 1), (2, 1)]
+    assert n_roots(setup) == [(1, 0), (1, 1), (2, 1)]
     assert len(setup.levi_vectors) == 1
     setup = SphericitySetup(CAT.get("G2", "A2"), 2)
-    assert setup.n_roots == [(1, 1), (2, 1)]
+    assert n_roots(setup) == [(1, 1), (2, 1)]
     assert setup.levi_vectors == []
 
 
 def test_f4_cell_roots():
     emb = CAT.get("F4", "B4")
     setup = SphericitySetup(emb, 1)
-    assert sorted(setup.n_roots) == [
+    assert sorted(n_roots(setup)) == [
         (1, 1, 1, 1), (1, 1, 2, 1), (1, 2, 2, 1), (1, 2, 3, 1),
     ]
     assert len(setup.levi_vectors) == 5
     setup = SphericitySetup(emb, 2)
-    assert sorted(setup.n_roots) == [
+    assert sorted(n_roots(setup)) == [
         (0, 1, 1, 1), (0, 1, 2, 1),
         (1, 1, 1, 1), (1, 1, 2, 1), (1, 2, 2, 1), (1, 2, 3, 1),
     ]
     assert len(setup.levi_vectors) == 2
     setup = SphericitySetup(emb, 3)
-    assert sorted(setup.n_roots) == [
+    assert sorted(n_roots(setup)) == [
         (0, 0, 1, 1), (0, 1, 1, 1), (0, 1, 2, 1),
         (1, 1, 1, 1), (1, 1, 2, 1), (1, 2, 2, 1), (1, 2, 3, 1),
     ]
     setup = SphericitySetup(emb, 4)
     # the eight cell roots are exactly the short roots through node 4
-    assert all(a[3] == 1 for a in setup.n_roots)
+    assert all(a[3] == 1 for a in n_roots(setup))
     assert setup.n_dim == 8
     assert len(setup.levi_vectors) == 9
 
 
 def test_e6_a5a1_cell_roots():
     setup = SphericitySetup(CAT.get("E6", "A5xA1"), 1)
-    assert sorted(setup.n_roots) == [
+    assert sorted(n_roots(setup)) == [
         (1, 1, 1, 1, 0, 0), (1, 1, 1, 1, 1, 0), (1, 1, 1, 1, 1, 1),
         (1, 1, 1, 2, 1, 0), (1, 1, 1, 2, 1, 1), (1, 1, 1, 2, 2, 1),
         (1, 1, 2, 2, 1, 0), (1, 1, 2, 2, 1, 1), (1, 1, 2, 2, 2, 1),
@@ -266,7 +269,7 @@ def test_subseed_stable():
 def test_cell_split_counts(seed, node):
     emb = CAT.get("E6", "A5xA1")
     setup = SphericitySetup(emb, node)
-    assert setup.n_dim + setup.removed == setup.flag_dim
+    assert setup.n_dim + removed(setup) == setup.flag_dim
     x = setup.random_point(random.Random(seed))
     assert setup.tangent_rank(x) <= setup.n_dim
 
@@ -323,11 +326,10 @@ def test_translate_rank_mod_prime_equals_rank_over_q(g, h, node):
     cols = cb.ad_columns({k: -c for k, c in n.items()})
     span_q, span_p = SpanQ(len(flag)), SpanMod(len(flag), PRIME)
     for v in emb.borel_h_vectors():
-        dense = cb.to_dense(v)
-        w_q = exp_ad_apply_exact(cb, cols, dense)
-        w_p = cb.exp_ad_apply(cols, dense, PRIME)
+        w_q = exp_ad_apply_exact(cb, cols, to_dense(cb, v))
+        w_p = cb.exp_ad_apply(cols, v, PRIME)
         span_q.add([w_q[k] for k in flag])
-        span_p.add([w_p[k] for k in flag])
+        span_p.add([w_p.get(k, 0) for k in flag])
     assert span_p.rank == span_q.rank < len(flag)
 
 
@@ -349,7 +351,7 @@ def test_cell_matches_root_oracle(emb, node):
     rs = root_system(emb.ambient)
     i = node - 1
     h_pos = h_positive_roots_in_g(emb)
-    assert setup.n_roots == [
+    assert n_roots(setup) == [
         a for a in rs.positive_roots if a[i] > 0 and a not in h_pos
     ]
     cb = setup.cb
@@ -362,7 +364,7 @@ def span_rank(emb, vectors):
     cb = chevalley_basis(emb.ambient)
     span = SpanQ(cb.dim)
     for v in vectors:
-        span.add(cb.to_dense(v))
+        span.add(to_dense(cb, v))
     return span.rank
 
 
