@@ -38,7 +38,7 @@ def dominant_weights(rs, lam):
     lam = tuple(lam)
     if not rs.is_dominant(lam):
         raise LieError(f"not a dominant weight: {lam}")
-    steps = [(a, rs.weight_of_root(a)) for a in rs.positive_roots]
+    steps = [(a, wa) for a, (_, wa) in zip(rs.positive_roots, rs.mirrors)]
     coeffs = {lam: (0,) * rs.rank}
     frontier = [lam]
     while frontier:
@@ -62,11 +62,10 @@ def dominant_character(t, lam):
     if hit is not None:
         return hit
     wts = list(dominant_weights(rs, lam).items())
-    pos_w = [rs.weight_of_root(a) for a in rs.positive_roots]
     mult = {lam: 1}
     for mu, coeffs in wts[1:]:
         num = 0
-        for a, wa in zip(rs.positive_roots, pos_w):
+        for a, (_, wa) in zip(rs.positive_roots, rs.mirrors):
             t_step = 1
             while True:
                 nu = tuple(x + t_step * y for x, y in zip(mu, wa))
@@ -178,9 +177,11 @@ def multiplicity_of(emb, lam, target, charge=0, collapsed=None):
     character at the dominant conjugate of xi.  Only the w whose term
     can be non-zero are visited: that conjugate is never lower than xi,
     so the term vanishes once height_key(rho - w rho) exceeds the top
-    height among the keys of this charge minus height_key(target), and
-    `ProductSystem.weyl_orbit_signed` walks only the order ideal of the
-    weak order below that bound.  Much cheaper than a full
+    height among the keys of this charge minus height_key(target).  W_H
+    is the Weyl group of the block-diagonal Cartan matrix of H, so
+    `ProductSystem.weyl_orbit_signed` walks the orbit of rho in one
+    layered walk over all factors at once, and only the order ideal of
+    the weak order below that bound.  Much cheaper than a full
     decomposition when only one entry is wanted.
     """
     ps = emb.hsys

@@ -43,7 +43,6 @@ from .rootsys import (
     ProductSystem,
     SimpleType,
     TypeSpec,
-    cartan_data,
     diagram_components,
     match_cartan,
     root_system,
@@ -230,18 +229,6 @@ class Embedding:
         self._roots = (pos_out, neg_out)
         return self._roots
 
-    def _h_cartan_matrix(self):
-        n = self.rank_ss
-        CH = [[0] * n for _ in range(n)]
-        at = 0
-        for f in self.spec.factors:
-            Cf, _ = cartan_data(f)
-            for i in range(f.rank):
-                for j in range(f.rank):
-                    CH[at + i][at + j] = Cf[i][j]
-            at += f.rank
-        return CH
-
 
 def _coroot_sum(rs, terms):
     """Restriction row of one generator: the sum of the coroots of its
@@ -347,7 +334,7 @@ def _check_roots(r):
     # of H, and to charge 0 under the coweight of a Levi subgroup
     rows = [_coroot_sum(rs, terms) for terms in gens]
     checks = list(rows)
-    want = r._h_cartan_matrix()
+    want = list(r.hsys.C)  # a copy: the coweight's row is appended
     if r.coweight is not None:
         checks.append(r.coweight)
         want.append([0] * len(gens))

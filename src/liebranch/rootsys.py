@@ -11,6 +11,11 @@ The Cartan matrix convention is ``C[i][j] = <alpha_j, alpha_i^vee>``, so
 the weight coordinates of a root ``a`` are ``C @ a`` and the simple
 reflection ``s_i`` acts on weight coordinates by
 ``mu |-> mu - mu[i] * column_i(C)``.
+
+A product of simple types (a subgroup such as A5xA1 or D5xT1, torus
+charges aside) is the root system of the block-diagonal Cartan matrix:
+``ProductSystem`` assembles it from its factors, and the Weyl-group
+methods of ``RootSystem`` serve both kinds of system.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import mul
 
 
@@ -175,23 +180,81 @@ def match_cartan(M):
     raise LieError(f"no simple type has the Cartan matrix {M}")
 
 
+def _weyl_order(t: SimpleType):
+    """Order of the Weyl group of a simple type."""
+    fam, n = t.family, t.rank
+    if fam == "A":
+        return math.factorial(n + 1)
+    if fam in ("B", "C"):
+        return (1 << n) * math.factorial(n)
+    if fam == "D":
+        return (1 << (n - 1)) * math.factorial(n)
+    return _EXCEPTIONAL_WEYL_ORDER[str(t)]
+
+
+def _dual_permutation(t: SimpleType):
+    """-w0 as a permutation of the 0-based nodes of a simple type."""
+    n, fam = t.rank, t.family
+    perm = list(range(n))
+    if fam == "A":
+        perm = list(reversed(perm))
+    elif fam == "D" and n % 2 == 1:
+        perm[n - 2], perm[n - 1] = perm[n - 1], perm[n - 2]
+    elif fam == "E" and n == 6:
+        perm = [5, 1, 4, 3, 2, 0]
+    return perm
+
+
+def _coroot(d, a, wa):
+    """alpha^vee over the simple coroots, for the root with coefficients a
+    and weight coordinates wa; (alpha, alpha) is read off wa."""
+    da = sum(map(mul, map(mul, d, a), wa))
+    assert da % 2 == 0
+    da //= 2
+    out = []
+    for dj, aj in zip(d, a):
+        num = dj * aj
+        if num % da:
+            raise LieError(f"non-integral coroot for {a}")
+        out.append(num // da)
+    return tuple(out)
+
+
 class RootSystem:
     """The root and weight combinatorics of one simple type."""
 
     def __init__(self, t: SimpleType):
         self.type = t
+        self.factors = (t,)
         self.rank = t.rank
         self.C, self.d = cartan_data(t)
-        self.positive_roots = self._generate_positive_roots()
-        self.index = {a: k for k, a in enumerate(self.positive_roots)}
-        self.n_pos = len(self.positive_roots)
-        self.highest_root = self.positive_roots[-1]
-        self.rho = (1,) * self.rank
-        self.dual_perm = self._dual_permutation()
+        roots = self._generate_positive_roots()
+        self.highest_root = roots[-1]
+        mirrors = []
+        for a in roots:
+            wa = self.weight_of_root(a)
+            mirrors.append((_coroot(self.d, a, wa), wa))
         # <omega_j, 2 rho^vee> for height keys: 2 rho^vee is the sum of
         # the positive coroots
-        coroots = [self.coroot(a) for a in self.positive_roots]
-        self._two_rho_covector = [sum(col) for col in zip(*coroots)]
+        covector = [sum(col) for col in zip(*(c for c, _ in mirrors))]
+        self._set_roots(roots, mirrors, covector, _dual_permutation(t))
+
+    def _set_roots(self, roots, mirrors, covector, dual_perm):
+        # the nonzero entries (j, C[j][i]) of each column i of C: the
+        # coordinates a simple reflection s_i changes
+        self._columns = [
+            [(j, row[i]) for j, row in enumerate(self.C) if row[i]]
+            for i in range(self.rank)
+        ]
+        self.positive_roots = roots
+        self.index = {a: k for k, a in enumerate(roots)}
+        self.n_pos = len(roots)
+        self.rho = (1,) * self.rank
+        # (coroot, weight) of every positive root, in the order of
+        # positive_roots: the reflections s_a
+        self.mirrors = mirrors
+        self._two_rho_covector = covector
+        self.dual_perm = dual_perm
 
     # -- construction --------------------------------------------------
 
@@ -226,17 +289,6 @@ class RootSystem:
         out.sort(key=lambda a: (sum(a), a))
         return out
 
-    def _dual_permutation(self):
-        n, fam = self.rank, self.type.family
-        perm = list(range(n))
-        if fam == "A":
-            perm = list(reversed(perm))
-        elif fam == "D" and n % 2 == 1:
-            perm[n - 2], perm[n - 1] = perm[n - 1], perm[n - 2]
-        elif fam == "E" and n == 6:
-            perm = [5, 1, 4, 3, 2, 0]
-        return perm
-
     # -- root arithmetic ------------------------------------------------
 
     def is_root(self, a):
@@ -258,25 +310,17 @@ class RootSystem:
 
     def coroot(self, a):
         """alpha^vee expanded over the simple coroots H_j (integer tuple)."""
-        da = self.norm2(a)
-        assert da % 2 == 0
-        da //= 2
-        out = []
-        for j in range(self.rank):
-            num = self.d[j] * a[j]
-            if num % da:
-                raise LieError(f"non-integral coroot for {a}")
-            out.append(num // da)
-        return tuple(out)
+        return _coroot(self.d, a, self.weight_of_root(a))
 
     # -- Weyl group action on weights ------------------------------------
 
     def reflect(self, mu, i):
         mi = mu[i]
-        if mi == 0:
-            return tuple(mu)
-        C = self.C
-        return tuple(mu[j] - mi * C[j][i] for j in range(self.rank))
+        out = list(mu)
+        if mi:
+            for j, c in self._columns[i]:
+                out[j] -= mi * c
+        return tuple(out)
 
     def is_dominant(self, mu):
         return all(x >= 0 for x in mu)
@@ -285,14 +329,12 @@ class RootSystem:
         """Dominant representative of the orbit of mu and the sign (-1)^length."""
         mu = list(mu)
         sign = 1
-        C = self.C
-        r = self.rank
+        cols = self._columns
         while True:
-            for i in range(r):
-                if mu[i] < 0:
-                    mi = mu[i]
-                    for j in range(r):
-                        mu[j] -= mi * C[j][i]
+            for i, mi in enumerate(mu):
+                if mi < 0:
+                    for j, c in cols[i]:
+                        mu[j] -= mi * c
                     sign = -sign
                     break
             else:
@@ -305,30 +347,23 @@ class RootSystem:
         chamber in the weak order; each element appears exactly once.
         With ``bound``, only the points x with height_key(lam - x) <= bound
         are kept and expanded.  A step x -> s_i x with x[i] > 0 adds
-        x[i] * alpha_i to lam - x, so the height grows along every step and
-        the kept points are an order ideal, each in its own layer.
+        x[i] * alpha_i to lam - x, whose height_key is 2 * x[i], so the
+        height grows along every step and the kept points are an order
+        ideal, each in its own layer; a step past the bound is not taken.
         """
         if not self.is_dominant(lam):
             raise LieError("weyl_orbit_layers wants a dominant weight")
         top = self.height_key(lam)
-        layer = {tuple(lam)}
-        while True:
-            if bound is not None:
-                layer = {x for x in layer if top - self.height_key(x) <= bound}
-            if not layer:
-                return
+        layer = {tuple(lam)} if bound is None or bound >= 0 else set()
+        while layer:
             yield layer
             nxt = set()
             for w in layer:
-                for i in range(self.rank):
-                    if w[i] > 0:
+                room = math.inf if bound is None else bound - top + self.height_key(w)
+                for i, wi in enumerate(w):
+                    if 0 < wi and 2 * wi <= room:
                         nxt.add(self.reflect(w, i))
             layer = nxt
-
-    @cached_property
-    def _mirrors(self):
-        """(coroot, weight) of every positive root: the reflections s_a."""
-        return [(self.coroot(a), self.weight_of_root(a)) for a in self.positive_roots]
 
     def weyl_orbit(self, lam, cone=()):
         """Yield each point of the orbit of a dominant weight once.
@@ -350,7 +385,7 @@ class RootSystem:
         if not self.is_dominant(lam):
             raise LieError("weyl_orbit wants a dominant weight")
         walls = [(self.coroot(b), self.weight_of_root(b)) for b in cone]
-        mirrors = self._mirrors
+        mirrors = self.mirrors
 
         def inside(x):
             return all(sum(c * v for c, v in zip(cv, x)) >= 0 for cv, _ in walls)
@@ -377,22 +412,14 @@ class RootSystem:
                             stack.append(y)
 
     def weyl_order(self):
-        fam, n = self.type.family, self.rank
-        if fam == "A":
-            return math.factorial(n + 1)
-        if fam in ("B", "C"):
-            return (1 << n) * math.factorial(n)
-        if fam == "D":
-            return (1 << (n - 1)) * math.factorial(n)
-        return _EXCEPTIONAL_WEYL_ORDER[str(self.type)]
+        return math.prod(map(_weyl_order, self.factors))
 
     def stabilizer_order(self, lam):
         zero = [i for i in range(self.rank) if lam[i] == 0]
-        order = 1
-        for comp in diagram_components(self.C, zero):
-            t, _ = match_cartan([[self.C[i][j] for j in comp] for i in comp])
-            order *= root_system(t).weyl_order()
-        return order
+        return math.prod(
+            _weyl_order(match_cartan([[self.C[i][j] for j in comp] for i in comp])[0])
+            for comp in diagram_components(self.C, zero)
+        )
 
     def orbit_size(self, lam):
         dom, _ = self.dominant_signed(lam)
@@ -479,128 +506,76 @@ def simple_type(t) -> SimpleType:
     return spec.factors[0]
 
 
-class ProductSystem:
-    """Weight combinatorics of a product of simple factors.
+class ProductSystem(RootSystem):
+    """The root system of a product of simple factors.
 
-    Weights are integer tuples over the concatenated fundamental weights
-    of the semisimple part; central torus charges are tracked separately
-    by the callers (they are an embedding-level notion).
+    It is the root system of the block-diagonal Cartan matrix, assembled
+    from the factors' cached root systems: weights are integer tuples over
+    the concatenated fundamental weights of the semisimple part, and the
+    positive roots are the factors' roots, padded with zeros.  Central
+    torus charges are tracked separately by the callers (they are an
+    embedding-level notion).
     """
 
     def __init__(self, spec: TypeSpec):
-        self.spec = spec
+        self.type = spec
+        self.factors = spec.factors
         self.systems = [root_system(f) for f in spec.factors]
-        self.rank = spec.rank_ss
+        self.rank = n = spec.rank_ss
+        self.C = [[0] * n for _ in range(n)]
+        self.d = []
         self.slices = []
+        roots, mirrors, covector, dual_perm = [], [], [], []
         at = 0
         for s in self.systems:
-            self.slices.append(slice(at, at + s.rank))
-            at += s.rank
+            sl = slice(at, at + s.rank)
+            self.slices.append(sl)
+            for i, row in enumerate(s.C):
+                self.C[at + i][sl] = row
+            self.d += s.d
+            left, right = (0,) * at, (0,) * (n - sl.stop)
+            roots += [left + a + right for a in s.positive_roots]
+            mirrors += [(left + c + right, left + w + right) for c, w in s.mirrors]
+            covector += s._two_rho_covector
+            dual_perm += [at + p for p in s.dual_perm]
+            at = sl.stop
+        self._set_roots(roots, mirrors, covector, dual_perm)
 
     def split(self, mu):
         return [tuple(mu[sl]) for sl in self.slices]
-
-    def join(self, parts):
-        out = []
-        for p in parts:
-            out.extend(p)
-        return tuple(out)
-
-    def is_dominant(self, mu):
-        return all(x >= 0 for x in mu)
-
-    def dominant_signed(self, mu):
-        parts = []
-        sign = 1
-        for s, p in zip(self.systems, self.split(mu)):
-            dp, sg = s.dominant_signed(p)
-            parts.append(dp)
-            sign *= sg
-        return self.join(parts), sign
-
-    def weyl_order(self):
-        n = 1
-        for s in self.systems:
-            n *= s.weyl_order()
-        return n
-
-    def orbit_size(self, mu):
-        n = 1
-        for s, p in zip(self.systems, self.split(mu)):
-            n *= s.orbit_size(p)
-        return n
-
-    def weyl_dimension(self, mu):
-        n = 1
-        for s, p in zip(self.systems, self.split(mu)):
-            n *= s.weyl_dimension(p)
-        return n
-
-    @property
-    def rho(self):
-        return (1,) * self.rank
 
     def weyl_orbit_signed(self, mu, bound):
         """Yield (x, sign) over the orbit points x of a dominant weight mu
         with height_key(mu - x) <= bound.
 
-        The sign is (-1)^k for a point at distance k from mu in the weak
-        order; ``bound = 2 * height_key(mu)`` keeps the whole orbit, and
-        a negative bound keeps nothing.  A weak-order step x -> s_i x
-        with x[i] > 0 adds x[i] * alpha_i to mu - x, so the height grows
-        along every step and the kept points of each factor are an order
-        ideal, which `RootSystem.weyl_orbit_layers` walks.  The kept points
-        of the factors are then combined lazily, keeping the tuples whose
-        heights add up to at most the bound.
+        The sign is (-1)^k for a point in layer k of
+        `RootSystem.weyl_orbit_layers`, at distance k from mu in the weak
+        order; ``bound = 2 * height_key(mu)`` keeps the whole orbit, and a
+        negative bound keeps nothing.
         """
-        if not self.is_dominant(mu):
-            raise LieError("weyl_orbit_signed wants a dominant weight")
-        kept = []
-        for s, part in zip(self.systems, self.split(mu)):
-            top = s.height_key(part)
-            pts = [
-                (top - s.height_key(x), x, (-1) ** depth)
-                for depth, layer in enumerate(s.weyl_orbit_layers(part, bound))
-                for x in layer
-            ]
-            pts.sort(key=lambda p: p[0])
-            kept.append(pts)
-
-        def combine(k, room):
-            if k == len(kept):
-                yield (), 1
-                return
-            for h, x, sign in kept[k]:
-                if h > room:
-                    return
-                for rest, rsign in combine(k + 1, room - h):
-                    yield x + rest, sign * rsign
-
-        yield from combine(0, bound)
-
-    def height_key(self, mu):
-        return sum(
-            s.height_key(p) for s, p in zip(self.systems, self.split(mu))
-        )
+        for depth, layer in enumerate(self.weyl_orbit_layers(mu, bound)):
+            sign = -1 if depth % 2 else 1
+            for x in layer:
+                yield x, sign
 
 
 _WEIGHT_TERM_RE = re.compile(r"^([0-9]+)?([wl])([0-9]+)$")
+_CHARGE_RE = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_weight(text: str, rank: int, letter: str):
     """Parse '3w1+w2' (or '2l3+l6' with letter='l') into weight coordinates.
 
-    An optional '@<int>' suffix gives a torus charge; the parsed charge is
-    returned second (None when absent).
+    An optional '@<int>' suffix gives a torus charge, an optional sign and
+    ASCII digits; the parsed charge is returned second (None when absent).
     """
     charge = None
     body = text.strip()
     if "@" in body:
         body, _, ctext = body.partition("@")
-        try:
-            charge = int(ctext)
-        except ValueError:
-            raise LieError(f"bad torus charge {ctext!r}") from None
+        if not _CHARGE_RE.fullmatch(ctext):
+            raise LieError(f"bad torus charge {ctext!r}")
+        charge = int(ctext)
     mu = [0] * rank
     if body.strip() == "0":
         return tuple(mu), charge

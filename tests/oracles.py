@@ -33,9 +33,9 @@ loading does not check.  None of them is imported by the package.
   ``SphericitySetup``, and the rank of the image of lie(H) in
   g/lie(P_i), recomputed from ``Embedding.lie_h_vectors``.
 - ``fundamental`` and ``dual_weight``: the fundamental weights, and -w0
-  on weights, of a ``RootSystem`` (``dual_weight`` also of a
-  ``ProductSystem``).  Test inputs, and the duality that characters and
-  branching rules are checked against.
+  on weights, of a ``RootSystem`` (a ``ProductSystem`` is one).  Test
+  inputs, and the duality that characters and branching rules are
+  checked against.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from fractions import Fraction
 from liebranch.chevalley import chevalley_basis, neg
 from liebranch.embeddings import subsystem_simple_images
 from liebranch.linalg import SpanQ
-from liebranch.rootsys import LieError, ProductSystem, root_system
+from liebranch.rootsys import LieError, root_system
 from liebranch.sphericity import flag_columns, subseed
 
 
@@ -174,7 +174,7 @@ def validate(emb):
     xg, yg = emb._build()
     hg = [cb.h_vector(row) for row in emb.restriction_rows()]
     n = emb.rank_ss
-    CH = emb._h_cartan_matrix()
+    CH = emb.hsys.C
     for i in range(n):
         assert cb.bracket(xg[i], yg[i]) == _as_exact(hg[i]), (emb.name, i)
         for j in range(n):
@@ -267,9 +267,5 @@ def fundamental(rs, i):
 
 
 def dual_weight(system, mu):
-    """-w0 mu for a RootSystem, or factor by factor for a ProductSystem."""
-    if isinstance(system, ProductSystem):
-        return system.join(
-            [dual_weight(s, p) for s, p in zip(system.systems, system.split(mu))]
-        )
+    """-w0 mu for a RootSystem or a ProductSystem."""
     return tuple(mu[system.dual_node(j + 1) - 1] for j in range(system.rank))

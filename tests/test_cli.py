@@ -186,6 +186,11 @@ INPUT_DEFECTS = [
     (["branch", "G2", "A2", "2", "0", "--verify"], 2),
     (["branch", "G2", "A2", "3", "1"], 2),
     (["branch", "G2", "A2", "1", "2", "--kmax", "1"], 2),
+    # a torus charge is an optional sign and ASCII digits, as int() would
+    # also read an underscore, a space or another script's digits
+    (["mult", "E6", "D5xT1", "w1", "l1@1_0"], 2),
+    (["mult", "E6", "D5xT1", "w1", "l1@ 3"], 2),
+    (["mult", "E6", "D5xT1", "w1", "l1@\u0663"], 2),
 ]
 
 

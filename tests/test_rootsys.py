@@ -210,6 +210,11 @@ def test_dual_involutions():
     assert [d6.dual_node(i) for i in range(1, 7)] == [1, 2, 3, 4, 5, 6]
     e7 = root_system(SimpleType("E", 7))
     assert all(e7.dual_node(i) == i for i in range(1, 8))
+    # a product: each factor's involution, on its own block of nodes
+    a5a1 = ProductSystem(TypeSpec.parse("A5xA1"))
+    assert [a5a1.dual_node(i) for i in range(1, 7)] == [5, 4, 3, 2, 1, 6]
+    d5a1 = ProductSystem(TypeSpec.parse("D5xA1"))
+    assert [d5a1.dual_node(i) for i in range(1, 7)] == [1, 2, 3, 5, 4, 6]
 
 
 def test_dual_weight_preserves_dimension():
@@ -471,7 +476,8 @@ def test_parse_weight():
     assert parse_weight("l1@-3", 2, "l") == ((1, 0), -3)
     assert parse_weight("0", 4, "w") == ((0, 0, 0, 0), None)
     assert parse_weight("0@2", 1, "l") == ((0,), 2)
-    for bad in ["w0", "w3", "3v1", "l1@x", "w1+l1"]:
+    assert parse_weight("l1@+3", 2, "l") == ((1, 0), 3)
+    for bad in ["w0", "w3", "3v1", "l1@x", "w1+l1", "w1@1_0", "w1@ 3", "w1@\u0663"]:
         with pytest.raises(LieError):
             parse_weight(bad, 2, "w")
 
@@ -495,6 +501,17 @@ def test_product_system_basics():
     dom, sign = ps.dominant_signed((-1, 2, 1, 1, 1, -2))
     assert dom == (1, 1, 1, 1, 1, 2)
     assert sign == 1
+
+
+def factor_dominant_signed(ps, mu):
+    """Dominant conjugate and sign of mu, factor by factor: the reference."""
+    parts = [s.dominant_signed(p) for s, p in zip(ps.systems, ps.split(mu))]
+    return sum((p for p, _ in parts), ()), math.prod(sign for _, sign in parts)
+
+
+def factor_height_key(ps, mu):
+    """height_key of mu, factor by factor: the reference."""
+    return sum(s.height_key(p) for s, p in zip(ps.systems, ps.split(mu)))
 
 
 def full_orbit_signed(ps, mu):
@@ -534,8 +551,15 @@ def test_product_orbit_signed_bound_filters_the_full_orbit(spec, data):
     top = 2 * ps.height_key(mu)
     assert sorted(ps.weyl_orbit_signed(mu, top)) == full
     bound = data.draw(st.integers(min_value=-2, max_value=top + 2))
-    want = [(w, s) for w, s in full if ps.height_key(mu) - ps.height_key(w) <= bound]
+    want = [
+        (w, s) for w, s in full
+        if factor_height_key(ps, mu) - factor_height_key(ps, w) <= bound
+    ]
     assert sorted(ps.weyl_orbit_signed(mu, bound)) == want
+    # the block-diagonal system against its factors, on any integer weight
+    nu = tuple(data.draw(st.integers(min_value=-3, max_value=3)) for _ in range(ps.rank))
+    assert ps.dominant_signed(nu) == factor_dominant_signed(ps, nu)
+    assert ps.height_key(nu) == factor_height_key(ps, nu)
 
 
 def test_height_key_positive_on_positive_roots():
@@ -566,6 +590,25 @@ def test_height_key_is_an_int(t):
     for a in rs.positive_roots:
         got = rs.height_key(rs.weight_of_root(a))
         assert type(got) is int and got == 2 * sum(a)
+
+
+def test_product_system_is_the_block_diagonal_root_system():
+    # assembled from the factors, it equals the root system generated
+    # from its own Cartan matrix, with each coroot and weight recomputed
+    for r in load_catalog().records:
+        ps = r.hsys
+        if ps is None:
+            continue
+        for s, sl in zip(ps.systems, ps.slices):
+            assert [row[sl] for row in ps.C[sl]] == s.C
+            assert ps.d[sl] == s.d
+        assert sum(map(abs, itertools.chain(*ps.C))) == sum(
+            sum(map(abs, itertools.chain(*s.C))) for s in ps.systems
+        )
+        assert sorted(ps.positive_roots) == sorted(ps._generate_positive_roots())
+        assert ps.mirrors == [(ps.coroot(a), ps.weight_of_root(a)) for a in ps.positive_roots]
+        for a in ps.positive_roots:
+            assert ps.height_key(ps.weight_of_root(a)) == 2 * sum(a)
 
 
 def test_product_height_key_is_an_int():
