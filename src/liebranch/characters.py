@@ -2,13 +2,18 @@
 
 Weight multiplicities come from the Freudenthal recursion over the
 dominant weights only (all arithmetic in plain integers, every division
-checked).  Every character is kept in one format, a map from dominant
-weight to multiplicity.  Restriction to a subgroup gives the dominant
-character of the restricted module, keyed by torus charge when the
-subgroup has a central torus: it walks the Weyl orbit of each dominant
-weight (only the points in the subgroup's dominant cone when the
-subgroup is a root subgroup, the full orbit for the folded subgroups)
-and keeps the points whose image is dominant.  That
+checked).  At a dominant weight mu its sum over the positive roots runs
+over the orbits of the stabilizer W_mu on the roots, taken up to sign:
+one alpha-string per orbit, times the number of positive roots in it
+(Moody-Patera).  The string sum is constant on each orbit and even
+under alpha -> -alpha when alpha is orthogonal to mu, so the orbit sum
+is the full sum, exactly.  Every character is kept in one format, a map
+from dominant weight to multiplicity.  Restriction to a subgroup gives
+the dominant character of the restricted module, keyed by torus charge
+when the subgroup has a central torus: it walks the Weyl orbit of each
+dominant weight (only the points in the subgroup's dominant cone when
+the subgroup is a root subgroup, the full orbit for the folded
+subgroups) and keeps the points whose image is dominant.  That
 character answers both full decompositions (repeated peeling of the
 highest remaining weight) and single multiplicities (alternating sum
 over the subgroup Weyl group).  That sum visits only the w in W_H whose
@@ -21,9 +26,12 @@ the kept w are a weak-order ideal, walked layer by layer.
 
 from __future__ import annotations
 
+from operator import add, sub
+
 from .rootsys import LieError, ProductSystem, root_system
 
 _DOM_CHAR_CACHE: dict = {}
+_ORBIT_CACHE: dict = {}
 
 
 def dominant_weights(rs, lam):
@@ -38,23 +46,82 @@ def dominant_weights(rs, lam):
     lam = tuple(lam)
     if not rs.is_dominant(lam):
         raise LieError(f"not a dominant weight: {lam}")
-    steps = [(a, wa) for a, (_, wa) in zip(rs.positive_roots, rs.mirrors)]
+    # mu - alpha is dominant iff mu[j] >= wa[j] wherever wa[j] > 0
+    steps = [
+        (a, wa, [(j, w) for j, w in enumerate(wa) if w > 0])
+        for a, (_, wa) in zip(rs.positive_roots, rs.mirrors)
+    ]
     coeffs = {lam: (0,) * rs.rank}
     frontier = [lam]
     while frontier:
         nxt = []
         for mu in frontier:
-            for a, wa in steps:
-                nu = tuple(x - y for x, y in zip(mu, wa))
-                if nu not in coeffs and all(c >= 0 for c in nu):
-                    coeffs[nu] = tuple(x + y for x, y in zip(coeffs[mu], a))
-                    nxt.append(nu)
+            for a, wa, need in steps:
+                if all(mu[j] >= w for j, w in need):
+                    nu = tuple(map(sub, mu, wa))
+                    if nu not in coeffs:
+                        coeffs[nu] = tuple(map(add, coeffs[mu], a))
+                        nxt.append(nu)
         frontier = nxt
     return {mu: coeffs[mu] for mu in sorted(coeffs, key=rs.height_key, reverse=True)}
 
 
+def root_orbits(rs, zeros):
+    """The W_mu-orbits of the positive roots, taken up to sign.
+
+    W_mu is generated by the simple reflections s_i, i in ``zeros`` (the
+    zero labels of a dominant mu).  Returns [(root, weight, count)]: the
+    highest root of each orbit, its weight coordinates, and the number
+    of positive roots in the orbit.  Union-find over the positive roots,
+    joining a with the positive one of +-s_i a.  Cached per (type,
+    zeros), so a type holds at most 2^rank tables.
+    """
+    key = (str(rs.type), zeros)
+    hit = _ORBIT_CACHE.get(key)
+    if hit is not None:
+        return hit
+    parent = list(range(rs.n_pos))
+
+    def find(k):
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    for k, (a, (_, wa)) in enumerate(zip(rs.positive_roots, rs.mirrors)):
+        for i in zeros:
+            if wa[i]:
+                b = list(a)
+                b[i] -= wa[i]  # s_i a = a - <a, alpha_i^vee> alpha_i
+                b = tuple(b)
+                j = rs.index.get(b)
+                if j is None:
+                    j = rs.index[tuple(-x for x in b)]
+                parent[find(j)] = find(k)
+    orbits: dict = {}
+    for k in range(rs.n_pos):
+        orbits.setdefault(find(k), []).append(k)
+    # each orbit's highest root (the last, in height order) is
+    # W_mu-dominant, so mu + t alpha is nonnegative on the zero labels
+    out = [
+        (rs.positive_roots[ks[-1]], rs.mirrors[ks[-1]][1], len(ks))
+        for ks in orbits.values()
+    ]
+    _ORBIT_CACHE[key] = out
+    return out
+
+
 def dominant_character(t, lam):
-    """{dominant weight: multiplicity} for the module with h.w. lam."""
+    """{dominant weight: multiplicity} for the module with h.w. lam.
+
+    Freudenthal's recursion, with the sum over the positive roots alpha
+    of f(alpha) = sum_{t>=1} m(mu + t alpha) (mu + t alpha, alpha) taken
+    over the orbits of `root_orbits`: f is constant on W_mu-orbits (W_mu
+    fixes mu and the multiplicities), and f(-alpha) = f(alpha) for a
+    root with (mu, alpha) = 0, since the whole alpha-string through mu
+    sums to zero.  So the sum is exactly sum over orbits O of (positive
+    roots in O) * f(any root of O), in integers.
+    """
     rs = root_system(t)
     lam = tuple(lam)
     key = (str(rs.type), lam)
@@ -65,16 +132,17 @@ def dominant_character(t, lam):
     mult = {lam: 1}
     for mu, coeffs in wts[1:]:
         num = 0
-        for a, (_, wa) in zip(rs.positive_roots, rs.mirrors):
-            t_step = 1
+        zeros = tuple(i for i, x in enumerate(mu) if not x)
+        for a, wa, count in root_orbits(rs, zeros):
+            f = 0
+            nu = mu
             while True:
-                nu = tuple(x + t_step * y for x, y in zip(mu, wa))
-                dnu, _ = rs.dominant_signed(nu)
-                m_up = mult.get(dnu)
+                nu = tuple(map(add, nu, wa))
+                m_up = mult.get(rs.dominant_signed(nu)[0])
                 if m_up is None:
                     break
-                num += m_up * rs.pair_wr(nu, a)
-                t_step += 1
+                f += m_up * rs.pair_wr(nu, a)
+            num += count * f
         shifted = [x + y + 2 for x, y in zip(lam, mu)]
         denom = sum(c * d * s for c, d, s in zip(coeffs, rs.d, shifted))
         q, r = divmod(2 * num, denom)

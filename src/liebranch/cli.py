@@ -201,6 +201,9 @@ def cmd_mult(args):
     if charge is not None and emb.spec.torus == 0:
         raise LieError(f"{emb.name} has no torus charge")
     dim = module_dimension(g, lam)
+    # the parsed weights; a subgroup with a torus shows the charge used
+    lam_text = format_weight(lam, "w")
+    target_text = format_weight(target, "l", (charge or 0) if emb.spec.torus else None)
     try:
         m = multiplicity_of(emb, lam, target, charge=charge or 0)
     except LieError as e:
@@ -219,8 +222,8 @@ def cmd_mult(args):
             "multiplicity": m,
         },
         [
-            f"dim V({args.weight}) = {dim}",
-            f"multiplicity of {args.target} in res V({args.weight}): {m}",
+            f"dim V({lam_text}) = {dim}",
+            f"multiplicity of {target_text} in res V({lam_text}): {m}",
         ],
     )
     return EXIT_OK

@@ -40,11 +40,11 @@ from operator import sub
 from .chevalley import chevalley_basis, neg
 from .rootsys import (
     LieError,
-    ProductSystem,
     SimpleType,
     TypeSpec,
     diagram_components,
     match_cartan,
+    product_system,
     root_system,
     simple_type,
 )
@@ -111,7 +111,7 @@ class Embedding:
         self.name = name
         self.kind = kind
         self.spec = TypeSpec.parse(name)
-        self.hsys = ProductSystem(self.spec) if self.spec.factors else None
+        self.hsys = product_system(self.spec) if self.spec.factors else None
         self.node = None  # extended-diagram removal node (subsystem)
         self.coweight = None  # torus pairing row (levi)
         self.simple_images = None  # list of G-roots, one per H node

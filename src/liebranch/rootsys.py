@@ -559,6 +559,12 @@ class ProductSystem(RootSystem):
                 yield x, sign
 
 
+@lru_cache(maxsize=None)
+def product_system(spec: TypeSpec) -> ProductSystem:
+    """The cached ProductSystem of a spec: one per subgroup type."""
+    return ProductSystem(spec)
+
+
 _WEIGHT_TERM_RE = re.compile(r"^([0-9]+)?([wl])([0-9]+)$")
 _CHARGE_RE = re.compile(r"[+-]?[0-9]+")
 

@@ -32,6 +32,11 @@ loading does not check.  None of them is imported by the package.
 - ``n_roots`` and ``removed``: the roots of the cell coordinates of a
   ``SphericitySetup``, and the rank of the image of lie(H) in
   g/lie(P_i), recomputed from ``Embedding.lie_h_vectors``.
+- ``freudenthal_character``: the dominant character of V(lam) by
+  Freudenthal's recursion summed over every positive root, its dominant
+  weights found by a walk that tries every root at every step.  Compared
+  against ``characters.dominant_character``, which sums over the orbits
+  of the stabilizer of each weight and prunes the walk.
 - ``fundamental`` and ``dual_weight``: the fundamental weights, and -w0
   on weights, of a ``RootSystem`` (a ``ProductSystem`` is one).  Test
   inputs, and the duality that characters and branching rules are
@@ -257,6 +262,40 @@ def removed(setup):
 
 
 # -- weights -------------------------------------------------------------------
+
+
+def freudenthal_character(rs, lam):
+    """{dominant weight: multiplicity} of V(lam), over every positive root."""
+    lam = tuple(lam)
+    coeffs = {lam: (0,) * rs.rank}
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for a, (_, wa) in zip(rs.positive_roots, rs.mirrors):
+                nu = tuple(x - y for x, y in zip(mu, wa))
+                if nu not in coeffs and all(c >= 0 for c in nu):
+                    coeffs[nu] = tuple(x + y for x, y in zip(coeffs[mu], a))
+                    nxt.append(nu)
+        frontier = nxt
+    mult = {lam: 1}
+    for mu in sorted(coeffs, key=rs.height_key, reverse=True)[1:]:
+        num = 0
+        for a, (_, wa) in zip(rs.positive_roots, rs.mirrors):
+            t = 1
+            while True:
+                nu = tuple(x + t * y for x, y in zip(mu, wa))
+                m_up = mult.get(rs.dominant_signed(nu)[0])
+                if m_up is None:
+                    break
+                num += m_up * rs.pair_wr(nu, a)
+                t += 1
+        shifted = [x + y + 2 for x, y in zip(lam, mu)]
+        denom = sum(c * d * s for c, d, s in zip(coeffs[mu], rs.d, shifted))
+        q, r = divmod(2 * num, denom)
+        assert r == 0 and q > 0, (lam, mu)
+        mult[mu] = q
+    return mult
 
 
 def fundamental(rs, i):

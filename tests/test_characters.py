@@ -17,6 +17,7 @@ from liebranch.characters import (
     dominant_weights,
     multiplicity_of,
     restrict_collapsed,
+    root_orbits,
 )
 from liebranch.branching import load_rules
 from liebranch.embeddings import load_catalog
@@ -27,7 +28,7 @@ from liebranch.rootsys import (
     parse_weight,
     root_system,
 )
-from oracles import dual_weight, fundamental
+from oracles import dual_weight, freudenthal_character, fundamental
 
 CAT = load_catalog()
 HEAVY = os.environ.get("LIEBRANCH_HEAVY") == "1"
@@ -134,6 +135,75 @@ def test_dominant_weights_root_coefficients(t):
         for mu, c in dominant_weights(rs, lam).items():
             assert all(type(x) is int and x >= 0 for x in c), (lam, mu, c)
             assert rs.weight_of_root(c) == tuple(x - y for x, y in zip(lam, mu))
+
+
+# -- the orbit sum against the full positive-root sum --------------------------
+
+# E8's 2w_i at the middle nodes take the full-sum oracle seconds each
+ORACLE_E8_DOUBLES = (1, 2, 7, 8)
+
+
+def _oracle_cases():
+    for t in _catalog_simple_types():
+        rs = root_system(t)
+        for i in range(1, rs.rank + 1):
+            yield t, fundamental(rs, i)
+            if str(t) != "E8" or i in ORACLE_E8_DOUBLES:
+                yield t, tuple(2 * x for x in fundamental(rs, i))
+
+
+@pytest.mark.parametrize(
+    "t,lam", list(_oracle_cases()), ids=lambda v: str(v).replace(" ", "")
+)
+def test_orbit_sum_matches_full_sum(t, lam):
+    assert dominant_character(t, lam) == freudenthal_character(root_system(t), lam)
+
+
+@given(st.sampled_from(_catalog_simple_types()), st.data())
+@settings(max_examples=40, deadline=None)
+def test_orbit_sum_matches_full_sum_random(t, data):
+    # a sum of up to four fundamental weights, each kept only while
+    # dim V stays small
+    rs = root_system(t)
+    lam = (0,) * rs.rank
+    for _ in range(data.draw(st.integers(1, 4), label="terms")):
+        i = data.draw(st.integers(1, rs.rank), label="node")
+        nxt = tuple(x + y for x, y in zip(lam, fundamental(rs, i)))
+        if rs.weyl_dimension(nxt) <= 200_000:
+            lam = nxt
+    assert dominant_character(t, lam) == freudenthal_character(rs, lam)
+
+
+@pytest.mark.parametrize("t", _catalog_simple_types(), ids=str)
+def test_root_orbits_partition_the_positive_roots(t):
+    rs = root_system(t)
+    for size in range(rs.rank + 1):
+        for zeros in itertools.combinations(range(rs.rank), size):
+            orbits = root_orbits(rs, zeros)
+            assert sum(c for _, _, c in orbits) == rs.n_pos, zeros
+            for a, wa, _ in orbits:
+                assert a in rs.index and wa == rs.weight_of_root(a)
+                # the highest root of an orbit is W_mu-dominant
+                assert all(wa[i] >= 0 for i in zeros), (zeros, a)
+    # no zero labels: W_mu is trivial, every root is its own orbit
+    assert sorted(c for _, _, c in root_orbits(rs, ())) == [1] * rs.n_pos
+
+
+@pytest.mark.parametrize(
+    "t,sizes",
+    [
+        (SimpleType("G", 2), [3, 3]),
+        (SimpleType("F", 4), [12, 12]),
+        (SimpleType("B", 4), [4, 12]),
+        (SimpleType("E", 8), [120]),
+    ],
+    ids=str,
+)
+def test_root_orbits_at_zero_weight(t, sizes):
+    # W_mu = W: one orbit per root length
+    rs = root_system(t)
+    orbits = root_orbits(rs, tuple(range(rs.rank)))
+    assert sorted(c for _, _, c in orbits) == sizes
 
 
 def test_character_duality():

@@ -223,6 +223,41 @@ class TestMult:
         assert code == 0
         assert out.strip().endswith(": 2")
 
+    @pytest.mark.parametrize(
+        "argv,lines",
+        [
+            (
+                ("E6", "A5xA1", "w01", "l1"),
+                ["dim V(w1) = 27", "multiplicity of l1 in res V(w1): 0"],
+            ),
+            (
+                ("E6", "A5xA1", "w1", "l1+l1"),
+                ["dim V(w1) = 27", "multiplicity of 2l1 in res V(w1): 0"],
+            ),
+            # a subgroup with a torus shows the charge it was read at
+            (
+                ("E7", "E6xT1", "w7", "l6"),
+                ["dim V(w7) = 56", "multiplicity of l6@0 in res V(w7): 0"],
+            ),
+            (
+                ("E7", "E6xT1", "w7", "l6@01"),
+                ["dim V(w7) = 56", "multiplicity of l6@1 in res V(w7): 1"],
+            ),
+        ],
+    )
+    def test_prints_parsed_weights(self, capsys, argv, lines):
+        code, out, _ = run(capsys, "mult", *argv)
+        assert code == 0
+        assert out.splitlines() == lines
+
+    def test_json_reads_parsed_weights(self, capsys):
+        outs = [
+            run(capsys, "mult", "E6", "A5xA1", w, t, "--format", "json")[1]
+            for w, t in (("w01", "l1+l1"), ("w1", "2l1"))
+        ]
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["target"] == [2, 0, 0, 0, 0, 0]
+
     def test_enable_heavy_rejected(self, capsys):
         code, out, err = run(capsys, "mult", "E7", "A7", "w1", "l1", "--enable-heavy")
         assert code == 2

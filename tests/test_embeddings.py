@@ -96,6 +96,17 @@ def test_borel_dimensions(cat):
     assert got == BOREL_DIMS
 
 
+def test_one_product_system_per_spec(cat):
+    # 40 records with 33 distinct specs share 33 root systems
+    systems = {}
+    for r in cat.records:
+        systems.setdefault(r.spec, set()).add(id(r.hsys))
+    assert len(systems) == 33
+    assert all(len(ids) == 1 for ids in systems.values())
+    a1 = [r for r in cat.records if r.name == "A1"]
+    assert len(a1) == 4 and all(r.hsys is a1[0].hsys for r in a1)
+
+
 def test_subsystem_images_match_removal_derivation(cat):
     assert cross_check_subsystems(cat) == []
 
