@@ -13,7 +13,12 @@ the dominant character of the restricted module, keyed by torus charge
 when the subgroup has a central torus: it walks the Weyl orbit of each
 dominant weight (only the points in the subgroup's dominant cone when
 the subgroup is a root subgroup, the full orbit for the folded
-subgroups) and keeps the points whose image is dominant.  That
+subgroups) and keeps the points whose image is dominant.  The walk
+carries each point's image along (`Embedding.weight_image`): a
+reflection moves the point by a multiple of a root's weight and the
+image by the same multiple of that weight's image, so no point is
+restricted by a matrix product, and on a root subgroup the cone test is
+a sign check on the image.  That
 character answers both full decompositions (repeated peeling of the
 highest remaining weight) and single multiplicities (alternating sum
 over the subgroup Weyl group).  That sum visits only the w in W_H whose
@@ -44,6 +49,10 @@ def dominant_weights(rs, lam):
     mu first.
     """
     lam = tuple(lam)
+    if len(lam) != rs.rank:
+        raise LieError(
+            f"weight {lam} has {len(lam)} coordinates, but {rs.type} has rank {rs.rank}"
+        )
     if not rs.is_dominant(lam):
         raise LieError(f"not a dominant weight: {lam}")
     # mu - alpha is dominant iff mu[j] >= wa[j] wherever wa[j] > 0
@@ -178,20 +187,24 @@ def restrict_collapsed(emb, lam):
     format of `dominant_character_product`; entries without a torus use
     charge 0.  Every W_G-orbit point that restricts to a dominant
     subgroup weight adds the multiplicity of its dominant weight.  The
-    walk stays inside the cone of `emb.simple_images` when the entry has
-    them (subsystem and Levi entries, whose restriction rows are the
-    coroots of those roots, so the cone holds exactly the points with a
-    dominant image); the folded entries walk the full orbit.
+    walk carries each point's image under `emb.weight_image` along, so
+    the restriction is never applied point by point.  It stays inside
+    the cone of `emb.simple_images` when the entry has them (subsystem
+    and Levi entries, whose restriction rows are the coroots of those
+    roots, so the cone holds exactly the points with a dominant image);
+    the folded entries walk the full orbit.
     """
-    emb.restriction_rows()  # an entry without generators raises LieError
+    image = emb.weight_image()  # an entry without generators raises LieError
     rs = root_system(emb.ambient)
-    ps = emb.hsys
+    cone = emb.simple_images or ()
+    n = emb.rank_ss
+    torus = emb.coweight is not None
     out: dict = {}
     for mu, m in dominant_character(emb.ambient, lam).items():
-        for nu in rs.weyl_orbit(mu, emb.simple_images or ()):
-            ss, q = emb.restrict_weight(nu)
-            if ps.is_dominant(ss):
-                key = (ss, q or 0)
+        for img in rs.weyl_orbit(mu, cone, image):
+            ss = img[:n]
+            if min(ss) >= 0:
+                key = (ss, img[n] if torus else 0)
                 out[key] = out.get(key, 0) + m
     return out
 

@@ -25,8 +25,9 @@ h_j is the sum of the coroots of those roots, a row over the simple
 coroots of G.  Loading finishes every record this way and checks the
 rows against the Cartan matrix of H, so each entry holds one generator
 list and its rows from the start.  Weight restriction is the linear map
-given by the rows (plus the torus coweight for Levi entries), and needs
-no Chevalley basis; only the sphericity tests build x_j and y_j in one.
+given by the rows (plus the torus coweight for Levi entries),
+`Embedding.weight_image`, and needs no Chevalley basis; only the
+sphericity tests build x_j and y_j in one.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .rootsys import (
     LieError,
     SimpleType,
     TypeSpec,
+    WeightImage,
     diagram_components,
     match_cartan,
     product_system,
@@ -119,6 +121,7 @@ class Embedding:
         self.rows = None  # per H node, its restriction row
         self._built = None
         self._roots = None
+        self._image = None
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -158,15 +161,18 @@ class Embedding:
 
     # -- weight restriction ---------------------------------------------------
 
-    def restrict_weight(self, mu):
-        """H-weight (and torus charge, for entries with a torus) of a
-        G-weight given in fundamental-weight coordinates."""
-        rows = self.restriction_rows()
-        lam = tuple(sum(r[k] * mu[k] for k in range(len(mu))) for r in rows)
-        charge = None
-        if self.coweight is not None:
-            charge = sum(c * m for c, m in zip(self.coweight, mu))
-        return lam, charge
+    def weight_image(self):
+        """Weight restriction as one linear map on G-weights, with the
+        table that orbit walks carry it by: the restriction rows, then the
+        torus coweight of a Levi entry.  For subsystem and Levi entries the
+        first rows are the coroots of `simple_images`, the cone walls.
+        Built on first use, not when the catalog loads."""
+        if self._image is None:
+            rows = self.restriction_rows()
+            if self.coweight is not None:
+                rows = rows + [self.coweight]
+            self._image = WeightImage(root_system(self.ambient), rows)
+        return self._image
 
     # -- subalgebra data -------------------------------------------------------
 

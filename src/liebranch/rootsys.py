@@ -16,6 +16,10 @@ A product of simple types (a subgroup such as A5xA1 or D5xT1, torus
 charges aside) is the root system of the block-diagonal Cartan matrix:
 ``ProductSystem`` assembles it from its factors, and the Weyl-group
 methods of ``RootSystem`` serve both kinds of system.
+
+The orbit walks can carry a linear image of each point along
+(``WeightImage``), so that restriction to a subgroup never applies its
+matrix point by point.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 
 
@@ -314,14 +318,6 @@ class RootSystem:
 
     # -- Weyl group action on weights ------------------------------------
 
-    def reflect(self, mu, i):
-        mi = mu[i]
-        out = list(mu)
-        if mi:
-            for j, c in self._columns[i]:
-                out[j] -= mi * c
-        return tuple(out)
-
     def is_dominant(self, mu):
         return all(x >= 0 for x in mu)
 
@@ -340,7 +336,7 @@ class RootSystem:
             else:
                 return tuple(mu), sign
 
-    def weyl_orbit_layers(self, lam, bound=None):
+    def weyl_orbit_layers(self, lam, bound=None, image=None):
         """Yield the orbit of a dominant weight layer by layer.
 
         Layer k holds the orbit elements at distance k from the dominant
@@ -350,22 +346,39 @@ class RootSystem:
         x[i] * alpha_i to lam - x, whose height_key is 2 * x[i], so the
         height grows along every step and the kept points are an order
         ideal, each in its own layer; a step past the bound is not taken.
+
+        With ``image``, a `WeightImage` A of this system, each layer is a
+        dict from its points x to their images A x.  The step moves x by
+        -x[i] * column_i(C), so it moves A x by -x[i] times A of that
+        column, a vector fixed per node: A is applied to lam alone.
         """
         if not self.is_dominant(lam):
             raise LieError("weyl_orbit_layers wants a dominant weight")
         top = self.height_key(lam)
-        layer = {tuple(lam)} if bound is None or bound >= 0 else set()
+        lam = tuple(lam)
+        cols = self._columns
+        shifts = None if image is None else image.shifts
+        layer = {}
+        if bound is None or bound >= 0:
+            layer[lam] = None if image is None else image(lam)
         while layer:
-            yield layer
-            nxt = set()
-            for w in layer:
+            yield layer.keys() if image is None else layer
+            nxt = {}
+            for w, img in layer.items():
                 room = math.inf if bound is None else bound - top + self.height_key(w)
                 for i, wi in enumerate(w):
                     if 0 < wi and 2 * wi <= room:
-                        nxt.add(self.reflect(w, i))
+                        y = list(w)  # s_i w
+                        for j, c in cols[i]:
+                            y[j] -= wi * c
+                        y = tuple(y)
+                        if y not in nxt:
+                            nxt[y] = None if img is None else tuple(
+                                [v - wi * s for v, s in zip(img, shifts[i])]
+                            )
             layer = nxt
 
-    def weyl_orbit(self, lam, cone=()):
+    def weyl_orbit(self, lam, cone=(), image=None):
         """Yield each point of the orbit of a dominant weight once.
 
         ``cone`` is a list of linearly independent roots (root
@@ -377,39 +390,94 @@ class RootSystem:
         hyperplanes, and its chambers are gallery-connected, so walking
         by root reflections that stay inside it reaches every point at
         a cost proportional to the points yielded.
+
+        With ``image``, a `WeightImage` A of this system, the image A x
+        of each point x is yielded in its place, carried along the walk
+        (without the cone, the layered walk of `weyl_orbit_layers`).  The
+        first len(cone) rows of A must be the coroots of the cone roots.
+        The cone walk carries its wall pairings that way in any case: the
+        step x -> s_a x = x - <x, a^vee> w_a moves A x by -<x, a^vee> times
+        A w_a, so a neighbour's walls are a sign check on its image, made
+        before its point is built, and `coroot_pairings` gives every
+        <x, a^vee> with one addition each.
         """
         if not cone:
-            for layer in self.weyl_orbit_layers(lam):
-                yield from layer
+            for layer in self.weyl_orbit_layers(lam, image=image):
+                yield from (layer if image is None else layer.values())
             return
         if not self.is_dominant(lam):
             raise LieError("weyl_orbit wants a dominant weight")
-        walls = [(self.coroot(b), self.weight_of_root(b)) for b in cone]
-        mirrors = self.mirrors
+        points = image is None
+        if points:
+            image = WeightImage(self, [self.coroot(b) for b in cone])
+        n = len(cone)
+        walls = [(cv, self.weight_of_root(b)) for cv, b in zip(image.rows, cone)]
 
         def inside(x):
-            return all(sum(c * v for c, v in zip(cv, x)) >= 0 for cv, _ in walls)
+            return all(sum(map(mul, cv, x)) >= 0 for cv, _ in walls)
 
         x = tuple(lam)
         while not inside(x):
             for cv, wb in walls:
-                p = sum(c * v for c, v in zip(cv, x))
+                p = sum(map(mul, cv, x))
                 if p < 0:
                     x = tuple(v - p * w for v, w in zip(x, wb))
+        weights = self.coroot_chain[2]
+        shifts = image.shifts
         seen = {x}
-        stack = [x]
+        stack = [(x, image(x))]
         while stack:
-            x = stack.pop()
-            yield x
-            for cv, wa in mirrors:
-                p = sum(c * v for c, v in zip(cv, x))
-                if p:
+            x, img = stack.pop()
+            yield x if points else img
+            here = img[:n]
+            for p, wa, sa in zip(self.coroot_pairings(x), weights, shifts):
+                # zip(here, sa) pairs the walls alone
+                if p and all(v >= p * s for v, s in zip(here, sa)):
                     y = tuple(v - p * w for v, w in zip(x, wa))
                     if y not in seen:
-                        # points outside the cone are marked too: tested once
                         seen.add(y)
-                        if inside(y):
-                            stack.append(y)
+                        stack.append((y, tuple(v - p * s for v, s in zip(img, sa))))
+
+    @cached_property
+    def coroot_chain(self):
+        """(order, steps, weights): the order of `coroot_pairings`.
+
+        ``order`` lists the indices of the positive roots by the height
+        of their coroots, the simple roots first and in node order;
+        ``weights`` holds their weights in that order.  Every positive
+        coroot that is not simple is a lower positive coroot plus a
+        simple one, and ``steps`` gives (b, j) for each such position:
+        a^vee = (coroot at position b) + alpha_j^vee.  Root height is not
+        that order: in G2 the long root 3a1 + a2 has the coroot
+        alpha_1^vee + alpha_2^vee, below the coroot of the short a1 + a2.
+        Built on first use.
+        """
+        coroots = [c for c, _ in self.mirrors]
+        order = sorted(
+            range(self.n_pos),
+            key=lambda k: (sum(coroots[k]), [-c for c in coroots[k]]),
+        )
+        at = {coroots[k]: pos for pos, k in enumerate(order)}
+        steps = []
+        for k in order[self.rank :]:
+            c = coroots[k]
+            for j, cj in enumerate(c):
+                b = at.get(c[:j] + (cj - 1,) + c[j + 1 :]) if cj else None
+                if b is not None:
+                    steps.append((b, j))
+                    break
+            else:
+                raise AssertionError(f"no lower coroot below {c}")
+        return order, steps, [self.mirrors[k][1] for k in order]
+
+    def coroot_pairings(self, x):
+        """<x, a^vee> for every positive root a, in the order of
+        `coroot_chain`: the first rank of them are x itself, and each
+        later one is one sum."""
+        p = list(x)
+        for b, j in self.coroot_chain[1]:
+            p.append(p[b] + x[j])
+        return p
 
     def weyl_order(self):
         return math.prod(map(_weyl_order, self.factors))
@@ -451,6 +519,27 @@ class RootSystem:
 @lru_cache(maxsize=None)
 def root_system(t: SimpleType) -> RootSystem:
     return RootSystem(t)
+
+
+class WeightImage:
+    """A linear map A on the weights of a root system, given by integer
+    rows, with A applied to the weight of every positive root.
+
+    A reflection s_a moves a point x by -<x, a^vee> times the weight of
+    a, so it moves A x by the same multiple of that root's ``shift``:
+    the orbit walks of `RootSystem` carry A x along this way instead of
+    applying A at every point.  The shifts are in the order of
+    `RootSystem.coroot_chain`, so the first rank of them are A applied
+    to the columns of the Cartan matrix.
+    """
+
+    def __init__(self, rs: RootSystem, rows):
+        self.rows = [tuple(r) for r in rows]
+        weights = rs.coroot_chain[2]
+        self.shifts = [tuple(sum(map(mul, r, wa)) for r in self.rows) for wa in weights]
+
+    def __call__(self, x):
+        return tuple(sum(map(mul, r, x)) for r in self.rows)
 
 
 _FACTOR_RE = re.compile(r"^([A-G])([0-9]+)$")

@@ -37,6 +37,11 @@ loading does not check.  None of them is imported by the package.
   weights found by a walk that tries every root at every step.  Compared
   against ``characters.dominant_character``, which sums over the orbits
   of the stabilizer of each weight and prunes the walk.
+- ``restrict_weight``: the H-weight and torus charge of one G-weight,
+  by the restriction rows and the coweight applied to it directly.  The
+  production walks carry the image along instead
+  (``Embedding.weight_image``); the full-orbit restriction oracle and
+  the weight goldens use this.
 - ``fundamental`` and ``dual_weight``: the fundamental weights, and -w0
   on weights, of a ``RootSystem`` (a ``ProductSystem`` is one).  Test
   inputs, and the duality that characters and branching rules are
@@ -296,6 +301,17 @@ def freudenthal_character(rs, lam):
         assert r == 0 and q > 0, (lam, mu)
         mult[mu] = q
     return mult
+
+
+def restrict_weight(emb, mu):
+    """H-weight (and torus charge, for entries with a torus) of a G-weight
+    given in fundamental-weight coordinates."""
+    rows = emb.restriction_rows()
+    lam = tuple(sum(r[k] * mu[k] for k in range(len(mu))) for r in rows)
+    charge = None
+    if emb.coweight is not None:
+        charge = sum(c * m for c, m in zip(emb.coweight, mu))
+    return lam, charge
 
 
 def fundamental(rs, i):

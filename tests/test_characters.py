@@ -28,7 +28,7 @@ from liebranch.rootsys import (
     parse_weight,
     root_system,
 )
-from oracles import dual_weight, freudenthal_character, fundamental
+from oracles import dual_weight, freudenthal_character, fundamental, restrict_weight
 
 CAT = load_catalog()
 HEAVY = os.environ.get("LIEBRANCH_HEAVY") == "1"
@@ -115,6 +115,24 @@ def test_dominant_weights_shape():
     assert keys == sorted(keys, reverse=True)
     with pytest.raises(LieError):
         dominant_weights(rs, (-1, 0))
+
+
+# zip used to cut a weight of the wrong length, so the recursion failed
+# later with an error that named no input fault
+WRONG_LENGTH = [
+    (SimpleType("A", 2), (1, 1, 5)),
+    (SimpleType("A", 5), (1, 1, 0, 1, 1, 0)),
+    (SimpleType("G", 2), (1,)),
+]
+
+
+@pytest.mark.parametrize("t,lam", WRONG_LENGTH)
+def test_weight_length_must_be_the_rank(t, lam):
+    msg = f"has {len(lam)} coordinates, but {t} has rank {t.rank}$"
+    with pytest.raises(LieError, match=msg):
+        dominant_weights(root_system(t), lam)
+    with pytest.raises(LieError, match=msg):
+        dominant_character(t, lam)
 
 
 def _catalog_simple_types():
@@ -242,20 +260,19 @@ def test_restriction_preserves_dimension(g, h, lam):
 
 
 def full_orbit_restriction(emb, lam):
-    """Oracle: stream the whole Weyl orbit of every dominant weight, fold
-    each restricted weight into the dominant chamber of the subgroup, and
-    divide the mass of each class by the size of its subgroup orbit."""
+    """Oracle: stream the whole Weyl orbit of every dominant weight, restrict
+    each point by the rows directly, fold each restricted weight into the
+    dominant chamber of the subgroup, and divide the mass of each class by
+    the size of its subgroup orbit."""
     rs = root_system(emb.ambient)
-    rows = emb.restriction_rows()
-    cw = emb.coweight
     ps = ProductSystem(emb.spec)
     out = {}
     for mu, m in dominant_character(emb.ambient, lam).items():
-        for nu in rs.weyl_orbit(mu):
-            ss = tuple(sum(r[k] * nu[k] for k in range(len(nu))) for r in rows)
-            dom, _ = ps.dominant_signed(ss)
-            q = sum(c * x for c, x in zip(cw, nu)) if cw else 0
-            out[(dom, q)] = out.get((dom, q), 0) + m
+        for layer in rs.weyl_orbit_layers(mu):
+            for nu in layer:
+                ss, q = restrict_weight(emb, nu)
+                key = (ps.dominant_signed(ss)[0], q or 0)
+                out[key] = out.get(key, 0) + m
     char = {}
     for (dom, q), mass in out.items():
         mult, rem = divmod(mass, ps.orbit_size(dom))
@@ -343,6 +360,21 @@ def test_restriction_matches_full_orbit_on_non_equal_rank():
         assert restrict_collapsed(emb, lam) == full_orbit_restriction(emb, lam), (
             emb, lam,
         )
+
+
+# the folded case of the heavy benchmark workload, and E6 > F4 at its
+# highest degree in criterion 5 (40,685 and 44,083 orbit points)
+FOLDED_LARGE = [
+    ("E7", "A1xF4", (0, 0, 0, 0, 0, 0, 4)),
+    ("E6", "F4", (0, 0, 3, 0, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("g,h,lam", FOLDED_LARGE)
+def test_folded_restriction_matches_full_orbit_on_large_orbits(g, h, lam):
+    emb = CAT.get(g, h)
+    assert _orbit_weights(emb.ambient, lam) > 40_000
+    assert restrict_collapsed(emb, lam) == full_orbit_restriction(emb, lam)
 
 
 # (g, h, highest weight) -> {(subgroup weight, charge): multiplicity}

@@ -669,6 +669,50 @@ def test_classify_json_golden_seed_1(capsys, group):
     assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_JSON_SHA256_SEED1[group]
 
 
+# sha256 of the stdout of `branch <G> <H> <node> <KMAX> --verify --format
+# json` for all 25 rule triples, at the criterion-5 degrees: pins every
+# class, multiplicity and verdict of the rule checks.
+BRANCH_KMAX = {"G2": 5, "F4": 3, "E6": 2, "E7": 2}
+BRANCH_VERIFY_JSON_SHA256 = {
+    ("E6", "A5xA1", 1): "bdf06cf02c56b2635aea3f337f89f7b053e2ad0f7ee2e4f8268ef7937773b784",
+    ("E6", "A5xA1", 6): "a553c3a87a9b925a2f5bc1da61307e509edb54855bf440a296116a99b96ab4e4",
+    ("E6", "C4", 1): "39d690794fa486f0e25bcd61e098d6e722cee701d05e3731163249af6d8824cf",
+    ("E6", "C4", 6): "ed00cbfe15bb35fdd6667b185e556197d1994aa664241d9562dee7d11da37b5b",
+    ("E6", "D5xT1", 1): "38256a18ecc9f25064152ee994a6cdaf61b83f967a65ff109a814d7277272cf8",
+    ("E6", "D5xT1", 2): "bfb80ad3c20d8e02e88a966339bf38cba6ecafd4c4c1b9136aff5433164319c3",
+    ("E6", "D5xT1", 3): "34cbadf1ecc196bd45ebc91ca4847802694e9250c7546b6baea1ff79d1a24424",
+    ("E6", "D5xT1", 5): "196b5ac18fb3a31c3047b23d3f641a41b5ceaacaee026af0ea5cc7a5489c943b",
+    ("E6", "D5xT1", 6): "c7a0067377265a30d57c14897d8811685278c95016ebd416b19eee8e137492c4",
+    ("E6", "F4", 1): "a956d7eb381832ece976cee40e16880344712ab8d679d00eac00b9617cb70b39",
+    ("E6", "F4", 2): "bb16d1442637c25c0c32dc687bf485c15d3403183e8966f1db6104ef225b9744",
+    ("E6", "F4", 3): "92b3261299a83d8e30bd7b476960f14a89e5bf3c843f522bc11b6de72da8677b",
+    ("E6", "F4", 5): "4b1e456cf3b26189795cab74583030a54d82ce301b01d1a2137f31a4a9d71495",
+    ("E6", "F4", 6): "d847901494bd3803b627a8fa4c66caf7c506e5f338d6890c460e0902cc3cfb9e",
+    ("E7", "A7", 7): "c8912ec2797d2beb4ed3cf57f8c43a5ac0f9f9c0933bed4583f3112ba8a2d814",
+    ("E7", "D6xA1", 7): "2a5147ce574af4624a233bca4f2207ca97c7d510067428c7c1edea051c3ff2f2",
+    ("E7", "E6xT1", 1): "1b4888afd5393a0e237a011f47578cfe9013338b5334b6f1c85a435e9b105951",
+    ("E7", "E6xT1", 2): "8c4b5ada3fb1558a922ec863634030487d6346d52d350125a0a18cafe567d72b",
+    ("E7", "E6xT1", 7): "ac807ef031318e6c74aefcf975105f7222c743e998124364c47d179e6bab3dce",
+    ("F4", "B4", 1): "a8a0b1f648f3715126cc62ab9b7b50aeaf9daf6a58eaf437fc747ff7b15b57cb",
+    ("F4", "B4", 2): "1223300ac2f6d82b184a522ccdad083fca4a5b7c962c23bb923253c9263f85fd",
+    ("F4", "B4", 3): "51fe5bba27ea2e06db1efe3a8012c6dd7720273b0a7a7e272b9aaf6f1417234d",
+    ("F4", "B4", 4): "b7885e3bab27657574943066f4baa8f8afdc32a13bbd7e16fc2de8d43fc24929",
+    ("G2", "A2", 1): "eae20264c9d0622344714a7c2b75ce0d8d95984a9f36a209bd806f3d7274f043",
+    ("G2", "A2", 2): "aad92ca742f6a3629ec146e89a1b147ce962e879f7185537dead8b8c4b477dfe",
+}
+
+
+@pytest.mark.parametrize(
+    "g,h,node", sorted(BRANCH_VERIFY_JSON_SHA256), ids=lambda v: str(v)
+)
+def test_branch_verify_json_golden(capsys, g, h, node):
+    argv = ["branch", g, h, str(node), str(BRANCH_KMAX[g]), "--verify"]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == BRANCH_VERIFY_JSON_SHA256[(g, h, node)]
+
+
 class TestSubprocess:
     """End-to-end runs in a fresh interpreter (env vars, real exit codes)."""
 

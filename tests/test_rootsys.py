@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from liebranch.rootsys import (
     parse_weight,
     root_system,
 )
-from oracles import dual_weight, fundamental
+from oracles import dual_weight, fundamental, restrict_weight
 
 ALL_TYPES = [
     SimpleType("A", 1),
@@ -181,6 +182,26 @@ def test_root_arithmetic_is_the_cartan_matrix(t, data):
     assert rs.inner_rr(a, b) == sum(rs.d[k] * a[k] * wb[k] for k in range(n))
 
 
+@pytest.mark.parametrize("t", _catalog_types(), ids=str)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_coroot_chain_pairings_are_the_coroot_dot_products(t, data):
+    # any integer weight, not only orbit points
+    rs = root_system(t)
+    n = rs.rank
+    order, steps, weights = rs.coroot_chain
+    assert sorted(order) == list(range(rs.n_pos))
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    assert [rs.positive_roots[k] for k in order[:n]] == units
+    assert len(steps) == rs.n_pos - n
+    assert weights == [rs.weight_of_root(rs.positive_roots[k]) for k in order]
+    x = data.draw(st.tuples(*[st.integers(min_value=-9, max_value=9)] * n))
+    want = [
+        sum(c * v for c, v in zip(rs.coroot(rs.positive_roots[k]), x)) for k in order
+    ]
+    assert rs.coroot_pairings(x) == want
+
+
 # sha256 of repr([subsystem_simple_images(g, node) for every node])
 SUBSYSTEM_IMAGES_SHA256 = {
     "G2": "b64c63cd99f16311df4cdf97a45f83c1677fa6a47636c4fdeacf7172ce3516aa",
@@ -313,11 +334,44 @@ def test_cone_walk_enters_the_cone_first(name):
             _check_cone_walk(rs, lam, cone, orbit)
 
 
+def _direct_image(emb, x):
+    ss, q = restrict_weight(emb, x)
+    return ss if q is None else ss + (q,)
+
+
+IMAGE_ENTRIES = [
+    e for g in ("G2", "F4", "E6", "E7") for e in load_catalog().entries(g)
+    if e.kind != "typeonly"
+]
+
+
+@pytest.mark.parametrize("emb", IMAGE_ENTRIES, ids=lambda e: f"{e.ambient}>{e.name}")
+def test_carried_image_is_the_restriction_of_each_point(emb):
+    # the walks apply the restriction to the start point only and carry it
+    # along; the oracle applies it to every point
+    rs = root_system(emb.ambient)
+    image = emb.weight_image()
+    cone = emb.simple_images or []
+    assert image.rows[: len(cone)] == [rs.coroot(b) for b in cone]
+    weights = [fundamental(rs, i) for i in range(1, rs.rank + 1)]
+    if rs.rank < 6:
+        weights.append(rs.rho)
+    for lam in weights:
+        points = list(rs.weyl_orbit(lam, cone))
+        got = Counter(rs.weyl_orbit(lam, cone, image))
+        assert got == Counter(_direct_image(emb, x) for x in points), lam
+        for layer in rs.weyl_orbit_layers(lam, image=image):
+            for x, img in layer.items():
+                assert img == _direct_image(emb, x), (lam, x)
+
+
 def test_cone_walk_wants_a_dominant_weight():
     emb = load_catalog().get("G2", "A2")
     rs = root_system(emb.ambient)
     with pytest.raises(LieError):
         list(rs.weyl_orbit((-1, 1), emb.simple_images))
+    with pytest.raises(LieError):
+        list(rs.weyl_orbit((-1, 1), emb.simple_images, emb.weight_image()))
 
 
 SMALL_TYPES = [
