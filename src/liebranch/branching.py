@@ -9,9 +9,10 @@ all monomials in the generators of total degree k; bounded rules
 ("<= k") carry an explicit slack generator of degree one and weight
 zero, so expansion is always at exact degree.
 
-`verify_rule` compares an expansion against the exact character-level
-decomposition with the node read both directly and through the diagram
-duality, since a rule may be stated for the dual module.
+Every rule is stated for res V(k*omega_i), the module that `branch`
+labels and `mult` computes; the paper's rules for res V*(k*omega_i) are
+their H-duals.  `verify_rule` compares an expansion against the exact
+character-level decomposition of that module, one restriction per degree.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .characters import decompose
 from .embeddings import resolve_data_dir
-from .rootsys import LieError, SimpleType, TypeSpec, root_system, simple_type
+from .rootsys import LieError, SimpleType, TypeSpec, simple_type
 
 RULE_FILE_FORMAT = 1
 
@@ -260,41 +261,35 @@ def load_rules(data_dir=None):
 class VerifyResult:
     rule: Rule
     k: int
-    direct: bool
-    dual: bool
+    direct: bool  # the verdict: the expansion is res V(k*omega_i)
+    dual: bool  # the expansion is res V(k*omega_{i*}), for information
 
 
 def verify_rule(emb, rule, k):
     """Compare the degree-k expansion against the exact decomposition.
 
-    The expansion is checked against res V(k*omega_i) (direct) and
-    res V(k*omega_{i*}) through the diagram duality (dual).
+    res V(k*omega_i) is restricted once.  Its dual res V(k*omega_{i*})
+    is read off the same decomposition through the H-duality
+    (nu, q) -> (-w0 nu, -q).
     """
-    rs = root_system(emb.ambient)
     expected = dict(rule.expand(k))
-    node, dnode = rule.node, rs.dual_node(rule.node)
-    lam = tuple(k if j == node - 1 else 0 for j in range(rs.rank))
-    direct = decompose(emb, lam) == expected
-    if dnode == node:
-        dual = direct
-    else:
-        dlam = tuple(k if j == dnode - 1 else 0 for j in range(rs.rank))
-        dual = decompose(emb, dlam) == expected
-    return VerifyResult(rule, k, direct, dual)
+    lam = tuple(k if j == rule.node - 1 else 0 for j in range(emb.ambient.rank))
+    classes = decompose(emb, lam)
+    perm = emb.hsys.dual_perm
+    dual = {(tuple(nu[p] for p in perm), -q): m for (nu, q), m in classes.items()}
+    return VerifyResult(rule, k, classes == expected, dual == expected)
 
 
-def discover_generators(emb, node, k_probe=3, reading="direct"):
+def discover_generators(emb, node, k_probe=3):
     """Reconstruct monoid generators from decompositions up to k_probe.
 
     At each degree the classes not explained by lower-degree generators
     become new generators; a negative difference means the restrictions
     are not generated by a free monoid and raises.
     """
-    rs = root_system(emb.ambient)
-    use = node if reading == "direct" else rs.dual_node(node)
     gens = []
     for k in range(1, k_probe + 1):
-        lam = tuple(k if j == use - 1 else 0 for j in range(rs.rank))
+        lam = tuple(k if j == node - 1 else 0 for j in range(emb.ambient.rank))
         actual = Counter(decompose(emb, lam))
         probe = Rule(emb.ambient, emb.name, node, tuple(gens), False) if gens else None
         expected = probe.expand(k) if probe else Counter()

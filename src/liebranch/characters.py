@@ -49,10 +49,7 @@ def dominant_weights(rs, lam):
     mu first.
     """
     lam = tuple(lam)
-    if len(lam) != rs.rank:
-        raise LieError(
-            f"weight {lam} has {len(lam)} coordinates, but {rs.type} has rank {rs.rank}"
-        )
+    rs.check_rank(lam)
     if not rs.is_dominant(lam):
         raise LieError(f"not a dominant weight: {lam}")
     # mu - alpha is dominant iff mu[j] >= wa[j] wherever wa[j] > 0
@@ -168,6 +165,7 @@ def module_dimension(t, lam):
 
 def dominant_character_product(ps: ProductSystem, lam):
     """Per-factor product of dominant characters, over joined weights."""
+    ps.check_rank(lam)
     out = {(): 1}
     for sys, part in zip(ps.systems, ps.split(lam)):
         factor = dominant_character(sys.type, part)
@@ -266,6 +264,7 @@ def multiplicity_of(emb, lam, target, charge=0, collapsed=None):
     decomposition when only one entry is wanted.
     """
     ps = emb.hsys
+    ps.check_rank(target)
     if not ps.is_dominant(target):
         raise LieError(f"target weight must be dominant: {target}")
     if collapsed is None:

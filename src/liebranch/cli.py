@@ -175,13 +175,9 @@ def cmd_branch(args):
         for k in range(1, kmax + 1):
             res = verify_rule(emb, rule, k)
             checks.append({"k": k, "direct": res.direct, "dual": res.dual})
-            readings = [
-                name
-                for name, flag in (("direct", res.direct), ("dual", res.dual))
-                if flag
-            ]
-            if readings:
-                lines.append(f"verify k={k}: match ({', '.join(readings)})")
+            if res.direct:
+                readings = "direct, dual" if res.dual else "direct"
+                lines.append(f"verify k={k}: match ({readings})")
             else:
                 lines.append(f"verify k={k}: MISMATCH")
                 code = EXIT_INCONSISTENT

@@ -318,6 +318,13 @@ class RootSystem:
 
     # -- Weyl group action on weights ------------------------------------
 
+    def check_rank(self, mu):
+        if len(mu) != self.rank:
+            raise LieError(
+                f"weight {tuple(mu)} has {len(mu)} coordinates, "
+                f"but {self.type} has rank {self.rank}"
+            )
+
     def is_dominant(self, mu):
         return all(x >= 0 for x in mu)
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liebranch import branching
 from liebranch.branching import (
     Generator,
     Rule,
@@ -14,8 +15,9 @@ from liebranch.branching import (
     parse_rules,
     verify_rule,
 )
+from liebranch.characters import decompose
 from liebranch.embeddings import load_catalog
-from liebranch.rootsys import LieError, ProductSystem, SimpleType, TypeSpec
+from liebranch.rootsys import LieError, ProductSystem, SimpleType, TypeSpec, root_system
 from oracles import dual_weight
 
 
@@ -63,16 +65,21 @@ TRIPLES = sorted(
 # Depth of the verification sweep, per ambient group.
 KMAX = {"G2": 5, "F4": 3, "E6": 2, "E7": 2}
 
-# Expected (direct, dual) verification flags.  A rule may be stated for
-# the dual module: the A5xA1 rows match only after swapping nodes 1 and
-# 6, while the D5xT1 rows with asymmetric nodes match only directly.
+# Expected (direct, dual) verification flags.  Every rule is stated for
+# res V(k*omega_i) (direct); it also matches res V(k*omega_{i*}) (dual)
+# only when that module has the same classes.  At the E6 nodes 1, 3, 5
+# and 6 the A5xA1 and D5xT1 rows match only directly; F4 and C4 restrict
+# V(k*omega_i) and V(k*omega_{i*}) alike.
 READINGS = {key: (True, True) for key in TRIPLES}
-READINGS[("E6", "A5xA1", 1)] = (False, True)
-READINGS[("E6", "A5xA1", 6)] = (False, True)
+READINGS[("E6", "A5xA1", 1)] = (True, False)
+READINGS[("E6", "A5xA1", 6)] = (True, False)
 READINGS[("E6", "D5xT1", 1)] = (True, False)
 READINGS[("E6", "D5xT1", 3)] = (True, False)
 READINGS[("E6", "D5xT1", 5)] = (True, False)
 READINGS[("E6", "D5xT1", 6)] = (True, False)
+
+# The 12 E6 triples at the nodes that the diagram duality moves.
+E6_MOVED = [t for t in TRIPLES if t[0] == "E6" and t[2] in (1, 3, 5, 6)]
 
 VARIANTS = [
     ("F4", "B4", 4, "printed"),
@@ -100,8 +107,6 @@ S_VALUES = {
     ("E7", "A7", 7): 4,
     ("E7", "D6xA1", 7): 3,
 }
-
-DUAL_READ = {("E6", "A5xA1")}
 
 
 class TestLoading:
@@ -276,7 +281,35 @@ class TestVerification:
             res = verify_rule(emb, rule, k)
             assert res.direct is expect_direct, (k, "direct")
             assert res.dual is expect_dual, (k, "dual")
-            assert res.direct or res.dual
+            assert res.direct, (k, "no primary rule may match only the dual")
+
+    @pytest.mark.parametrize("g,h,node", E6_MOVED)
+    def test_dual_reading_needs_no_second_restriction(
+        self, book, catalog, monkeypatch, g, h, node
+    ):
+        # reference for the derived dual flag: restrict V(k*omega_{i*})
+        # itself, a second restriction that verify_rule must not make
+        emb = catalog.get(g, h)
+        rule = book.get(g, h, node).primary
+        dnode = root_system(emb.ambient).dual_node(node)
+        calls = []
+
+        def counting(emb, lam):
+            calls.append(lam)
+            return decompose(emb, lam)
+
+        monkeypatch.setattr(branching, "decompose", counting)
+        for k in range(1, KMAX[g] + 1):
+            lam = tuple(k if j == node - 1 else 0 for j in range(6))
+            dlam = tuple(k if j == dnode - 1 else 0 for j in range(6))
+            classes, dual = decompose(emb, lam), decompose(emb, dlam)
+            assert dual == {
+                (dual_weight(emb.hsys, nu), -q): m for (nu, q), m in classes.items()
+            }
+            calls.clear()
+            res = verify_rule(emb, rule, k)
+            assert calls == [lam]
+            assert res.dual is (dual == dict(rule.expand(k)))
 
     @pytest.mark.parametrize("g,h,node,label", VARIANTS)
     def test_variants_fail(self, book, catalog, g, h, node, label):
@@ -300,8 +333,7 @@ class TestDiscovery:
     @pytest.mark.parametrize("g,h,node", sorted(S_VALUES))
     def test_recovers_rule_generators(self, book, catalog, g, h, node):
         emb = catalog.get(g, h)
-        reading = "dual" if (g, h) in DUAL_READ else "direct"
-        gens = discover_generators(emb, node, k_probe=3, reading=reading)
+        gens = discover_generators(emb, node, k_probe=3)
         rule = book.get(g, h, node).primary
         assert len(gens) == S_VALUES[(g, h, node)]
         assert Counter(gens) == Counter(rule.generators)

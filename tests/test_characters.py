@@ -135,6 +135,20 @@ def test_weight_length_must_be_the_rank(t, lam):
         dominant_character(t, lam)
 
 
+# a subgroup weight of the wrong length is bad input: zip and
+# ProductSystem.split would cut it and answer for a shorter weight
+@pytest.mark.parametrize(
+    "h,nu", [("F4", (0, 0, 0, 1, 5)), ("F4", (1,)), ("D5xT1", (1,) * 6)]
+)
+def test_subgroup_weight_length_must_be_the_rank(h, nu):
+    emb = CAT.get("E6", h)
+    msg = f"has {len(nu)} coordinates, but {h} has rank {emb.rank_ss}$"
+    with pytest.raises(LieError, match=msg):
+        multiplicity_of(emb, (1, 0, 0, 0, 0, 0), nu)
+    with pytest.raises(LieError, match=msg):
+        dominant_character_product(emb.hsys, nu)
+
+
 def _catalog_simple_types():
     types = set()
     for r in CAT.records:

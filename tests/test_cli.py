@@ -13,8 +13,9 @@ import pytest
 
 import liebranch
 from liebranch import cli
+from liebranch.characters import multiplicity_of, restrict_collapsed
 from liebranch.cli import main
-from liebranch.embeddings import data_dir_default
+from liebranch.embeddings import data_dir_default, load_catalog
 
 FLAG_DIMS = {
     "G2": "5 5",
@@ -139,10 +140,26 @@ class TestBranch:
             assert label in out
         assert "verify k=1: match (direct, dual)" in out
 
-    def test_dual_only_reading(self, capsys):
+    def test_dual_only_reading(self, capsys, tmp_path):
+        # the shipped A5xA1 rule is stated for res V(w1); the same rule
+        # with A5 nodes j and 6 - j swapped states res V(w6), the dual
+        # module, and that reading alone is a mismatch
         code, out, _ = run(capsys, "branch", "E6", "A5xA1", "1", "1", "--verify")
         assert code == 0
-        assert "verify k=1: match (dual)" in out
+        assert "verify k=1: match (direct)" in out
+        shutil.copy(os.path.join(data_dir_default(), "embeddings.txt"), tmp_path)
+        (tmp_path / "rules.txt").write_text(
+            "format 1\n"
+            "rule E6 A5xA1 1 : a1 + 2*a2 + a3 = k -> a1*l2 + a2*l4 + a3*l5 + a3*l6\n",
+            encoding="utf-8",
+        )
+        argv = ["branch", "E6", "A5xA1", "1", "1", "--verify", "--data", str(tmp_path)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 5
+        assert "verify k=1: MISMATCH" in out
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 5
+        assert json.loads(out)["verify"] == [{"k": 1, "direct": False, "dual": True}]
 
     def test_direct_only_reading(self, capsys):
         code, out, _ = run(capsys, "branch", "E6", "D5xT1", "6", "1", "--verify")
@@ -674,8 +691,8 @@ def test_classify_json_golden_seed_1(capsys, group):
 # class, multiplicity and verdict of the rule checks.
 BRANCH_KMAX = {"G2": 5, "F4": 3, "E6": 2, "E7": 2}
 BRANCH_VERIFY_JSON_SHA256 = {
-    ("E6", "A5xA1", 1): "bdf06cf02c56b2635aea3f337f89f7b053e2ad0f7ee2e4f8268ef7937773b784",
-    ("E6", "A5xA1", 6): "a553c3a87a9b925a2f5bc1da61307e509edb54855bf440a296116a99b96ab4e4",
+    ("E6", "A5xA1", 1): "e39418cbab0eeea6a49030cb96c791e287626257537280581faae998a903c434",
+    ("E6", "A5xA1", 6): "33bce7057fab7e96e7c4e25ab00e4fe010a128c6d7b1b02e4cd5f5c9d80778fe",
     ("E6", "C4", 1): "39d690794fa486f0e25bcd61e098d6e722cee701d05e3731163249af6d8824cf",
     ("E6", "C4", 6): "ed00cbfe15bb35fdd6667b185e556197d1994aa664241d9562dee7d11da37b5b",
     ("E6", "D5xT1", 1): "38256a18ecc9f25064152ee994a6cdaf61b83f967a65ff109a814d7277272cf8",
@@ -711,6 +728,23 @@ def test_branch_verify_json_golden(capsys, g, h, node):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == BRANCH_VERIFY_JSON_SHA256[(g, h, node)]
+
+
+@pytest.mark.parametrize(
+    "g,h,node", sorted(BRANCH_VERIFY_JSON_SHA256), ids=lambda v: str(v)
+)
+def test_branch_classes_have_their_multiplicity(capsys, g, h, node):
+    # every class that `branch` prints under res V(k*omega_node) has the
+    # multiplicity that the Racah sum finds in that module
+    emb = load_catalog().get(g, h)
+    for k in (1, 2):
+        code, out, _ = run(capsys, "branch", g, h, str(node), str(k), "--format", "json")
+        assert code == 0
+        lam = tuple(k if j == node - 1 else 0 for j in range(emb.ambient.rank))
+        collapsed = restrict_collapsed(emb, lam)
+        for c in json.loads(out)["classes"]:
+            m = multiplicity_of(emb, lam, tuple(c["weight"]), c["charge"], collapsed)
+            assert m == c["mult"], (k, c)
 
 
 class TestSubprocess:
