@@ -14,7 +14,9 @@ non-pivot columns span a complement N of lie(H) + lie(P_i), the open
 cell.  For H spanned by root spaces of G these are exactly the roots
 through node i that are not roots of H.
 
-Two tests use the construction:
+Two tests decide the pairs that the dimension count leaves open.  The
+folded entries take the translation test; every other kind with
+generators, in every group from G2 to E8, takes the orbit test:
 
 - an orbit test on the open cell: the tangent space of the B_H-orbit
   through a point X of N is spanned by the classes in N of [u, X] for u
@@ -22,8 +24,8 @@ Two tests use the construction:
   a[i] = 0 (the Levi part of B_H at P_i).  Density of the orbit at a
   generic X decides sphericity.  The rank is taken modulo PRIME, with
   the rational cell projection reduced once per setup; a full rank
-  modulo PRIME is full over Q, so an explicit X with full tangent rank
-  is an exact certificate that can be rechecked over Q.
+  modulo any prime is full over Q, so an explicit X with full tangent
+  rank is an exact certificate that can be rechecked over Q.
 - a translation test: pick a random n in the span of the flag columns and
   check rank(lie(B_H) + exp(ad n) lie(P_i)) directly.  Since lie(P_i) is
   spanned by basis vectors, the rank equals dim lie(P_i) plus the rank of
@@ -53,11 +55,14 @@ from .linalg import SpanMod, SpanQ
 from .rootsys import LieError, root_system, simple_type
 
 
-# Modulus of both production rank tests: the Mersenne prime M61.  Any
-# prime is sound, because a rank that is full modulo p is full over Q (the
-# entries have denominators prime to p, and a minor that is nonzero modulo
-# p is nonzero).  It exceeds dim E8 = 248, so exp(ad n) can divide by every k.
-PRIME = 2**61 - 1
+# Modulus of both production rank tests: the largest prime below 2^30.
+# Any prime is sound, because a rank that is full modulo p is full over Q
+# (the entries have denominators prime to p, and a minor that is nonzero
+# modulo p is nonzero), so a hit is exact at any prime.  It exceeds
+# dim E8 = 248, so exp(ad n) can divide by every k.  Below 2^30 every
+# residue is one CPython digit, which keeps the products and reductions of
+# SpanMod, project and exp_ad_apply on the interpreter's single-digit path.
+PRIME = 2**30 - 35
 
 
 def flag_dimension(g, node):
@@ -263,7 +268,7 @@ def classify_pair(emb: Embedding, node: int, seed=0, trials=8):
         verdict, method, certainty = "not-spherical", "dimension", "exact"
     elif emb.kind == "typeonly":
         verdict, method, certainty = "undecided", "none", "none"
-    elif emb.kind == "folded" or emb.ambient.rank == 8:
+    elif emb.kind == "folded":
         ok, _ = generic_translate_test(emb, node, seed=seed, trials=trials)
         method = "translate"
         verdict, certainty = ("spherical", "exact") if ok else ("not-spherical", "sampled")

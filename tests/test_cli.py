@@ -647,16 +647,18 @@ def test_data_exit_codes(capsys, tmp_path, argv, data, want):
 
 
 # sha256 of the stdout of `classify <G> --seed 0 --format json`: pins every
-# verdict and witness.  G2, F4, E6 and E8 were recorded before the orbit
-# test built its cell in one way for every catalog kind.  E7 was re-recorded
+# verdict and witness.  G2, F4 and E6 were recorded before the orbit test
+# built its cell in one way for every catalog kind.  E7 was re-recorded
 # when E7 > A1xF4 became a folded record: its 7 rows changed only their
-# "kind" from "derived" to "folded".
+# "kind" from "derived" to "folded".  E8 was re-recorded when its rows with
+# generators moved from the translate test to the orbit test: D8 and E7xA1
+# at node 8 changed only their "method" from "translate" to "orbit".
 CLASSIFY_JSON_SHA256 = {
     "G2": "3cb823ec107cae0246f7e604c9a8ae926ddddff427d570d3118cc22795d1127a",
     "F4": "471d75aeabe06cbf652504e464cb5d336db40da5584e1ac1ea4420d53ce21c2b",
     "E6": "4851164befbd7f758a5114d5443e6a895a21e04b266d5205b3e52659dd58b973",
     "E7": "618e12e1bd928d1bbc14a790a1cedb43a2778d789779001275d2617c26a45cb8",
-    "E8": "a86f9fd6310689df1583941499454f6b378c3caae7bd54e3bc9a9cadfe279e9d",
+    "E8": "2db00a5da6ef5bdb24f70fe5fee605c45a18cda400b6b9c5c72ce592c502175c",
 }
 
 
@@ -669,13 +671,15 @@ def test_classify_json_golden(capsys, group):
 
 # The same for `classify <G> --seed 1 --format json`, recorded before the
 # orbit test took its ranks modulo sphericity.PRIME, before SpanMod became
-# a reduced echelon form and before the bracket table was indexed by row.
+# a reduced echelon form, before the bracket table was indexed by row and
+# before PRIME changed from 2^61 - 1 to 2^30 - 35.  E8 was re-recorded with
+# the seed-0 pin, for the same two "method" changes.
 CLASSIFY_JSON_SHA256_SEED1 = {
     "G2": "0e0ccd137701b9b4f92d977349ce6b5d76e959b512bad93512fcdeb60dbac183",
     "F4": "48cb6efb96bd596e9973dc54c20ddadb806923ffc8db697d6a01322eab24b277",
     "E6": "70d127e3d353f4e0107db99aa98cce2dd317ca07ae0eaad6ad6e975c525faf22",
     "E7": "98e54d8abba4655d54d6a2efdd7f9a15aee1240b540a8f29db145d4c6fca9135",
-    "E8": "cf7cb34cd800a740217401cb44ffe51d164d1c35d88cbc0a8f45bea8b4cc7893",
+    "E8": "6d436f86b167e8e8ff436a8c4555e79644af518ae29669f6c53f3acae8c74b8e",
 }
 
 

@@ -220,6 +220,27 @@ def test_classify_row_shape():
     assert pruned.verdict == "not-spherical" and pruned.method == "dimension"
 
 
+@pytest.mark.parametrize(
+    "g,h,node,method,certainty",
+    [
+        # every kind with generators but the folded one takes the orbit test
+        ("E8", "D8", 8, "orbit", "sampled"),
+        ("E8", "E7xA1", 8, "orbit", "sampled"),
+        ("E6", "F4", 1, "translate", "exact"),
+    ],
+)
+def test_classify_method(g, h, node, method, certainty):
+    row = classify_pair(CAT.get(g, h), node)
+    assert (row.method, row.certainty) == (method, certainty)
+
+
+def test_prime_fits_one_cpython_digit():
+    # prime; above dim E8 = 248, so exp(ad n) can divide by every k; below
+    # 2^30, so every residue is a single CPython digit
+    assert 248 < PRIME < 2**30
+    assert all(PRIME % d for d in range(2, int(PRIME**0.5) + 1))
+
+
 def test_classification_deterministic():
     a = [r.as_dict() for r in classify_group(CAT, "E6", seed=7)]
     b = [r.as_dict() for r in classify_group(CAT, "E6", seed=7)]
@@ -286,7 +307,7 @@ def test_witness_projection_roundtrip():
 
 ORBIT_PAIRS = [
     (emb, node)
-    for g in ("G2", "F4", "E6", "E7")
+    for g in ("G2", "F4", "E6", "E7", "E8")
     for emb in CAT.entries(g)
     if emb.kind != "typeonly"
     for node in range(1, emb.ambient.rank + 1)
@@ -317,7 +338,7 @@ def test_orbit_rank_mod_prime_equals_rank_over_q(emb, node):
     "g,h,node", [("E8", "D8", 8), ("E8", "E7xA1", 8), ("E7", "A1xF4", 7)]
 )
 def test_translate_rank_mod_prime_equals_rank_over_q(g, h, node):
-    # the first trial of generic_translate_test on its three negative pairs
+    # the first trial of generic_translate_test on three negative pairs
     emb = CAT.get(g, h)
     cb = chevalley_basis(emb.ambient)
     flag = flag_columns(cb, node)
