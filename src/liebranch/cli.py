@@ -27,7 +27,9 @@ from .rootsys import (
     root_system,
     simple_type,
 )
-from .sphericity import classify_group, classify_pair, duality_consistent, flag_dimension
+from .sphericity import (
+    TRIALS, classify_group, classify_pair, duality_consistent, flag_dimension,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -51,6 +53,12 @@ def _lookup(method, *key):
 
 def _get_embedding(args, g, h):
     return _lookup(load_catalog(args.data).get, str(g), h)
+
+
+def _require_generators(g, emb):
+    """Restriction reads an entry's generators: one without is unsupported."""
+    if emb.rows is None:
+        raise Unsupported(f"{g} > {emb.name} is catalogued without an explicit embedding")
 
 
 def _emit(args, payload, lines):
@@ -78,7 +86,7 @@ def cmd_classify(args):
     g = simple_type(args.group)
     catalog = load_catalog(args.data)
     _lookup(catalog.entries, str(g))  # a group without entries is unsupported
-    rows = classify_group(catalog, str(g), seed=args.seed, trials=args.trials)
+    rows = classify_group(catalog, str(g), seed=args.seed)
     spherical = sum(r.verdict == "spherical" for r in rows)
     consistent = duality_consistent(rows, g)
     lines = []
@@ -91,7 +99,7 @@ def cmd_classify(args):
         {
             "group": str(g),
             "seed": args.seed,
-            "trials": args.trials,
+            "trials": TRIALS,
             "rows": [r.as_dict() for r in rows],
             "spherical_count": spherical,
             "duality_consistent": consistent,
@@ -105,11 +113,9 @@ def cmd_spherical(args):
     g = simple_type(args.group)
     emb = _get_embedding(args, g, args.subgroup)
     flag_dimension(g, args.node)  # validates the node, raising LieError
-    row = classify_pair(emb, args.node, seed=args.seed, trials=args.trials)
-    if row.verdict == "undecided":
-        raise Unsupported(
-            f"{g} > {emb.name} is catalogued without an explicit embedding"
-        )
+    row = classify_pair(emb, args.node, seed=args.seed)
+    if row.verdict == "undecided":  # no generators, and no dimension prune
+        _require_generators(g, emb)
     _emit(
         args,
         {"group": str(g), "seed": args.seed, "row": row.as_dict()},
@@ -140,11 +146,8 @@ def cmd_branch(args):
     g = simple_type(args.group)
     if args.degree < 0:
         raise LieError("degree must be nonnegative")
-    if args.kmax is not None and not args.verify:
-        raise LieError("--kmax only applies with --verify")
-    kmax = args.degree if args.kmax is None else args.kmax
-    if args.verify and kmax < 1:
-        raise LieError(f"--kmax (default: the degree) must be at least 1, got {kmax}")
+    if args.verify and args.degree < 1:
+        raise LieError("--verify checks degrees 1..DEGREE, so DEGREE must be at least 1")
     flag_dimension(g, args.node)  # validates the node, raising LieError
     entry = _lookup(load_rules(args.data).get, str(g), args.subgroup, args.node)
     rule = entry.primary
@@ -171,8 +174,9 @@ def cmd_branch(args):
     code = EXIT_OK
     if args.verify:
         emb = _get_embedding(args, g, args.subgroup)
+        _require_generators(g, emb)
         checks = []
-        for k in range(1, kmax + 1):
+        for k in range(1, args.degree + 1):
             res = verify_rule(emb, rule, k)
             checks.append({"k": k, "direct": res.direct, "dual": res.dual})
             if res.direct:
@@ -196,16 +200,12 @@ def cmd_mult(args):
     target, charge = parse_weight(args.target, emb.rank_ss, "l")
     if charge is not None and emb.spec.torus == 0:
         raise LieError(f"{emb.name} has no torus charge")
+    _require_generators(g, emb)
     dim = module_dimension(g, lam)
     # the parsed weights; a subgroup with a torus shows the charge used
     lam_text = format_weight(lam, "w")
     target_text = format_weight(target, "l", (charge or 0) if emb.spec.torus else None)
-    try:
-        m = multiplicity_of(emb, lam, target, charge=charge or 0)
-    except LieError as e:
-        if emb.kind == "typeonly":
-            raise Unsupported(str(e)) from None
-        raise
+    m = multiplicity_of(emb, lam, target, charge=charge or 0)
     _emit(
         args,
         {
@@ -235,12 +235,11 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument(
-        "--data", default=None, help="data directory (default: packaged, or LIEBRANCH_DATA)"
+        "--data", default=None, help="data directory (default: the packaged data)"
     )
 
     random_opts = argparse.ArgumentParser(add_help=False)
     random_opts.add_argument("--seed", type=int, default=0)
-    random_opts.add_argument("--trials", type=int, default=8)
 
     p = sub.add_parser(
         "classify", parents=[common, random_opts], help="classify all pairs for a group"
@@ -263,10 +262,8 @@ def build_parser():
     p.add_argument("subgroup")
     p.add_argument("node", type=int)
     p.add_argument("degree", type=int)
-    p.add_argument("--verify", action="store_true", help="check against exact characters")
-    p.add_argument(
-        "--kmax", type=int, default=None, help="verify degrees 1..KMAX (default: DEGREE)"
-    )
+    p.add_argument("--verify", action="store_true",
+                   help="check degrees 1..DEGREE against exact characters")
     p.set_defaults(func=cmd_branch)
 
     p = sub.add_parser(

@@ -498,11 +498,9 @@ def data_dir_default():
 
 
 def resolve_data_dir(data_dir=None):
-    """The data directory to read: the argument, else LIEBRANCH_DATA, else
-    the packaged data, as an absolute path."""
-    if data_dir is None:
-        data_dir = os.environ.get("LIEBRANCH_DATA") or data_dir_default()
-    return os.path.abspath(data_dir)
+    """The data directory to read, the argument or else the packaged data,
+    as an absolute path."""
+    return os.path.abspath(data_dir_default() if data_dir is None else data_dir)
 
 
 def load_catalog(data_dir=None) -> Catalog:

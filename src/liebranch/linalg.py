@@ -83,17 +83,6 @@ class SpanMod:
     def rank(self):
         return len(self.pivots)
 
-    @property
-    def rows(self):
-        """The reduced rows as dense lists, in the order they were added."""
-        out = [[0] * self.dim for _ in self.pivots]
-        for row, piv in zip(out, self.pivots):
-            row[piv] = 1
-        for f, col in zip(self.free, self.cols):
-            for row, c in zip(out, col):
-                row[f] = c
-        return out
-
     def add(self, vec) -> bool:
         """Insert a vector; True if it enlarged the span.  The new pivot is
         the lowest free column where the residue of ``vec`` is nonzero."""

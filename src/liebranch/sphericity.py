@@ -30,8 +30,10 @@ generators, in every group from G2 to E8, takes the orbit test:
   check rank(lie(B_H) + exp(ad n) lie(P_i)) directly.  Since lie(P_i) is
   spanned by basis vectors, the rank equals dim lie(P_i) plus the rank of
   the flag-column coordinates of exp(-ad n) lie(B_H).  Its ranks are
-  taken modulo PRIME too, so a hit is exact; a miss after all trials is
-  reported as sampled evidence, as is an orbit test miss.
+  taken modulo PRIME too, so a hit is exact.
+
+Each test tries TRIALS random cell points or translates; a miss after all
+of them is reported as sampled evidence.
 
 Neither test has a mode over Q.  The tests compare both against exact
 ranks over Q; exp(ad n) and the translate test over Q are test oracles
@@ -63,6 +65,10 @@ from .rootsys import LieError, root_system, simple_type
 # residue is one CPython digit, which keeps the products and reductions of
 # SpanMod, project and exp_ad_apply on the interpreter's single-digit path.
 PRIME = 2**30 - 35
+
+# Random points (orbit test) or translates (translate test) tried per pair
+# before a miss is reported as a sampled not-spherical verdict.
+TRIALS = 8
 
 
 def flag_dimension(g, node):
@@ -165,19 +171,19 @@ class SphericitySetup:
             if any(coeffs) or self.n_dim == 0:
                 return self.point_from_cell(coeffs)
 
-    def find_witness(self, seed=0, trials=8):
+    def find_witness(self, seed=0):
         """Search for a cell point with dense Borel orbit.
 
-        Returns (point, trial_index) or (None, trials).
+        Returns (point, trial_index) or (None, TRIALS).
         """
         if self.n_dim == 0:
             return {}, 0
         rng = random.Random(subseed(seed, "witness", self.emb.name, self.node))
-        for t in range(trials):
+        for t in range(TRIALS):
             x = self.random_point(rng)
             if self.dense_orbit(x):
                 return x, t
-        return None, trials
+        return None, TRIALS
 
     def generic_orbit_dim(self, seed=0, trials=8):
         """Largest unipotent-Levi orbit dimension seen over sampled points.
@@ -204,7 +210,7 @@ class SphericitySetup:
         return out
 
 
-def generic_translate_test(emb: Embedding, node: int, seed=0, trials=8):
+def generic_translate_test(emb: Embedding, node: int, seed=0):
     """Randomized translation test; returns (is_spherical, trial_or_count).
 
     The ranks are taken modulo PRIME, so a hit is an exact certificate.
@@ -214,7 +220,7 @@ def generic_translate_test(emb: Embedding, node: int, seed=0, trials=8):
     target = len(flag)
     bvecs = emb.borel_h_vectors()
     rng = random.Random(subseed(seed, "translate", emb.name, node))
-    for t in range(trials):
+    for t in range(TRIALS):
         n = {k: rng.randint(-9, 9) for k in flag}
         n = {k: c for k, c in n.items() if c}
         cols = cb.ad_columns({k: -c for k, c in n.items()})
@@ -226,7 +232,7 @@ def generic_translate_test(emb: Embedding, node: int, seed=0, trials=8):
                 break
         if span.rank == target:
             return True, t
-    return False, trials
+    return False, TRIALS
 
 
 @dataclass
@@ -257,10 +263,8 @@ class ClassifyRow:
         }
 
 
-def classify_pair(emb: Embedding, node: int, seed=0, trials=8):
+def classify_pair(emb: Embedding, node: int, seed=0):
     """Decide sphericity of G/P_node under one catalog subgroup."""
-    if trials < 1:
-        raise LieError(f"trials must be at least 1, got {trials}")
     fd = flag_dimension(emb.ambient, node)
     bd = emb.borel_dim()
     witness = []
@@ -269,12 +273,12 @@ def classify_pair(emb: Embedding, node: int, seed=0, trials=8):
     elif emb.kind == "typeonly":
         verdict, method, certainty = "undecided", "none", "none"
     elif emb.kind == "folded":
-        ok, _ = generic_translate_test(emb, node, seed=seed, trials=trials)
+        ok, _ = generic_translate_test(emb, node, seed=seed)
         method = "translate"
         verdict, certainty = ("spherical", "exact") if ok else ("not-spherical", "sampled")
     else:
         setup = SphericitySetup(emb, node)
-        x, _ = setup.find_witness(seed=seed, trials=trials)
+        x, _ = setup.find_witness(seed=seed)
         method = "orbit"
         if x is None:
             verdict, certainty = "not-spherical", "sampled"
@@ -286,12 +290,12 @@ def classify_pair(emb: Embedding, node: int, seed=0, trials=8):
     )
 
 
-def classify_group(catalog, gname: str, seed=0, trials=8):
+def classify_group(catalog, gname: str, seed=0):
     """All (subgroup, node) verdicts for one ambient group, catalog order."""
     rows = []
     for emb in catalog.entries(gname):
         for node in range(1, emb.ambient.rank + 1):
-            rows.append(classify_pair(emb, node, seed=seed, trials=trials))
+            rows.append(classify_pair(emb, node, seed=seed))
     return rows
 
 

@@ -57,7 +57,7 @@ from liebranch.chevalley import chevalley_basis, neg
 from liebranch.embeddings import subsystem_simple_images
 from liebranch.linalg import SpanQ
 from liebranch.rootsys import LieError, root_system
-from liebranch.sphericity import flag_columns, subseed
+from liebranch.sphericity import TRIALS, flag_columns, subseed
 
 
 # -- linear algebra and Chevalley bases over Q ---------------------------------
@@ -138,14 +138,14 @@ def exp_ad_apply_exact(cb, ad_cols, v):
     return out
 
 
-def translate_test_exact(emb, node, seed=0, trials=8):
+def translate_test_exact(emb, node, seed=0):
     """``generic_translate_test`` with its ranks over Q: the same random
     translates n, the same rows of exp(-ad n) lie(B_H), one SpanQ each."""
     cb = chevalley_basis(emb.ambient)
     flag = flag_columns(cb, node)
     bvecs = [to_dense(cb, v) for v in emb.borel_h_vectors()]
     rng = random.Random(subseed(seed, "translate", emb.name, node))
-    for t in range(trials):
+    for t in range(TRIALS):
         n = {k: c for k in flag if (c := rng.randint(-9, 9))}
         cols = cb.ad_columns({k: -c for k, c in n.items()})
         span = SpanQ(len(flag))
@@ -154,7 +154,7 @@ def translate_test_exact(emb, node, seed=0, trials=8):
             span.add([w[k] for k in flag])
         if span.rank == len(flag):
             return True, t
-    return False, trials
+    return False, TRIALS
 
 
 # -- catalog entries -------------------------------------------------------------

@@ -167,8 +167,10 @@ class TestBranch:
         assert "verify k=1: match (direct)" in out
 
     def test_kmax_sweep(self, capsys):
-        code, out, _ = run(capsys, "branch", "F4", "B4", "1", "1", "--verify", "--kmax", "2")
+        # --verify checks every degree from 1 to DEGREE
+        code, out, _ = run(capsys, "branch", "F4", "B4", "1", "2", "--verify")
         assert code == 0
+        assert "verify k=1: match" in out
         assert "verify k=2: match" in out
 
     def test_no_rule(self, capsys):
@@ -193,8 +195,8 @@ class TestBranch:
 
 # Inputs that used to give a wrong verdict, a traceback or a vacuous
 # check; each must now exit with code 2 and a one-line error.  The removed
-# --mod-prime option is a usage error: argparse prints the usage line and
-# then the one-line error.
+# --mod-prime, --trials and --kmax options are usage errors: argparse
+# prints the usage line and then the one-line error.
 INPUT_DEFECTS = [
     (["spherical", "G2", "A2", "1", "--trials", "0"], 2),
     (["spherical", "G2", "A2", "1", "--trials", "-3"], 2),
@@ -364,6 +366,73 @@ class TestDataDir:
     def test_missing_data(self, capsys, tmp_path):
         code, _, err = run(capsys, "classify", "G2", "--data", str(tmp_path / "nope"))
         assert code == 2
+
+    def test_data_variable_changes_nothing(self, capsys, monkeypatch, tmp_path):
+        # --data, load_catalog(data_dir) and load_rules(data_dir) are the
+        # one data-directory switch: the environment is not read
+        argvs = (("classify", "G2"), ("branch", "G2", "A2", "1", "2", "--verify"))
+        want = [run(capsys, *argv) for argv in argvs]
+        assert [code for code, _, _ in want] == [0, 0]
+        cat = load_catalog()
+        monkeypatch.setenv("LIEBRANCH_DATA", str(tmp_path / "missing"))
+        assert [run(capsys, *argv) for argv in argvs] == want
+        assert load_catalog() is load_catalog(None) is cat
+        # the same directory, named another way, is parsed once
+        assert load_catalog(data_dir_default() + "/.") is cat
+
+
+@pytest.fixture
+def typeonly_data(tmp_path):
+    """The packaged data with the G2 > A2 record cut to its type: rules.txt
+    still has the rule for G2 A2 node 1, but no generators are known."""
+    data = tmp_path / "data"
+    shutil.copytree(data_dir_default(), data)
+    path = data / "embeddings.txt"
+    text = path.read_text(encoding="utf-8")
+    record = "embed A2 in G2\nkind subsystem\nnode 1\nroot 1 = (3,1)\nroot 2 = (0,1)\n"
+    assert record in text
+    path.write_text(text.replace(record, "embed A2 in G2\nkind typeonly\n"), encoding="utf-8")
+    return str(data)
+
+
+class TestEntryWithoutGenerators:
+    # every subcommand that needs the generators calls the entry unsupported
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spherical", "G2", "A2", "1"],
+            ["mult", "G2", "A2", "w1", "l1"],
+            ["branch", "G2", "A2", "1", "1", "--verify"],
+        ],
+        ids=" ".join,
+    )
+    def test_unsupported(self, capsys, typeonly_data, argv):
+        code, out, err = run(capsys, *argv, "--data", typeonly_data)
+        assert (code, out) == (3, "")
+        assert err == "error: G2 > A2 is catalogued without an explicit embedding\n"
+
+    def test_rule_expands_without_generators(self, capsys, typeonly_data):
+        argv = ("branch", "G2", "A2", "1", "2")
+        assert run(capsys, *argv, "--data", typeonly_data) == run(capsys, *argv)
+
+    def test_classify_text(self, capsys, typeonly_data):
+        code, out, _ = run(capsys, "classify", "G2", "--data", typeonly_data)
+        assert code == 0
+        assert [line for line in out.splitlines() if "undecided" in line] == [
+            "A2       typeonly  node 1: undecided (none, none)",
+            "A2       typeonly  node 2: undecided (none, none)",
+        ]
+
+    def test_classify_json(self, capsys, typeonly_data):
+        code, out, _ = run(
+            capsys, "classify", "G2", "--format", "json", "--data", typeonly_data
+        )
+        assert code == 0
+        rows = [r for r in json.loads(out)["rows"] if r["subgroup"] == "A2"]
+        assert [(r["node"], r["verdict"], r["method"], r["certainty"]) for r in rows] == [
+            (1, "undecided", "none", "none"),
+            (2, "undecided", "none", "none"),
+        ]
 
 
 # a data directory: the packaged files with at most one replaced by text
@@ -802,15 +871,6 @@ class TestSubprocess:
         proc = self._run("mult", "E7", "A7", "4w1", "l4")
         assert proc.returncode == 0
         assert proc.stdout.strip().endswith(": 1")
-
-    def test_data_env(self, tmp_path):
-        for name in ("embeddings.txt", "rules.txt"):
-            shutil.copy(os.path.join(data_dir_default(), name), tmp_path / name)
-        proc = self._run(
-            "classify", "G2", env={"LIEBRANCH_DATA": str(tmp_path)}
-        )
-        assert proc.returncode == 0
-        assert "spherical: 2 of" in proc.stdout
 
 
 README = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")

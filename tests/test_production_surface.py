@@ -1,7 +1,9 @@
 """Only production code in the package: every function and method in
 ``src/liebranch`` is referenced elsewhere in the package, is exported in
 ``__all__``, or is a command line entry point.  Code that only the tests
-call belongs in ``tests/oracles.py``."""
+call belongs in ``tests/oracles.py``.  The guard matches names, so a
+definition that shares its name with an attribute read anywhere in the
+package escapes it."""
 
 import ast
 import pathlib

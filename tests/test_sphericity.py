@@ -196,7 +196,7 @@ def test_typeonly_has_no_setup():
 
 @pytest.mark.parametrize("g", ["G2", "F4", "E6", "E7", "E8"])
 def test_classification(g):
-    rows = classify_group(CAT, g, seed=0, trials=8)
+    rows = classify_group(CAT, g, seed=0)
     got = {(r.h_name, r.node) for r in rows if r.verdict == "spherical"}
     assert got == SPHERICAL[g]
     assert not any(r.verdict == "undecided" for r in rows)
@@ -264,18 +264,18 @@ TRANSLATE_CASES = [
 @pytest.mark.parametrize("g,h,node,expect", TRANSLATE_CASES)
 def test_translate_agrees_with_orbit_method(g, h, node, expect):
     emb = CAT.get(g, h)
-    ok, _ = generic_translate_test(emb, node, seed=0, trials=6)
+    ok, _ = generic_translate_test(emb, node, seed=0)
     assert ok is expect
     setup = SphericitySetup(emb, node)
-    x, _ = setup.find_witness(seed=0, trials=6)
+    x, _ = setup.find_witness(seed=0)
     assert (x is not None) is expect
 
 
 def test_translate_exact_matches_modular():
     emb = CAT.get("E6", "F4")
     for node in (1, 2):
-        exact, _ = translate_test_exact(emb, node, seed=5, trials=2)
-        modular, _ = generic_translate_test(emb, node, seed=5, trials=2)
+        exact, _ = translate_test_exact(emb, node, seed=5)
+        modular, _ = generic_translate_test(emb, node, seed=5)
         assert exact is modular is True
 
 
