@@ -6,6 +6,7 @@ from liebranch.characters import decompose
 from liebranch.chevalley import chevalley_basis
 from liebranch.embeddings import (
     Embedding,
+    data_dir_default,
     load_catalog,
     parse_embeddings,
     subsystem_simple_images,
@@ -25,6 +26,14 @@ from oracles import (
 @pytest.fixture(scope="module")
 def cat():
     return load_catalog()
+
+
+def test_catalog_ignores_data_dir_variable(cat, monkeypatch, tmp_path):
+    # load_catalog(data_dir) is the one switch: the environment is not read
+    monkeypatch.setenv("LIEBRANCH_DATA", str(tmp_path / "missing"))
+    assert load_catalog() is load_catalog(None) is cat
+    # the same directory, named another way, is parsed once
+    assert load_catalog(data_dir_default() + "/.") is cat
 
 
 def test_catalog_shape(cat):
