@@ -11,8 +11,11 @@ zero, so expansion is always at exact degree.
 
 Every rule is stated for res V(k*omega_i), the module that `branch`
 labels and `mult` computes; the paper's rules for res V*(k*omega_i) are
-their H-duals.  `verify_rule` compares an expansion against the exact
-character-level decomposition of that module, one restriction per degree.
+their H-duals.  Since V(k*omega_{i*}) = V(k*omega_i)*, the rule at node
+i* is the H-dual of the rule at i: a rule file states one of the two,
+and loading derives the other (`Rule.dual`).  `verify_rule` compares an
+expansion against the exact character-level decomposition of that
+module, one restriction per degree.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ from dataclasses import dataclass, field
 
 from .characters import decompose
 from .embeddings import resolve_data_dir
-from .rootsys import LieError, SimpleType, TypeSpec, simple_type
+from .rootsys import (
+    LieError, SimpleType, TypeSpec, product_system, root_system, simple_type,
+)
 
 RULE_FILE_FORMAT = 1
 
@@ -71,6 +76,17 @@ class Rule:
         rec(0, k, [0] * rank, 0)
         return out
 
+    def dual(self):
+        """The rule at node i*: V(k*omega_{i*}) = V(k*omega_i)*, so each
+        generator (d, nu, q) becomes its H-dual (d, -w0 nu, -q)."""
+        perm = product_system(TypeSpec.parse(self.h_name)).dual_perm
+        gens = tuple(
+            Generator(g.degree, tuple(g.weight[p] for p in perm), -g.charge)
+            for g in self.generators
+        )
+        node = root_system(self.ambient).dual_node(self.node)
+        return Rule(self.ambient, self.h_name, node, gens, self.bounded, self.label)
+
 
 @dataclass
 class RuleEntry:
@@ -85,8 +101,30 @@ def _rule_key(g, h, node):
 
 
 class RuleBook:
+    """The stated rules, closed under the diagram duality: a line at a
+    node i != i* also gives the rule at i*, its H-dual.  A primary rule
+    stated at both i and i*, or a primary rule at i = i* that is not its
+    own H-dual, is an error."""
+
     def __init__(self, rules):
-        self.rules = list(rules)
+        stated = list(rules)
+        primary = {
+            _rule_key(r.ambient, r.h_name, r.node) for r in stated if r.label is None
+        }
+        self.rules = list(stated)
+        for r in stated:
+            d = r.dual()
+            if d.node != r.node:
+                if r.label is None and _rule_key(d.ambient, d.h_name, d.node) in primary:
+                    raise LieError(
+                        f"rules for {r.ambient} {r.h_name} at nodes {r.node} and "
+                        f"{d.node}: state one, the other is its H-dual"
+                    )
+                self.rules.append(d)
+            elif r.label is None and Counter(d.generators) != Counter(r.generators):
+                raise LieError(
+                    f"rule for {r.ambient} {r.h_name} node {r.node} is not its own H-dual"
+                )
         self.by_key = {}
         for r in self.rules:
             key = _rule_key(r.ambient, r.h_name, r.node)

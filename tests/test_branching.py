@@ -81,12 +81,31 @@ READINGS[("E6", "D5xT1", 6)] = (True, False)
 # The 12 E6 triples at the nodes that the diagram duality moves.
 E6_MOVED = [t for t in TRIPLES if t[0] == "E6" and t[2] in (1, 3, 5, 6)]
 
+# The variants of the rule book: four stated, and the H-duals of the two
+# stated at E6 nodes 1 and 3.
 VARIANTS = [
     ("F4", "B4", 4, "printed"),
+    ("E6", "D5xT1", 1, "table"),
     ("E6", "D5xT1", 3, "printed"),
+    ("E6", "D5xT1", 5, "printed"),
     ("E6", "D5xT1", 6, "table"),
     ("E7", "E6xT1", 2, "printed"),
 ]
+
+# The lines that rules.txt once stated at E6 nodes 5 and 6, before
+# loading derived them as the H-duals of the rules at nodes 3 and 1.
+DERIVED_LINES = [
+    "rule E6 A5xA1 6 : a1 + 2*a2 + a3 = k -> a1*l5 + a2*l4 + a3*l2 + a1*l6",
+    "rule E6 F4 5 : a1 + a2 + a3 = k -> a1*l1 + a2*l3 + a3*l4",
+    "rule E6 F4 6 : a1 <= k -> a1*l4",
+    "rule E6 C4 6 : a1 + 2*a2 + 2*a3 = k -> a1*l2 + a2*l4",
+    "rule E6 D5xT1 5 : a1 + a2 + a3 + a4 + a5 + a6 = k -> (a1+a6)*l1 + a2*l2 + a3*l3"
+    " + a4*l4 + (a5+a6)*l5 @ -2*a1 + 4*a2 - 2*a3 + a4 - 5*a5 + a6",
+    "rule E6 D5xT1 6 : a1 + a2 + a3 = k -> a1*l1 + a2*l5 @ 2*a1 - a2 - 4*a3",
+]
+FORMER_VARIANT = (
+    "rulevariant table E6 D5xT1 6 : a1 + a2 + a3 = k -> a1*l1 + a2*l4 @ 2*a1 - a2 - 4*a3"
+)
 
 # Dimension of the ring of highest-weight vectors in C[G/P_i], equal to
 # the number of monoid generators (bounded rules count their slack).
@@ -114,7 +133,7 @@ class TestLoading:
         primary = [r for r in book.rules if r.label is None]
         variants = [r for r in book.rules if r.label is not None]
         assert len(primary) == 25
-        assert len(variants) == 4
+        assert len(variants) == 6
 
     def test_triples(self, book):
         assert sorted(book.by_key) == TRIPLES
@@ -128,6 +147,22 @@ class TestLoading:
         for key in sorted(book.by_key):
             if key not in seen:
                 assert book.get(*key).variants == []
+
+    @pytest.mark.parametrize("line", DERIVED_LINES)
+    def test_derived_rule_equals_former_line(self, book, line):
+        # each rule at E6 node 5 or 6 is derived, and equals the line that
+        # stated it, as a generator multiset
+        g, h, node = line.split()[1:4]
+        stated = parse_rules("format 1\n" + line).get(g, h, int(node)).primary
+        derived = book.get(g, h, int(node)).primary
+        assert Counter(derived.generators) == Counter(stated.generators)
+
+    def test_derived_variant_equals_former_line(self, book):
+        text = "\n".join(["format 1", DERIVED_LINES[-1], FORMER_VARIANT])
+        (stated,) = parse_rules(text).get("E6", "D5xT1", 6).variants
+        (derived,) = book.get("E6", "D5xT1", 6).variants
+        assert derived.label == stated.label == "table"
+        assert Counter(derived.generators) == Counter(stated.generators)
 
     def test_missing_rule(self, book):
         with pytest.raises(LieError):
@@ -204,6 +239,20 @@ class TestParsing:
                 "rule G2 A2 1 : a1 = k -> a1*l1\n"
                 "rule G2 A2 1 : a1 = k -> a1*l2"
             ),
+            # a rule stated at both i and i*: the one at i* is derived
+            (
+                "format 1\n"
+                "rule E6 F4 1 : a1 <= k -> a1*l4\n"
+                "rule E6 F4 6 : a1 <= k -> a1*l4"
+            ),
+            # the printed E7 > E6xT1 node-2 generators are not self-dual,
+            # so as a rule at a node with i = i* they do not load
+            (
+                "format 1\n"
+                "rule E7 E6xT1 2 : a1 + a2 + a3 + 2*a4 + a5 + a6 + a7 = k -> a1*l1"
+                " + (a2+a7)*l2 + a3*l3 + a4*l4 + a5*l5 + a6*l6"
+                " @ -a1 + 3*a2 + a3 - a5 - 2*a6"
+            ),
         ],
     )
     def test_rejects(self, text):
@@ -211,7 +260,9 @@ class TestParsing:
             parse_rules(text)
 
     def test_comments_and_blanks_ignored(self):
-        rb = parse_rules("# c\n\nformat 1\n# c\nrule G2 A2 1 : a1 = k -> a1*l1\n")
+        rb = parse_rules(
+            "# c\n\nformat 1\n# c\nrule G2 A2 1 : a1 + a2 <= k -> a1*l1 + a2*l2\n"
+        )
         assert len(rb.rules) == 1
 
 

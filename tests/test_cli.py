@@ -161,6 +161,20 @@ class TestBranch:
         assert code == 5
         assert json.loads(out)["verify"] == [{"k": 1, "direct": False, "dual": True}]
 
+    def test_rule_at_both_dual_nodes(self, capsys, tmp_path):
+        # the rule at node 6 is derived from the rule at node 1, so a file
+        # that states both is bad input
+        shutil.copy(os.path.join(data_dir_default(), "embeddings.txt"), tmp_path)
+        (tmp_path / "rules.txt").write_text(
+            "format 1\n"
+            "rule E6 F4 1 : a1 <= k -> a1*l4\n"
+            "rule E6 F4 6 : a1 <= k -> a1*l4\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "branch", "E6", "F4", "1", "1", "--data", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert "nodes 1 and 6" in err
+
     def test_direct_only_reading(self, capsys):
         code, out, _ = run(capsys, "branch", "E6", "D5xT1", "6", "1", "--verify")
         assert code == 0
