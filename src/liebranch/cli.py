@@ -177,13 +177,10 @@ def cmd_branch(args):
         _require_generators(g, emb)
         checks = []
         for k in range(1, args.degree + 1):
-            res = verify_rule(emb, rule, k)
-            checks.append({"k": k, "direct": res.direct, "dual": res.dual})
-            if res.direct:
-                readings = "direct, dual" if res.dual else "direct"
-                lines.append(f"verify k={k}: match ({readings})")
-            else:
-                lines.append(f"verify k={k}: MISMATCH")
+            ok = verify_rule(emb, rule, k)
+            checks.append({"k": k, "direct": ok})
+            lines.append(f"verify k={k}: {'match' if ok else 'MISMATCH'}")
+            if not ok:
                 code = EXIT_INCONSISTENT
         payload["verify"] = checks
     _emit(args, payload, lines)

@@ -561,6 +561,7 @@ class TypeSpec:
     torus: int = 0
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def parse(text: str) -> "TypeSpec":
         factors = []
         torus = 0

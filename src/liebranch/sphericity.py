@@ -38,11 +38,6 @@ of them is reported as sampled evidence.
 Neither test has a mode over Q.  The tests compare both against exact
 ranks over Q; exp(ad n) and the translate test over Q are test oracles
 (``tests/oracles.py``), not package code.
-
-The number of generators of the ring of functions on the open cell that
-are eigenvectors of B_H (for spherical pairs) is ``dim N - d + 1`` where
-d is the generic orbit dimension of the unipotent part of the Levi of
-B_H; this is exposed as ``invariant_ring_dim``.
 """
 
 from __future__ import annotations
@@ -184,22 +179,6 @@ class SphericitySetup:
             if self.dense_orbit(x):
                 return x, t
         return None, TRIALS
-
-    def generic_orbit_dim(self, seed=0, trials=8):
-        """Largest unipotent-Levi orbit dimension seen over sampled points.
-
-        A single sequential random stream makes the result monotone in the
-        trial count for a fixed seed.
-        """
-        rng = random.Random(subseed(seed, "orbit", self.emb.name, self.node))
-        best = 0
-        for _ in range(trials):
-            x = self.random_point(rng)
-            best = max(best, self.tangent_rank(x, include_torus=False))
-        return best
-
-    def invariant_ring_dim(self, seed=0, trials=8):
-        return self.n_dim - self.generic_orbit_dim(seed, trials) + 1
 
     def describe_point(self, x):
         """Readable form of a cell point: [(coeff, positive root), ...]."""

@@ -32,6 +32,11 @@ loading does not check.  None of them is imported by the package.
 - ``n_roots`` and ``removed``: the roots of the cell coordinates of a
   ``SphericitySetup``, and the rank of the image of lie(H) in
   g/lie(P_i), recomputed from ``Embedding.lie_h_vectors``.
+- ``generic_orbit_dim`` and ``invariant_ring_dim``: the generic orbit
+  dimension d of the unipotent part of the Levi of B_H on the open cell
+  N, and dim N - d + 1, the number of generators of the ring of
+  B_H-eigenfunctions there.  The geometric count that the monoid rank of
+  each branching rule is checked against.
 - ``freudenthal_character``: the dominant character of V(lam) by
   Freudenthal's recursion summed over every positive root, its dominant
   weights found by a walk that tries every root at every step.  Compared
@@ -264,6 +269,27 @@ def removed(setup):
     for v in setup.emb.lie_h_vectors():
         span.add([v.get(k, 0) for k in cols])
     return span.rank
+
+
+def generic_orbit_dim(setup, seed=0, trials=TRIALS):
+    """Largest orbit dimension of the unipotent part of the Levi of B_H
+    seen over sampled points of a ``SphericitySetup``'s cell.
+
+    A single sequential random stream makes the result monotone in the
+    trial count for a fixed seed.
+    """
+    rng = random.Random(subseed(seed, "orbit", setup.emb.name, setup.node))
+    best = 0
+    for _ in range(trials):
+        x = setup.random_point(rng)
+        best = max(best, setup.tangent_rank(x, include_torus=False))
+    return best
+
+
+def invariant_ring_dim(setup, seed=0, trials=TRIALS):
+    """dim N - d + 1, d the generic orbit dimension: the number of
+    generators of the ring of B_H-eigenfunctions on the open cell."""
+    return setup.n_dim - generic_orbit_dim(setup, seed, trials) + 1
 
 
 # -- weights -------------------------------------------------------------------

@@ -65,19 +65,6 @@ TRIPLES = sorted(
 # Depth of the verification sweep, per ambient group.
 KMAX = {"G2": 5, "F4": 3, "E6": 2, "E7": 2}
 
-# Expected (direct, dual) verification flags.  Every rule is stated for
-# res V(k*omega_i) (direct); it also matches res V(k*omega_{i*}) (dual)
-# only when that module has the same classes.  At the E6 nodes 1, 3, 5
-# and 6 the A5xA1 and D5xT1 rows match only directly; F4 and C4 restrict
-# V(k*omega_i) and V(k*omega_{i*}) alike.
-READINGS = {key: (True, True) for key in TRIPLES}
-READINGS[("E6", "A5xA1", 1)] = (True, False)
-READINGS[("E6", "A5xA1", 6)] = (True, False)
-READINGS[("E6", "D5xT1", 1)] = (True, False)
-READINGS[("E6", "D5xT1", 3)] = (True, False)
-READINGS[("E6", "D5xT1", 5)] = (True, False)
-READINGS[("E6", "D5xT1", 6)] = (True, False)
-
 # The 12 E6 triples at the nodes that the diagram duality moves.
 E6_MOVED = [t for t in TRIPLES if t[0] == "E6" and t[2] in (1, 3, 5, 6)]
 
@@ -327,19 +314,16 @@ class TestVerification:
     def test_rule_matches_decomposition(self, book, catalog, g, h, node):
         emb = catalog.get(g, h)
         rule = book.get(g, h, node).primary
-        expect_direct, expect_dual = READINGS[(g, h, node)]
         for k in range(1, KMAX[g] + 1):
-            res = verify_rule(emb, rule, k)
-            assert res.direct is expect_direct, (k, "direct")
-            assert res.dual is expect_dual, (k, "dual")
-            assert res.direct, (k, "no primary rule may match only the dual")
+            assert verify_rule(emb, rule, k) is True, k
 
     @pytest.mark.parametrize("g,h,node", E6_MOVED)
     def test_dual_reading_needs_no_second_restriction(
         self, book, catalog, monkeypatch, g, h, node
     ):
-        # reference for the derived dual flag: restrict V(k*omega_{i*})
-        # itself, a second restriction that verify_rule must not make
+        # res V(k*omega_{i*}) is the H-dual of res V(k*omega_i), the fact
+        # that derives the rule at i* from the rule at i; verify_rule
+        # restricts once per degree
         emb = catalog.get(g, h)
         rule = book.get(g, h, node).primary
         dnode = root_system(emb.ambient).dual_node(node)
@@ -358,9 +342,8 @@ class TestVerification:
                 (dual_weight(emb.hsys, nu), -q): m for (nu, q), m in classes.items()
             }
             calls.clear()
-            res = verify_rule(emb, rule, k)
+            assert verify_rule(emb, rule, k)
             assert calls == [lam]
-            assert res.dual is (dual == dict(rule.expand(k)))
 
     @pytest.mark.parametrize("g,h,node,label", VARIANTS)
     def test_variants_fail(self, book, catalog, g, h, node, label):
@@ -368,16 +351,12 @@ class TestVerification:
         var = next(
             v for v in book.get(g, h, node).variants if v.label == label
         )
-        res = verify_rule(emb, var, 1)
-        assert not res.direct
-        assert not res.dual
-        assert not (res.direct or res.dual)
+        assert verify_rule(emb, var, 1) is False
 
     def test_degree_zero_matches(self, book, catalog):
         emb = catalog.get("G2", "A2")
         rule = book.get("G2", "A2", 1).primary
-        res = verify_rule(emb, rule, 0)
-        assert res.direct and res.dual
+        assert verify_rule(emb, rule, 0) is True
 
 
 class TestDiscovery:
@@ -394,8 +373,7 @@ class TestDiscovery:
         emb = catalog.get("G2", "A2")
         gens = discover_generators(emb, node, k_probe=3)
         probe = Rule(SimpleType("G", 2), "A2", node, tuple(gens), False)
-        res = verify_rule(emb, probe, 4)
-        assert res.direct
+        assert verify_rule(emb, probe, 4)
 
     def test_torus_charges_discovered(self, catalog, book):
         emb = catalog.get("E7", "E6xT1")

@@ -21,9 +21,6 @@ ALLOWED = {
     "RootSystem.weyl_order": "called by bench/",
     "RootSystem.stabilizer_order": "called by bench/",
     "RootSystem.orbit_size": "called by bench/",
-    # the derivation of the monoid rank from the orbit side (ROADMAP item 4)
-    "SphericitySetup.generic_orbit_dim": "kept for branch --derive",
-    "SphericitySetup.invariant_ring_dim": "kept for branch --derive",
 }
 
 
