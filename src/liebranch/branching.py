@@ -24,6 +24,7 @@ import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .characters import decompose
 from .embeddings import resolve_data_dir
@@ -286,7 +287,13 @@ def parse_rules(text):
 
 
 def load_rules(data_dir=None):
-    path = os.path.join(resolve_data_dir(data_dir), "rules.txt")
+    """The rule book of the resolved data directory, parsed once per path."""
+    return _load_rules_at(resolve_data_dir(data_dir))
+
+
+@lru_cache(maxsize=None)
+def _load_rules_at(data_dir):
+    path = os.path.join(data_dir, "rules.txt")
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()

@@ -1,16 +1,18 @@
 """Exact linear algebra over Q and over prime fields.
 
-Vectors are dense lists of Fraction/int.  The incremental reduced
+Vectors come in as dense lists of Fraction/int.  The incremental reduced
 row-echelon span SpanQ is the only elimination over Q, and the only
 rational arithmetic, in the package: it splits the flag columns of a
 sphericity setup into pivots and the free columns of the open cell.
-SpanMod takes every rank the sphericity tests need, modulo a prime.
+SpanMod takes every rank the sphericity tests need, modulo a prime; it
+packs each row into one int, so that an elimination step is one big-int
+multiply-add instead of one interpreted operation per entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from operator import lshift
 
 
 class SpanQ:
@@ -61,47 +63,48 @@ class SpanQ:
 
 
 class SpanMod:
-    """Reduced row-echelon span over Z/p for a fixed odd prime p.
+    """Row-echelon span over Z/p for a fixed odd prime p, one int per row.
 
-    Every row is 1 at its pivot and 0 at the other rows' pivots, and its
-    first nonzero entry is its pivot, so the rows are the reduced echelon
-    form of the span whatever order the vectors came in.  A vector's
-    coefficients on the rows are then its entries at the pivots, and its
-    residue at a free column f is one dot product with the f-entries of
-    the rows.  The rows are stored by free column: ``cols[q]`` holds the
-    entries of every row at ``free[q]``.
+    A vector is packed into one int with a slot of W bits per column,
+    entry j at bit W * j.  Each stored row r is reduced modulo p, is 1 at
+    its pivot and 0 at the pivots of the earlier rows, and is stored
+    negated, as the packed residues of -r.  Eliminating a vector against
+    row k is then one big-int multiply-add v += c * row_k, with c the
+    vector's residue at the pivot, and the slots are reduced once, at the
+    end.  Adding c * row_k puts less than p^2 in a slot and a vector meets
+    at most dim rows, so a slot stays below p + dim * p^2; W is the bit
+    length of that bound, and no slot carries into the next.  For p below
+    2^30, W is about 2 * 30 + log2(dim).
     """
 
     def __init__(self, dim: int, p: int):
-        self.dim = dim
         self.p = p
-        self.pivots = []  # pivot column of row r
-        self.free = list(range(dim))  # non-pivot columns, ascending
-        self.cols = [[] for _ in range(dim)]  # cols[q][r]: row r at free[q]
+        width = (p + dim * p * p).bit_length()  # W
+        self.mask = (1 << width) - 1
+        self.slots = range(0, width * dim, width)  # bit offset of each column
+        self.shifts = []  # bit offset of the pivot of rows[k]
+        self.rows = []  # packed residues of -(row k)
 
     @property
     def rank(self):
-        return len(self.pivots)
+        return len(self.rows)
 
     def add(self, vec) -> bool:
         """Insert a vector; True if it enlarged the span.  The new pivot is
-        the lowest free column where the residue of ``vec`` is nonzero."""
-        p = self.p
-        coefs = [vec[j] for j in self.pivots]
-        res = [(vec[f] - sum(map(mul, coefs, col))) % p
-               for f, col in zip(self.free, self.cols)]
-        q = next((q for q, c in enumerate(res) if c), None)
-        if q is None:
-            return False
-        inv = pow(res.pop(q), -1, p)
-        pcol = self.cols.pop(q)
-        self.pivots.append(self.free.pop(q))
-        # new row: residue / its pivot entry; clear the new pivot column
-        # from the old rows
-        for col, r in zip(self.cols, res):
-            c = r * inv % p
+        the lowest column where the residue of ``vec`` is nonzero."""
+        p, mask, slots = self.p, self.mask, self.slots
+        v = sum(map(lshift, [x % p for x in vec], slots))
+        # rows in insertion order: each is 0 at the earlier rows' pivots,
+        # so a cleared pivot stays cleared
+        for s, row in zip(self.shifts, self.rows):
+            c = (v >> s & mask) % p
             if c:
-                col[:] = [(a - c * b) % p for a, b in zip(col, pcol)]
-            col.append(c)
+                v += c * row
+        res = [(v >> s & mask) % p for s in slots]
+        j = next((j for j, c in enumerate(res) if c), None)
+        if j is None:
+            return False
+        neg = p - pow(res[j], -1, p)  # -1 / pivot entry
+        self.shifts.append(slots[j])
+        self.rows.append(sum(map(lshift, [x * neg % p for x in res], slots)))
         return True
-

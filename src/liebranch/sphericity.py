@@ -58,7 +58,10 @@ from .rootsys import LieError, root_system, simple_type
 # modulo p is nonzero), so a hit is exact at any prime.  It exceeds
 # dim E8 = 248, so exp(ad n) can divide by every k.  Below 2^30 every
 # residue is one CPython digit, which keeps the products and reductions of
-# SpanMod, project and exp_ad_apply on the interpreter's single-digit path.
+# project and exp_ad_apply on the interpreter's single-digit path.  SpanMod
+# packs a row into one int with a slot of (p + dim * p^2).bit_length()
+# bits per column, about 2 * 30 + log2(dim): 66 bits for the 56-column
+# E8 > E7xA1 node-8 cell and 67 for the 106 columns of the largest E8 flag.
 PRIME = 2**30 - 35
 
 # Random points (orbit test) or translates (translate test) tried per pair

@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from liebranch.branching import load_rules
 from liebranch.characters import decompose
 from liebranch.chevalley import chevalley_basis
 from liebranch.embeddings import (
@@ -34,6 +35,13 @@ def test_catalog_ignores_data_dir_variable(cat, monkeypatch, tmp_path):
     assert load_catalog() is load_catalog(None) is cat
     # the same directory, named another way, is parsed once
     assert load_catalog(data_dir_default() + "/.") is cat
+
+
+def test_rules_parsed_once_per_directory():
+    book = load_rules()
+    assert load_rules(None) is book
+    # the same directory, named another way, is parsed once
+    assert load_rules(data_dir_default() + "/.") is book
 
 
 def test_catalog_shape(cat):
