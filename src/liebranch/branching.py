@@ -16,23 +16,23 @@ i* is the H-dual of the rule at i: a rule file states one of the two,
 and loading derives the other (`Rule.dual`).  `verify_rule` compares an
 expansion against the exact character-level decomposition of that
 module, one restriction per degree.
+
+A rule file has the grammar of `embeddings.data_lines`: a ``format 1``
+header, then ``rule`` and ``rulevariant <label>`` lines.
 """
 
 from __future__ import annotations
 
-import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .characters import decompose
-from .embeddings import resolve_data_dir
+from .embeddings import data_lines, read_data_file, resolve_data_dir
 from .rootsys import (
     LieError, SimpleType, TypeSpec, product_system, root_system, simple_type,
 )
-
-RULE_FILE_FORMAT = 1
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,6 @@ _CHARGE_TERM = re.compile(r"([+-]?)(?:(\d+)\*)?a(\d+)")
 
 
 def _parse_degrees(text):
-    text = text.replace(" ", "")
     if text.endswith("<=k"):
         bounded, body = True, text[:-3]
     elif text.endswith("=k"):
@@ -178,7 +177,6 @@ def _parse_degrees(text):
 
 
 def _parse_weights(text, n_gens, rank):
-    text = text.replace(" ", "")
     if not text:
         raise LieError("empty weight side after '->'")
     rebuilt = []
@@ -200,7 +198,6 @@ def _parse_weights(text, n_gens, rank):
 
 
 def _parse_charges(text, n_gens):
-    text = text.replace(" ", "")
     if not text:
         raise LieError("empty charge form after '@'")
     charges = [0] * n_gens
@@ -235,7 +232,7 @@ def _parse_rule_line(payload, label):
         raise LieError(f"bad node {node_text!r}") from None
     if not 1 <= node <= ambient.rank:
         raise LieError(f"node {node} out of range for {ambient}")
-    lhs, arrow, rhs = tail.partition("->")
+    lhs, arrow, rhs = tail.replace(" ", "").partition("->")
     if not arrow:
         raise LieError("missing '->'")
     degrees, bounded = _parse_degrees(lhs)
@@ -260,27 +257,17 @@ def _parse_rule_line(payload, label):
 
 def parse_rules(text):
     rules = []
-    saw_format = False
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for ln, head, rest in data_lines(text, "line"):
         try:
-            if line.startswith("format"):
-                if line.split() != ["format", str(RULE_FILE_FORMAT)]:
-                    raise LieError(f"unsupported format {line!r}")
-                saw_format = True
-            elif not saw_format:
-                raise LieError(f"missing 'format {RULE_FILE_FORMAT}' header")
-            elif line.startswith("rulevariant"):
-                fields = line.split(None, 2)
-                if len(fields) != 3:
+            if head == "rule":
+                rules.append(_parse_rule_line(rest, None))
+            elif head == "rulevariant":
+                fields = rest.split(None, 1)
+                if len(fields) != 2:
                     raise LieError("expected 'rulevariant <label> <rule>'")
-                rules.append(_parse_rule_line(fields[2], fields[1]))
-            elif line.startswith("rule"):
-                rules.append(_parse_rule_line(line[4:], None))
+                rules.append(_parse_rule_line(fields[1], fields[0]))
             else:
-                raise LieError(f"unknown directive {line.split()[0]!r}")
+                raise LieError(f"unknown directive {head!r}")
         except LieError as e:
             raise LieError(f"line {ln}: {e}") from None
     return RuleBook(rules)
@@ -293,13 +280,7 @@ def load_rules(data_dir=None):
 
 @lru_cache(maxsize=None)
 def _load_rules_at(data_dir):
-    path = os.path.join(data_dir, "rules.txt")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise LieError(f"cannot read rule file: {e}") from None
-    return parse_rules(text)
+    return parse_rules(read_data_file(data_dir, "rules.txt"))
 
 
 def verify_rule(emb, rule, k):

@@ -28,6 +28,9 @@ list and its rows from the start.  Weight restriction is the linear map
 given by the rows (plus the torus coweight for Levi entries),
 `Embedding.weight_image`, and needs no Chevalley basis; only the
 sphericity tests build x_j and y_j in one.
+
+Both data files, ``embeddings.txt`` and ``rules.txt``, are read by
+`read_data_file` in one grammar, `data_lines`.
 """
 
 from __future__ import annotations
@@ -249,7 +252,6 @@ _ROOT_TUPLE_RE = re.compile(r"^\(([-0-9,\s]+)\)$")
 
 
 def _parse_root(tok, rank):
-    tok = tok.strip()
     m = _ROOT_TUPLE_RE.match(tok)
     if m:
         try:
@@ -365,7 +367,6 @@ def parse_embeddings(text: str):
     cur_roots = {}
     cur_chev = {}
     seen = set()
-    saw_format = False
 
     def once(directive):  # a second line in one record would override the first
         if directive in seen:
@@ -399,23 +400,14 @@ def parse_embeddings(text: str):
         records.append(cur)
         cur, cur_roots, cur_chev, seen = None, {}, {}, set()
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+    for lineno, head, rest in data_lines(text, "embeddings data line"):
         if head == "embed":
             finish()
         try:
-            if head == "format":
-                if rest != "1":
-                    raise LieError(f"unsupported format {rest!r}")
-                saw_format = True
-            elif head == "embed":
+            if head == "embed":
                 fields = rest.split()
                 if len(fields) != 3 or fields[1] != "in":
-                    raise LieError(f"bad embed line {line!r}")
+                    raise LieError(f"bad embed line {rest!r}")
                 cur = Embedding(simple_type(fields[2]), fields[0], kind="typeonly")
                 cur_line = lineno
             elif cur is None:
@@ -434,36 +426,25 @@ def parse_embeddings(text: str):
             elif head == "coweight":
                 once(head)
                 cur.coweight = _parse_root(rest, cur.ambient.rank)
-            elif head == "root":
+            elif head in ("root", "chev"):
                 m = re.match(r"^([0-9]+)\s*=\s*(.+)$", rest)
                 if not m:
-                    raise LieError(f"bad root line {line!r}")
-                once(f"root {int(m.group(1))}")
-                cur_roots[int(m.group(1))] = _parse_root(
-                    m.group(2), cur.ambient.rank
-                )
-            elif head == "chev":
-                m = re.match(r"^([0-9]+)\s*=\s*(.+)$", rest)
-                if not m:
-                    raise LieError(f"bad chev line {line!r}")
-                once(f"chev {int(m.group(1))}")
-                terms = []
-                for tok in m.group(2).split():
-                    sign = 1
-                    if tok[0] == "+":
-                        tok = tok[1:]
-                    elif tok[0] == "-":
-                        sign = -1
-                        tok = tok[1:]
-                    terms.append((sign, _parse_root(tok, cur.ambient.rank)))
-                cur_chev[int(m.group(1))] = terms
+                    raise LieError(f"bad {head} line {rest!r}")
+                j, value, rank = int(m.group(1)), m.group(2), cur.ambient.rank
+                once(f"{head} {j}")
+                if head == "root":
+                    cur_roots[j] = _parse_root(value, rank)
+                else:  # signed terms +<r> or -<r>
+                    cur_chev[j] = [
+                        (-1 if tok[0] == "-" else 1,
+                         _parse_root(tok[1:] if tok[0] in "+-" else tok, rank))
+                        for tok in value.split()
+                    ]
             else:
                 raise LieError(f"unknown directive {head!r}")
         except LieError as e:
             raise LieError(f"embeddings data line {lineno}: {e}") from None
     finish()
-    if not saw_format:
-        raise LieError("embeddings data: missing format line")
     return records
 
 
@@ -503,6 +484,41 @@ def resolve_data_dir(data_dir=None):
     return os.path.abspath(data_dir_default() if data_dir is None else data_dir)
 
 
+def data_lines(text, where):
+    """``(line number, directive, rest)`` for each line of a data file, in
+    the grammar both data files share: ``#`` starts a comment anywhere,
+    any whitespace separates words, the directive is the first word, and
+    the first line is the header ``format 1``, given once.  An error names
+    its line as ``<where> <number>``, the parser's own prefix."""
+    header = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = " ".join(raw.split("#", 1)[0].split())
+        if not line:
+            continue
+        head, _, rest = line.partition(" ")
+        if not header:
+            if line != "format 1":
+                raise LieError(
+                    f"{where} {lineno}: expected the header 'format 1', got {line!r}"
+                )
+            header = True
+        elif head == "format":
+            raise LieError(f"{where} {lineno}: repeated format line")
+        else:
+            yield lineno, head, rest
+    if not header:
+        raise LieError(f"{where} 1: expected the header 'format 1'")
+
+
+def read_data_file(data_dir, name):
+    """The text of the data file ``name`` in ``data_dir``."""
+    try:
+        with open(os.path.join(data_dir, name), encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise LieError(f"cannot read {name}: {e}") from None
+
+
 def load_catalog(data_dir=None) -> Catalog:
     """The catalog of the resolved data directory, parsed once per path."""
     return _load_catalog_at(resolve_data_dir(data_dir))
@@ -510,10 +526,4 @@ def load_catalog(data_dir=None) -> Catalog:
 
 @lru_cache(maxsize=None)
 def _load_catalog_at(data_dir) -> Catalog:
-    path = os.path.join(data_dir, "embeddings.txt")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise LieError(f"cannot read embedding catalog: {e}") from None
-    return Catalog(parse_embeddings(text))
+    return Catalog(parse_embeddings(read_data_file(data_dir, "embeddings.txt")))

@@ -145,15 +145,11 @@ class SphericitySetup:
         """Sparse element from cell coordinates."""
         return {k: c for k, c in zip(self.n_coords, coeffs) if c}
 
-    def tangent_rank(self, x, include_torus=True):
+    def tangent_rank(self, x):
         """Rank modulo PRIME of the tangent space at the cell point x of the
-        B_H-orbit, or without ``include_torus`` of the orbit of the
-        unipotent part of the Levi of B_H."""
-        gens = list(self.levi_vectors)
-        if include_torus:
-            gens = list(self.torus_vectors) + gens
+        B_H-orbit."""
         span = SpanMod(self.n_dim, PRIME)
-        for u in gens:
+        for u in self.torus_vectors + self.levi_vectors:
             span.add(self.project(self.cb.bracket(u, x), mod_prime=True))
             if span.rank == self.n_dim:
                 break
@@ -161,7 +157,7 @@ class SphericitySetup:
 
     def dense_orbit(self, x):
         """True when the Borel orbit through the cell point x is dense."""
-        return self.tangent_rank(x, include_torus=True) == self.n_dim
+        return self.tangent_rank(x) == self.n_dim
 
     def random_point(self, rng):
         while True:

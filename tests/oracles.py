@@ -60,9 +60,9 @@ from fractions import Fraction
 
 from liebranch.chevalley import chevalley_basis, neg
 from liebranch.embeddings import subsystem_simple_images
-from liebranch.linalg import SpanQ
+from liebranch.linalg import SpanMod, SpanQ
 from liebranch.rootsys import LieError, root_system
-from liebranch.sphericity import TRIALS, flag_columns, subseed
+from liebranch.sphericity import PRIME, TRIALS, flag_columns, subseed
 
 
 # -- linear algebra and Chevalley bases over Q ---------------------------------
@@ -271,6 +271,16 @@ def removed(setup):
     return span.rank
 
 
+def unipotent_rank(setup, x):
+    """Rank modulo PRIME of the tangent space at the cell point x of the
+    orbit of the unipotent part of the Levi of B_H: the rank that
+    ``SphericitySetup.tangent_rank`` takes without the torus of H."""
+    span = SpanMod(setup.n_dim, PRIME)
+    for u in setup.levi_vectors:
+        span.add(setup.project(setup.cb.bracket(u, x), mod_prime=True))
+    return span.rank
+
+
 def generic_orbit_dim(setup, seed=0, trials=TRIALS):
     """Largest orbit dimension of the unipotent part of the Levi of B_H
     seen over sampled points of a ``SphericitySetup``'s cell.
@@ -282,7 +292,7 @@ def generic_orbit_dim(setup, seed=0, trials=TRIALS):
     best = 0
     for _ in range(trials):
         x = setup.random_point(rng)
-        best = max(best, setup.tangent_rank(x, include_torus=False))
+        best = max(best, unipotent_rank(setup, x))
     return best
 
 

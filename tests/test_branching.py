@@ -252,6 +252,13 @@ class TestParsing:
         )
         assert len(rb.rules) == 1
 
+    def test_trailing_comment_ignored(self):
+        rb = parse_rules(
+            "format 1\nrule G2 A2 1 : a1 + a2 <= k -> a1*l1 + a2*l2  # note\n"
+        )
+        want = parse_rules(SAMPLE).get("G2", "A2", 1).primary
+        assert rb.get("G2", "A2", 1).primary == want
+
 
 class TestExpansion:
     def test_degree_zero(self, book):

@@ -590,11 +590,22 @@ BAD_DATA = {
     "rule_unsigned_charges": (
         "rules.txt", "format 1\nrule E6 D5xT1 1 : a1 + a2 = k -> a1*l1 + a2*l4 @ a1a2\n"
     ),
+    # a directive is the whole first word: no prefix of it is matched
+    "rule_glued_to_ambient": (
+        "rules.txt", "format 1\nruleG2 A2 1 : a1 + a2 <= k -> a1*l1 + a2*l2\n"
+    ),
+    "rulevariant_glued_to_label": (
+        "rules.txt",
+        "format 1\nrulevariantZZ lab G2 A2 1 : a1 + a2 <= k -> a1*l1 + a2*l2\n"
+        "rule G2 A2 1 : a1 + a2 <= k -> a1*l1 + a2*l2\n",
+    ),
+    # a catalog line between the header and the first embed line
+    "outside_a_record": ("embeddings.txt", "format 1\ngarbage\n"),
 }
 
 # the check that rejects each BAD_DATA fixture, as a fragment of its message
 DATA_MESSAGES = {
-    "bad_embeddings": "line 1: directive 'garbage' outside a record",
+    "bad_embeddings": "embeddings data line 1: expected the header 'format 1', got 'garbage'",
     "bad_rules": "line 2: missing ':'",
     "folded_without_chev": "kind folded needs chev lines",
     "levi_without_roots": "kind levi needs root lines and a coweight",
@@ -631,6 +642,9 @@ DATA_MESSAGES = {
     "node_gives_other_type": "embeddings data line 2: A2 in G2: removal node 2 gives A1xA1",
     "rule_empty_charges": "line 2: empty charge form after '@'",
     "rule_unsigned_charges": "line 2: cannot parse charge form 'a1a2'",
+    "rule_glued_to_ambient": "line 2: unknown directive 'ruleG2'",
+    "rulevariant_glued_to_label": "line 2: unknown directive 'rulevariantZZ'",
+    "outside_a_record": "line 2: directive 'garbage' outside a record",
 }
 
 
@@ -688,6 +702,9 @@ DATA_EXIT_CASES = [
     (["mult", "G2", "A2", "w1", "l1"], "node_gives_other_type", 2),
     (["branch", "G2", "A2", "1", "1"], "rule_empty_charges", 2),
     (["branch", "G2", "A2", "1", "1"], "rule_unsigned_charges", 2),
+    (["branch", "G2", "A2", "1", "1"], "rule_glued_to_ambient", 2),
+    (["branch", "G2", "A2", "1", "1"], "rulevariant_glued_to_label", 2),
+    (["classify", "G2"], "outside_a_record", 2),
     (["dims", "A3"], None, 3),
     (["classify", "A3"], None, 3),
     (["spherical", "A3", "A2", "1"], None, 3),

@@ -371,6 +371,11 @@ def test_parser_rejects_bad_input():
     with pytest.raises(LieError):
         # root lines must cover 1..rank
         parse_embeddings("format 1\nembed A2 in G2\nkind subsystem\nroot 1 = a1\n")
+    # the header comes first, and once
+    with pytest.raises(LieError, match="^embeddings data line 1: expected the header"):
+        parse_embeddings("embed A2 in G2\nkind subsystem\nnode 1\nformat 1\n")
+    with pytest.raises(LieError, match="^embeddings data line 5: repeated format line$"):
+        parse_embeddings("format 1\nembed A2 in G2\nkind subsystem\nnode 1\nformat 1\n")
 
 
 @pytest.mark.parametrize(
@@ -461,6 +466,14 @@ def test_parser_rejects_terms_that_differ_by_a_root():
     text = "format 1\nembed A1 in F4\nkind folded\nchev 1 = +a4 +(0,1,2,1)\n"
     with pytest.raises(LieError, match=r"\) - \(.* is a root"):
         parse_embeddings(text)
+
+
+def test_tabs_separate_like_spaces():
+    spaces = parse_embeddings("format 1\nembed A2 in G2\nkind subsystem\nnode 1\n")
+    tabs = parse_embeddings("format\t1\nembed A2 in G2\nkind\tsubsystem\nnode 1\n")
+    assert [(r.kind, r.simple_images) for r in tabs] == [
+        (r.kind, r.simple_images) for r in spaces
+    ]
 
 
 def test_parse_roundtrip_minimal():
