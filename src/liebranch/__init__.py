@@ -15,14 +15,13 @@ from .characters import (
     restrict_collapsed,
 )
 from .embeddings import load_catalog
-from .rootsys import LieError, ProductSystem, RootSystem, SimpleType, TypeSpec, root_system
+from .rootsys import LieError, RootSystem, SimpleType, TypeSpec, root_system
 from .sphericity import SphericitySetup, classify_group, classify_pair, flag_dimension
 
 __version__ = "0.1.0"
 
 __all__ = [
     "LieError",
-    "ProductSystem",
     "RootSystem",
     "SimpleType",
     "SphericitySetup",

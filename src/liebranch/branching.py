@@ -31,7 +31,7 @@ from functools import lru_cache
 from .characters import decompose
 from .embeddings import data_lines, read_data_file, resolve_data_dir
 from .rootsys import (
-    LieError, SimpleType, TypeSpec, product_system, root_system, simple_type,
+    LieError, SimpleType, TypeSpec, root_system, simple_type,
 )
 
 
@@ -80,7 +80,7 @@ class Rule:
     def dual(self):
         """The rule at node i*: V(k*omega_{i*}) = V(k*omega_i)*, so each
         generator (d, nu, q) becomes its H-dual (d, -w0 nu, -q)."""
-        perm = product_system(TypeSpec.parse(self.h_name)).dual_perm
+        perm = root_system(TypeSpec.parse(self.h_name)).dual_perm
         gens = tuple(
             Generator(g.degree, tuple(g.weight[p] for p in perm), -g.charge)
             for g in self.generators

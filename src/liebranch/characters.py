@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from operator import add, sub
 
-from .rootsys import LieError, ProductSystem, root_system
+from .rootsys import LieError, RootSystem, root_system
 
 _DOM_CHAR_CACHE: dict = {}
 _ORBIT_CACHE: dict = {}
@@ -163,12 +163,12 @@ def module_dimension(t, lam):
     return root_system(t).weyl_dimension(lam)
 
 
-def dominant_character_product(ps: ProductSystem, lam):
+def dominant_character_product(ps: RootSystem, lam):
     """Per-factor product of dominant characters, over joined weights."""
     ps.check_rank(lam)
     out = {(): 1}
-    for sys, part in zip(ps.systems, ps.split(lam)):
-        factor = dominant_character(sys.type, part)
+    for f, part in zip(ps.factors, ps.split(lam)):
+        factor = dominant_character(f, part)
         nxt = {}
         for head, m in out.items():
             for w, mw in factor.items():
@@ -258,7 +258,7 @@ def multiplicity_of(emb, lam, target, charge=0, collapsed=None):
     so the term vanishes once height_key(rho - w rho) exceeds the top
     height among the keys of this charge minus height_key(target).  W_H
     is the Weyl group of the block-diagonal Cartan matrix of H, so
-    `ProductSystem.weyl_orbit_signed` walks the orbit of rho in one
+    `RootSystem.weyl_orbit_signed` walks the orbit of rho in one
     layered walk over all factors at once, and only the order ideal of
     the weak order below that bound.  Much cheaper than a full
     decomposition when only one entry is wanted.

@@ -39,7 +39,7 @@ import importlib.resources
 import os
 import re
 from functools import lru_cache
-from operator import sub
+from operator import mul, sub
 
 from .chevalley import chevalley_basis, neg
 from .rootsys import (
@@ -49,25 +49,11 @@ from .rootsys import (
     WeightImage,
     diagram_components,
     match_cartan,
-    product_system,
     root_system,
     simple_type,
 )
 
 KINDS = ("subsystem", "levi", "folded", "typeonly")
-
-
-def _pairing_matrix(rs, betas):
-    """M[i][j] = <beta_j, beta_i^vee> for roots given in root coordinates."""
-    n = len(betas)
-    M = [[0] * n for _ in range(n)]
-    for i in range(n):
-        ni = rs.norm2(betas[i])
-        for j in range(n):
-            v = 2 * rs.inner_rr(betas[j], betas[i])
-            assert v % ni == 0
-            M[i][j] = v // ni
-    return M
 
 
 def node_subsystem_roots(rs, node):
@@ -98,8 +84,10 @@ def subsystem_simple_images(g: SimpleType, node: int):
         # a - a = 0 is not in pos_set
         if not any(tuple(map(sub, a, b)) in pos_set for b in pos):
             simples.append(a)
-    # split into connected components and put each in Bourbaki order
-    M = _pairing_matrix(rs, simples)
+    # split into connected components and put each in Bourbaki order:
+    # M[i][j] = <beta_j, beta_i^vee>
+    weights = [rs.weight_of_root(b) for b in simples]
+    M = [[sum(map(mul, c, w)) for w in weights] for c in map(rs.coroot, simples)]
     factors = []
     for comp in diagram_components(M):
         t, order = match_cartan([[M[i][j] for j in comp] for i in comp])
@@ -116,7 +104,7 @@ class Embedding:
         self.name = name
         self.kind = kind
         self.spec = TypeSpec.parse(name)
-        self.hsys = product_system(self.spec) if self.spec.factors else None
+        self.hsys = root_system(self.spec) if self.spec.factors else None
         self.node = None  # extended-diagram removal node (subsystem)
         self.coweight = None  # torus pairing row (levi)
         self.simple_images = None  # list of G-roots, one per H node
@@ -434,11 +422,11 @@ def parse_embeddings(text: str):
                 once(f"{head} {j}")
                 if head == "root":
                     cur_roots[j] = _parse_root(value, rank)
-                else:  # signed terms +<r> or -<r>
+                else:  # signed terms +<r> or -<r>, split at spaces outside (...)
                     cur_chev[j] = [
                         (-1 if tok[0] == "-" else 1,
                          _parse_root(tok[1:] if tok[0] in "+-" else tok, rank))
-                        for tok in value.split()
+                        for tok in re.split(r" (?![^(]*\))", value)
                     ]
             else:
                 raise LieError(f"unknown directive {head!r}")

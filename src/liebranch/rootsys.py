@@ -1,4 +1,5 @@
-"""Root-system combinatorics for the finite simple Lie types.
+"""Root-system combinatorics for the finite simple Lie types and their
+products.
 
 Roots are integer coefficient tuples over the simple roots (Bourbaki
 numbering); weights are integer tuples over the fundamental weights.
@@ -13,9 +14,12 @@ reflection ``s_i`` acts on weight coordinates by
 ``mu |-> mu - mu[i] * column_i(C)``.
 
 A product of simple types (a subgroup such as A5xA1 or D5xT1, torus
-charges aside) is the root system of the block-diagonal Cartan matrix:
-``ProductSystem`` assembles it from its factors, and the Weyl-group
-methods of ``RootSystem`` serve both kinds of system.
+charges aside) is the root system of the block-diagonal Cartan matrix,
+and one class, ``RootSystem``, serves both: a simple type is the product
+with one factor.  The roots of each simple type are generated once, from
+its Cartan matrix, and a product pads its factors' roots with zeros.
+-w0 is derived from the Weyl group: omega_{i*} is the dominant conjugate
+of -omega_i.
 
 The orbit walks can carry a linear image of each point along
 (``WeightImage``), so that restriction to a subgroup never applies its
@@ -196,19 +200,6 @@ def _weyl_order(t: SimpleType):
     return _EXCEPTIONAL_WEYL_ORDER[str(t)]
 
 
-def _dual_permutation(t: SimpleType):
-    """-w0 as a permutation of the 0-based nodes of a simple type."""
-    n, fam = t.rank, t.family
-    perm = list(range(n))
-    if fam == "A":
-        perm = list(reversed(perm))
-    elif fam == "D" and n % 2 == 1:
-        perm[n - 2], perm[n - 1] = perm[n - 1], perm[n - 2]
-    elif fam == "E" and n == 6:
-        perm = [5, 1, 4, 3, 2, 0]
-    return perm
-
-
 def _coroot(d, a, wa):
     """alpha^vee over the simple coroots, for the root with coefficients a
     and weight coordinates wa; (alpha, alpha) is read off wa."""
@@ -224,74 +215,117 @@ def _coroot(d, a, wa):
     return tuple(out)
 
 
+def _weight(C, a):
+    """Weight coordinates C @ a of the root with coefficients a."""
+    return tuple(sum(map(mul, row, a)) for row in C)
+
+
+def generate_positive_roots(C):
+    """The positive roots of the Cartan matrix C in root coordinates,
+    sorted by height and then by coefficients.
+
+    Each layer adds alpha_i to a root a whenever the alpha_i-string
+    through a goes past it: p - <a, alpha_i^vee> > 0 for the length p of
+    the string below a.
+    """
+    r = len(C)
+    simples = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
+    found = set(simples)
+    layer = list(simples)
+    out = list(simples)
+    while layer:
+        nxt = []
+        for a in layer:
+            wa = _weight(C, a)
+            for i in range(r):
+                # length of the alpha_i-string below a
+                p = 0
+                b = list(a)
+                while True:
+                    b[i] -= 1
+                    if min(b) < 0 or tuple(b) not in found:
+                        break
+                    p += 1
+                if p - wa[i] > 0:
+                    c = list(a)
+                    c[i] += 1
+                    c = tuple(c)
+                    if c not in found:
+                        found.add(c)
+                        nxt.append(c)
+                        out.append(c)
+        layer = nxt
+    out.sort(key=lambda a: (sum(a), a))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _simple_data(t: SimpleType):
+    """(C, d, positive roots, mirrors, 2 rho^vee covector) of a simple
+    type, generated once per type; `RootSystem` copies them."""
+    C, d = cartan_data(t)
+    roots = generate_positive_roots(C)
+    mirrors = []
+    for a in roots:
+        wa = _weight(C, a)
+        mirrors.append((_coroot(d, a, wa), wa))
+    # <omega_j, 2 rho^vee> for height keys: 2 rho^vee is the sum of the
+    # positive coroots
+    covector = [sum(col) for col in zip(*(c for c, _ in mirrors))]
+    return C, d, roots, mirrors, covector
+
+
 class RootSystem:
-    """The root and weight combinatorics of one simple type."""
+    """The root and weight combinatorics of a simple type or of a product
+    of simple types.
 
-    def __init__(self, t: SimpleType):
+    ``RootSystem(t)`` takes a `SimpleType` or a `TypeSpec`.  A product is
+    the root system of its block-diagonal Cartan matrix: weights are
+    integer tuples over the concatenated fundamental weights of the
+    factors (``slices`` gives each factor's block), and each factor's
+    roots, coroots and weights are its type's, padded with zeros.  A
+    simple type is the product with one factor.  Central torus charges
+    are tracked by the callers (they are an embedding-level notion).
+    """
+
+    def __init__(self, t):
         self.type = t
-        self.factors = (t,)
-        self.rank = t.rank
-        self.C, self.d = cartan_data(t)
-        roots = self._generate_positive_roots()
-        self.highest_root = roots[-1]
-        mirrors = []
-        for a in roots:
-            wa = self.weight_of_root(a)
-            mirrors.append((_coroot(self.d, a, wa), wa))
-        # <omega_j, 2 rho^vee> for height keys: 2 rho^vee is the sum of
-        # the positive coroots
-        covector = [sum(col) for col in zip(*(c for c, _ in mirrors))]
-        self._set_roots(roots, mirrors, covector, _dual_permutation(t))
-
-    def _set_roots(self, roots, mirrors, covector, dual_perm):
+        self.factors = (t,) if isinstance(t, SimpleType) else t.factors
+        self.rank = n = sum(f.rank for f in self.factors)
+        self.C = [[0] * n for _ in range(n)]
+        self.d = []
+        self.slices = []
+        # (coroot, weight) of every positive root, in the order of
+        # positive_roots: the reflections s_a
+        self.positive_roots, self.mirrors, self._two_rho_covector = [], [], []
+        for f in self.factors:
+            C, d, roots, mirrors, covector = _simple_data(f)
+            sl = slice(len(self.d), len(self.d) + f.rank)
+            self.slices.append(sl)
+            for i, row in enumerate(C):
+                self.C[sl.start + i][sl] = row
+            self.d += d
+            left, right = (0,) * sl.start, (0,) * (n - sl.stop)
+            self.positive_roots += [left + a + right for a in roots]
+            self.mirrors += [(left + c + right, left + w + right) for c, w in mirrors]
+            self._two_rho_covector += covector
         # the nonzero entries (j, C[j][i]) of each column i of C: the
         # coordinates a simple reflection s_i changes
         self._columns = [
-            [(j, row[i]) for j, row in enumerate(self.C) if row[i]]
-            for i in range(self.rank)
+            [(j, row[i]) for j, row in enumerate(self.C) if row[i]] for i in range(n)
         ]
-        self.positive_roots = roots
-        self.index = {a: k for k, a in enumerate(roots)}
-        self.n_pos = len(roots)
-        self.rho = (1,) * self.rank
-        # (coroot, weight) of every positive root, in the order of
-        # positive_roots: the reflections s_a
-        self.mirrors = mirrors
-        self._two_rho_covector = covector
-        self.dual_perm = dual_perm
+        self.index = {a: k for k, a in enumerate(self.positive_roots)}
+        self.n_pos = len(self.positive_roots)
+        self.rho = (1,) * n
 
-    # -- construction --------------------------------------------------
+    @property
+    def highest_root(self):
+        """The highest root of a simple type: the last positive root."""
+        return self.positive_roots[-1]
 
-    def _generate_positive_roots(self):
-        r = self.rank
-        simples = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
-        found = set(simples)
-        layer = list(simples)
-        out = list(simples)
-        while layer:
-            nxt = []
-            for a in layer:
-                wa = self.weight_of_root(a)
-                for i in range(r):
-                    # length of the alpha_i-string below a
-                    p = 0
-                    b = list(a)
-                    while True:
-                        b[i] -= 1
-                        if min(b) < 0 or tuple(b) not in found:
-                            break
-                        p += 1
-                    if p - wa[i] > 0:
-                        c = list(a)
-                        c[i] += 1
-                        c = tuple(c)
-                        if c not in found:
-                            found.add(c)
-                            nxt.append(c)
-                            out.append(c)
-            layer = nxt
-        out.sort(key=lambda a: (sum(a), a))
-        return out
+    def split(self, mu):
+        """mu cut into the factors' blocks."""
+        return [tuple(mu[sl]) for sl in self.slices]
 
     # -- root arithmetic ------------------------------------------------
 
@@ -299,7 +333,7 @@ class RootSystem:
         return a in self.index or tuple(-x for x in a) in self.index
 
     def weight_of_root(self, a):
-        return tuple(sum(map(mul, row, a)) for row in self.C)
+        return _weight(self.C, a)
 
     def inner_rr(self, a, b):
         """Invariant form of two roots given in root coordinates."""
@@ -445,6 +479,20 @@ class RootSystem:
                         seen.add(y)
                         stack.append((y, tuple(v - p * s for v, s in zip(img, sa))))
 
+    def weyl_orbit_signed(self, mu, bound):
+        """Yield (x, sign) over the orbit points x of a dominant weight mu
+        with height_key(mu - x) <= bound.
+
+        The sign is (-1)^k for a point in layer k of `weyl_orbit_layers`,
+        at distance k from mu in the weak order; ``bound = 2 *
+        height_key(mu)`` keeps the whole orbit, and a negative bound keeps
+        nothing.
+        """
+        for depth, layer in enumerate(self.weyl_orbit_layers(mu, bound)):
+            sign = -1 if depth % 2 else 1
+            for x in layer:
+                yield x, sign
+
     @cached_property
     def coroot_chain(self):
         """(order, steps, weights): the order of `coroot_pairings`.
@@ -502,6 +550,17 @@ class RootSystem:
 
     # -- weights ---------------------------------------------------------
 
+    @cached_property
+    def dual_perm(self):
+        """-w0 as a permutation of the 0-based nodes: -w0 omega_i is the
+        dominant conjugate of -omega_i, the fundamental weight omega_{i*}.
+        Built on first use."""
+        perm = []
+        for i in range(self.rank):
+            dom, _ = self.dominant_signed(tuple(-int(j == i) for j in range(self.rank)))
+            perm.append(dom.index(1))
+        return perm
+
     def dual_node(self, i):
         """-w0 as an involution of 1-based node labels."""
         return self.dual_perm[i - 1] + 1
@@ -524,7 +583,8 @@ class RootSystem:
 
 
 @lru_cache(maxsize=None)
-def root_system(t: SimpleType) -> RootSystem:
+def root_system(t) -> RootSystem:
+    """The cached RootSystem of a SimpleType or a TypeSpec: one per type."""
     return RootSystem(t)
 
 
@@ -603,63 +663,8 @@ def simple_type(t) -> SimpleType:
     return spec.factors[0]
 
 
-class ProductSystem(RootSystem):
-    """The root system of a product of simple factors.
-
-    It is the root system of the block-diagonal Cartan matrix, assembled
-    from the factors' cached root systems: weights are integer tuples over
-    the concatenated fundamental weights of the semisimple part, and the
-    positive roots are the factors' roots, padded with zeros.  Central
-    torus charges are tracked separately by the callers (they are an
-    embedding-level notion).
-    """
-
-    def __init__(self, spec: TypeSpec):
-        self.type = spec
-        self.factors = spec.factors
-        self.systems = [root_system(f) for f in spec.factors]
-        self.rank = n = spec.rank_ss
-        self.C = [[0] * n for _ in range(n)]
-        self.d = []
-        self.slices = []
-        roots, mirrors, covector, dual_perm = [], [], [], []
-        at = 0
-        for s in self.systems:
-            sl = slice(at, at + s.rank)
-            self.slices.append(sl)
-            for i, row in enumerate(s.C):
-                self.C[at + i][sl] = row
-            self.d += s.d
-            left, right = (0,) * at, (0,) * (n - sl.stop)
-            roots += [left + a + right for a in s.positive_roots]
-            mirrors += [(left + c + right, left + w + right) for c, w in s.mirrors]
-            covector += s._two_rho_covector
-            dual_perm += [at + p for p in s.dual_perm]
-            at = sl.stop
-        self._set_roots(roots, mirrors, covector, dual_perm)
-
-    def split(self, mu):
-        return [tuple(mu[sl]) for sl in self.slices]
-
-    def weyl_orbit_signed(self, mu, bound):
-        """Yield (x, sign) over the orbit points x of a dominant weight mu
-        with height_key(mu - x) <= bound.
-
-        The sign is (-1)^k for a point in layer k of
-        `RootSystem.weyl_orbit_layers`, at distance k from mu in the weak
-        order; ``bound = 2 * height_key(mu)`` keeps the whole orbit, and a
-        negative bound keeps nothing.
-        """
-        for depth, layer in enumerate(self.weyl_orbit_layers(mu, bound)):
-            sign = -1 if depth % 2 else 1
-            for x in layer:
-                yield x, sign
-
-
-@lru_cache(maxsize=None)
-def product_system(spec: TypeSpec) -> ProductSystem:
-    """The cached ProductSystem of a spec: one per subgroup type."""
-    return ProductSystem(spec)
+# the former name of the product case: bench/ still builds and traces it
+ProductSystem = RootSystem
 
 
 _WEIGHT_TERM_RE = re.compile(r"^([0-9]+)?([wl])([0-9]+)$")

@@ -48,7 +48,7 @@ loading does not check.  None of them is imported by the package.
   (``Embedding.weight_image``); the full-orbit restriction oracle and
   the weight goldens use this.
 - ``fundamental`` and ``dual_weight``: the fundamental weights, and -w0
-  on weights, of a ``RootSystem`` (a ``ProductSystem`` is one).  Test
+  on weights, of a ``RootSystem``, simple or a product.  Test
   inputs, and the duality that characters and branching rules are
   checked against.
 """
@@ -358,5 +358,5 @@ def fundamental(rs, i):
 
 
 def dual_weight(system, mu):
-    """-w0 mu for a RootSystem or a ProductSystem."""
+    """-w0 mu for a RootSystem, simple or a product."""
     return tuple(mu[system.dual_node(j + 1) - 1] for j in range(system.rank))

@@ -23,7 +23,7 @@ from liebranch.characters import (
 )
 from liebranch.chevalley import chevalley_basis
 from liebranch.embeddings import load_catalog
-from liebranch.rootsys import ProductSystem, SimpleType, TypeSpec, root_system
+from liebranch.rootsys import RootSystem, SimpleType, TypeSpec, root_system
 from liebranch.sphericity import (
     SphericitySetup,
     classify_group,
@@ -304,7 +304,7 @@ def test_criterion_6_multiplicity_counterexamples(catalog):
             multiplicity_of(emb, lam, w, charge=q, collapsed=collapsed)
             == variant_value
         )
-        ps = ProductSystem(emb.spec)
+        ps = RootSystem(emb.spec)
         total = sum(m * ps.weyl_dimension(w) for (w, _), m in dec.items())
         assert total == module_dimension(emb.ambient, lam)
     assert time.monotonic() - t0 < 3600
@@ -318,7 +318,7 @@ def test_criterion_6_e8_recorded_assertions(catalog):
         rs = root_system(emb.ambient)
         assert rs.is_dominant(lam)
         assert module_dimension(emb.ambient, lam) > 10**6
-        ps = ProductSystem(emb.spec)
+        ps = RootSystem(emb.spec)
         assert ps.is_dominant(target)
         assert charge == 0
     print("criterion 6 (recorded external assertions): PASS")
@@ -354,7 +354,7 @@ def test_criterion_6_e8_computed(catalog):
         dec = decompose(emb, lam, collapsed=collapsed)
         decs[(g, h, lam)] = (collapsed, dec)
         assert {k: v for k, v in dec.items() if v >= 2} == mult2, (g, h, lam)
-        ps = ProductSystem(emb.spec)
+        ps = RootSystem(emb.spec)
         total = sum(m * ps.weyl_dimension(w) for (w, _), m in dec.items())
         assert total == module_dimension(emb.ambient, lam), (g, h, lam)
         for w, q in mult2:
@@ -420,7 +420,7 @@ def test_criterion_7c_decompose_conserves_dimension(catalog, book):
     for g, h, node in sorted(book.by_key):
         emb = catalog.get(g, h)
         rs = root_system(emb.ambient)
-        ps = ProductSystem(emb.spec)
+        ps = RootSystem(emb.spec)
         for k in (1, 2):
             lam = tuple(k if j == node - 1 else 0 for j in range(rs.rank))
             dec = decompose(emb, lam)

@@ -17,7 +17,7 @@ from liebranch.branching import (
 )
 from liebranch.characters import decompose
 from liebranch.embeddings import load_catalog
-from liebranch.rootsys import LieError, ProductSystem, SimpleType, TypeSpec, root_system
+from liebranch.rootsys import LieError, RootSystem, SimpleType, TypeSpec, root_system
 from oracles import dual_weight
 
 
@@ -307,7 +307,7 @@ class TestExpansion:
         # These nodes are fixed by the diagram duality, so the class
         # multiset must be stable under (w, q) -> (w*, -q).
         rule = book.get(g, h, node).primary
-        ps = ProductSystem(TypeSpec.parse(h))
+        ps = RootSystem(TypeSpec.parse(h))
         for k in (1, 2, 3):
             classes = rule.expand(k)
             flipped = Counter(

@@ -23,7 +23,7 @@ from liebranch.branching import load_rules
 from liebranch.embeddings import load_catalog
 from liebranch.rootsys import (
     LieError,
-    ProductSystem,
+    RootSystem,
     SimpleType,
     parse_weight,
     root_system,
@@ -136,7 +136,7 @@ def test_weight_length_must_be_the_rank(t, lam):
 
 
 # a subgroup weight of the wrong length is bad input: zip and
-# ProductSystem.split would cut it and answer for a shorter weight
+# RootSystem.split would cut it and answer for a shorter weight
 @pytest.mark.parametrize(
     "h,nu", [("F4", (0, 0, 0, 1, 5)), ("F4", (1,)), ("D5xT1", (1,) * 6)]
 )
@@ -248,7 +248,7 @@ def test_character_duality():
 
 
 def test_product_character():
-    ps = ProductSystem(CAT.get("E6", "A5xA1").spec)
+    ps = RootSystem(CAT.get("E6", "A5xA1").spec)
     ch = dominant_character_product(ps, (1, 0, 0, 0, 1, 2))
     total = sum(m * ps.orbit_size(mu) for mu, m in ch.items())
     assert total == ps.weyl_dimension((1, 0, 0, 0, 1, 2))
@@ -267,7 +267,7 @@ RESTRICTION_MASS_CASES = [
 @pytest.mark.parametrize("g,h,lam", RESTRICTION_MASS_CASES)
 def test_restriction_preserves_dimension(g, h, lam):
     emb = CAT.get(g, h)
-    ps = ProductSystem(emb.spec)
+    ps = RootSystem(emb.spec)
     char = restrict_collapsed(emb, lam)
     total = sum(m * ps.orbit_size(w) for (w, _), m in char.items())
     assert total == root_system(emb.ambient).weyl_dimension(lam)
@@ -279,7 +279,7 @@ def full_orbit_restriction(emb, lam):
     dominant chamber of the subgroup, and divide the mass of each class by
     the size of its subgroup orbit."""
     rs = root_system(emb.ambient)
-    ps = ProductSystem(emb.spec)
+    ps = RootSystem(emb.spec)
     out = {}
     for mu, m in dominant_character(emb.ambient, lam).items():
         for layer in rs.weyl_orbit_layers(mu):
@@ -473,7 +473,7 @@ DIMENSION_CONSERVATION = [
 @pytest.mark.parametrize("g,h,lam", DIMENSION_CONSERVATION)
 def test_decompose_conserves_dimension(g, h, lam):
     emb = CAT.get(g, h)
-    ps = ProductSystem(emb.spec)
+    ps = RootSystem(emb.spec)
     out = decompose(emb, lam)
     total = sum(c * ps.weyl_dimension(w) for (w, _), c in out.items())
     assert total == root_system(emb.ambient).weyl_dimension(lam)
@@ -499,7 +499,10 @@ def full_racah_sum(emb, target, charge, collapsed):
     ps = emb.hsys
     total = 0
     for combo in itertools.product(
-        *(_factor_racah_terms(s, p) for s, p in zip(ps.systems, ps.split(target)))
+        *(
+            _factor_racah_terms(root_system(f), p)
+            for f, p in zip(ps.factors, ps.split(target))
+        )
     ):
         xi = sum((d for d, _ in combo), ())
         total += math.prod(c for _, c in combo) * collapsed.get((xi, charge), 0)

@@ -118,6 +118,7 @@ def test_one_product_system_per_spec(cat):
     systems = {}
     for r in cat.records:
         systems.setdefault(r.spec, set()).add(id(r.hsys))
+        assert r.hsys is root_system(r.spec)
     assert len(systems) == 33
     assert all(len(ids) == 1 for ids in systems.values())
     a1 = [r for r in cat.records if r.name == "A1"]
@@ -466,6 +467,43 @@ def test_parser_rejects_terms_that_differ_by_a_root():
     text = "format 1\nembed A1 in F4\nkind folded\nchev 1 = +a4 +(0,1,2,1)\n"
     with pytest.raises(LieError, match=r"\) - \(.* is a root"):
         parse_embeddings(text)
+
+
+C4_IN_E6 = (
+    "format 1\nembed C4 in E6\nkind folded\nchev 1 = {}\n"
+    "chev 2 = +a1 +a6\nchev 3 = +a3 -a5\nchev 4 = +a4\n"
+)
+
+
+@pytest.mark.parametrize(
+    "spaced",
+    [
+        "+(0, 1, 1, 1, 0, 0) +(0, 1, 0, 1, 1, 0)",
+        "+( 0,1,1,1,0,0 ) +(0,1,0,1,1,0)",
+        "(0, 1, 1, 1, 0, 0) +(0, 1, 0, 1, 1, 0)",
+    ],
+)
+def test_chev_root_tuples_may_hold_spaces(spaced):
+    # like root and coweight lines; spaces outside a tuple separate terms
+    [tight] = parse_embeddings(C4_IN_E6.format("+(0,1,1,1,0,0) +(0,1,0,1,1,0)"))
+    [loose] = parse_embeddings(C4_IN_E6.format(spaced))
+    assert loose.gen_terms == tight.gen_terms
+    assert loose.gen_terms[0] == [(1, (0, 1, 1, 1, 0, 0)), (1, (0, 1, 0, 1, 1, 0))]
+    [a1] = parse_embeddings("format 1\nembed A1 in G2\nkind folded\nchev 1 = +(0, 1)\n")
+    assert a1.gen_terms == [[(1, (0, 1))]]
+
+
+@pytest.mark.parametrize(
+    "bad,token",
+    [
+        ("+(0, 1, 1, 1, 0, 0 +(0,1,0,1,1,0)", "(0,"),
+        ("+(0,1,1,1,0,0)+(0,1,0,1,1,0)", "(0,1,1,1,0,0)+(0,1,0,1,1,0)"),
+        ("+(0,1,1,1,0,0) + (0,1,0,1,1,0)", ""),
+    ],
+)
+def test_chev_rejects_malformed_terms(bad, token):
+    with pytest.raises(LieError, match=re.escape(f"cannot parse root token {token!r}")):
+        parse_embeddings(C4_IN_E6.format(bad))
 
 
 def test_tabs_separate_like_spaces():

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from liebranch.embeddings import load_catalog, subsystem_simple_images
 from liebranch.rootsys import (
     LieError,
-    ProductSystem,
     RootSystem,
     SimpleType,
     TypeSpec,
     cartan_data,
     diagram_components,
     format_weight,
+    generate_positive_roots,
     match_cartan,
     parse_weight,
     root_system,
@@ -232,10 +232,55 @@ def test_dual_involutions():
     e7 = root_system(SimpleType("E", 7))
     assert all(e7.dual_node(i) == i for i in range(1, 8))
     # a product: each factor's involution, on its own block of nodes
-    a5a1 = ProductSystem(TypeSpec.parse("A5xA1"))
+    a5a1 = RootSystem(TypeSpec.parse("A5xA1"))
     assert [a5a1.dual_node(i) for i in range(1, 7)] == [5, 4, 3, 2, 1, 6]
-    d5a1 = ProductSystem(TypeSpec.parse("D5xA1"))
+    d5a1 = RootSystem(TypeSpec.parse("D5xA1"))
     assert [d5a1.dual_node(i) for i in range(1, 7)] == [1, 2, 3, 5, 4, 6]
+
+
+def tabulated_dual_permutation(t):
+    """-w0 on the 0-based nodes of a simple type, as tabulated in Bourbaki,
+    Lie Groups and Lie Algebras, Ch. VI, Plates I-IX: the reference."""
+    n, fam = t.rank, t.family
+    perm = list(range(n))
+    if fam == "A":
+        perm.reverse()
+    elif fam == "D" and n % 2 == 1:
+        perm[n - 2], perm[n - 1] = perm[n - 1], perm[n - 2]
+    elif fam == "E" and n == 6:
+        perm = [5, 1, 4, 3, 2, 0]
+    return perm
+
+
+DUAL_TYPES = [
+    SimpleType(fam, n)
+    for fam, ranks in (
+        ("A", range(1, 9)),
+        ("B", range(2, 9)),
+        ("C", range(2, 9)),
+        ("D", range(3, 9)),
+        ("E", range(6, 9)),
+        ("F", [4]),
+        ("G", [2]),
+    )
+    for n in ranks
+] + sorted({r.spec for r in load_catalog().records if r.spec.factors}, key=str)
+
+
+@pytest.mark.parametrize("t", DUAL_TYPES, ids=str)
+def test_dual_perm_is_the_tabulated_minus_w0(t):
+    rs = root_system(t)
+    want = []
+    for f in rs.factors:
+        want += [len(want) + p for p in tabulated_dual_permutation(f)]
+    perm = rs.dual_perm
+    assert perm == want
+    assert [perm[p] for p in perm] == list(range(rs.rank))
+    assert all(
+        rs.C[perm[i]][perm[j]] == rs.C[i][j]
+        for i in range(rs.rank)
+        for j in range(rs.rank)
+    )
 
 
 def test_dual_weight_preserves_dimension():
@@ -545,7 +590,7 @@ def test_format_weight_roundtrip():
 
 
 def test_product_system_basics():
-    ps = ProductSystem(TypeSpec.parse("A5xA1"))
+    ps = RootSystem(TypeSpec.parse("A5xA1"))
     assert ps.rank == 6
     mu = (1, 0, 0, 0, 0, 3)
     assert ps.split(mu) == [(1, 0, 0, 0, 0), (3,)]
@@ -559,13 +604,13 @@ def test_product_system_basics():
 
 def factor_dominant_signed(ps, mu):
     """Dominant conjugate and sign of mu, factor by factor: the reference."""
-    parts = [s.dominant_signed(p) for s, p in zip(ps.systems, ps.split(mu))]
+    parts = [root_system(f).dominant_signed(p) for f, p in zip(ps.factors, ps.split(mu))]
     return sum((p for p, _ in parts), ()), math.prod(sign for _, sign in parts)
 
 
 def factor_height_key(ps, mu):
     """height_key of mu, factor by factor: the reference."""
-    return sum(s.height_key(p) for s, p in zip(ps.systems, ps.split(mu)))
+    return sum(root_system(f).height_key(p) for f, p in zip(ps.factors, ps.split(mu)))
 
 
 def full_orbit_signed(ps, mu):
@@ -573,8 +618,9 @@ def full_orbit_signed(ps, mu):
     the sign of each factor's layer depth: the reference."""
     factors = [
         [(w, (-1) ** depth)
-         for depth, layer in enumerate(s.weyl_orbit_layers(part)) for w in layer]
-        for s, part in zip(ps.systems, ps.split(mu))
+         for depth, layer in enumerate(root_system(f).weyl_orbit_layers(part))
+         for w in layer]
+        for f, part in zip(ps.factors, ps.split(mu))
     ]
     return sorted(
         (sum((w for w, _ in combo), ()), math.prod(s for _, s in combo))
@@ -583,7 +629,7 @@ def full_orbit_signed(ps, mu):
 
 
 def test_product_orbit_signed_matches_sizes():
-    ps = ProductSystem(TypeSpec.parse("A2xA1"))
+    ps = RootSystem(TypeSpec.parse("A2xA1"))
     mu = (1, 1, 2)
     pts = list(ps.weyl_orbit_signed(mu, 2 * ps.height_key(mu)))
     assert len(pts) == ps.orbit_size(mu) == 6 * 2
@@ -599,7 +645,7 @@ def test_product_orbit_signed_matches_sizes():
     data=st.data(),
 )
 def test_product_orbit_signed_bound_filters_the_full_orbit(spec, data):
-    ps = ProductSystem(TypeSpec.parse(spec))
+    ps = RootSystem(TypeSpec.parse(spec))
     mu = tuple(data.draw(st.integers(min_value=0, max_value=2)) for _ in range(ps.rank))
     full = full_orbit_signed(ps, mu)
     top = 2 * ps.height_key(mu)
@@ -653,13 +699,14 @@ def test_product_system_is_the_block_diagonal_root_system():
         ps = r.hsys
         if ps is None:
             continue
-        for s, sl in zip(ps.systems, ps.slices):
+        systems = [root_system(f) for f in ps.factors]
+        for s, sl in zip(systems, ps.slices):
             assert [row[sl] for row in ps.C[sl]] == s.C
             assert ps.d[sl] == s.d
         assert sum(map(abs, itertools.chain(*ps.C))) == sum(
-            sum(map(abs, itertools.chain(*s.C))) for s in ps.systems
+            sum(map(abs, itertools.chain(*s.C))) for s in systems
         )
-        assert sorted(ps.positive_roots) == sorted(ps._generate_positive_roots())
+        assert sorted(ps.positive_roots) == sorted(generate_positive_roots(ps.C))
         assert ps.mirrors == [(ps.coroot(a), ps.weight_of_root(a)) for a in ps.positive_roots]
         for a in ps.positive_roots:
             assert ps.height_key(ps.weight_of_root(a)) == 2 * sum(a)
