@@ -21,11 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import add, sub
 
-from .rootsys import SimpleType, root_system
-
-
-def neg(a):
-    return tuple(-x for x in a)
+from .rootsys import SimpleType, neg, root_system
 
 
 class ChevalleyBasis:

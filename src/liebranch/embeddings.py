@@ -15,7 +15,7 @@ shapes:
 - ``typeonly``: only the isomorphism type is known to the catalog; these
   entries carry enough data for dimension counts but no generators.
 
-Generator conventions: for each simple root j of H the entry provides
+Generator conventions: for each simple root j of H the entry describes
 ``x_j`` (raising), ``y_j`` (lowering) and ``h_j = [x_j, y_j]`` in the
 ambient Chevalley basis, satisfying ``[h_i, x_j] = C_H[i][j] x_j``.  Each
 generator is a list of signed G-roots: the chev lines of a folded entry,
@@ -26,8 +26,10 @@ coroots of G.  Loading finishes every record this way and checks the
 rows against the Cartan matrix of H, so each entry holds one generator
 list and its rows from the start.  Weight restriction is the linear map
 given by the rows (plus the torus coweight for Levi entries),
-`Embedding.weight_image`, and needs no Chevalley basis; only the
-sphericity tests build x_j and y_j in one.
+`Embedding.weight_image`, and needs no Chevalley basis.  An entry holds
+catalog data only: x_j, y_j and the rest of Lie(H) in the Chevalley
+basis of G are built from the generator lists by `sphericity.lie_h`,
+the one consumer that needs them.
 
 Both data files, ``embeddings.txt`` and ``rules.txt``, are read by
 `read_data_file` in one grammar, `data_lines`.
@@ -41,7 +43,6 @@ import re
 from functools import lru_cache
 from operator import mul, sub
 
-from .chevalley import chevalley_basis, neg
 from .rootsys import (
     LieError,
     SimpleType,
@@ -49,6 +50,7 @@ from .rootsys import (
     WeightImage,
     diagram_components,
     match_cartan,
+    neg,
     root_system,
     simple_type,
 )
@@ -104,14 +106,12 @@ class Embedding:
         self.name = name
         self.kind = kind
         self.spec = TypeSpec.parse(name)
-        self.hsys = root_system(self.spec) if self.spec.factors else None
+        self.hsys = root_system(self.spec)
         self.node = None  # extended-diagram removal node (subsystem)
         self.coweight = None  # torus pairing row (levi)
         self.simple_images = None  # list of G-roots, one per H node
         self.gen_terms = None  # per H node, a list of (sign, G-root) terms
         self.rows = None  # per H node, its restriction row
-        self._built = None
-        self._roots = None
         self._image = None
 
     # -- bookkeeping -------------------------------------------------------
@@ -122,15 +122,12 @@ class Embedding:
 
     def borel_dim(self):
         """Dimension of a Borel subgroup of H."""
-        n = self.spec.torus
-        for f in self.spec.factors:
-            n += root_system(f).n_pos + f.rank
-        return n
+        return self.spec.torus + self.hsys.n_pos + self.hsys.rank
 
     def __repr__(self):
         return f"Embedding({self.name} < {self.ambient}, {self.kind})"
 
-    # -- generator construction ---------------------------------------------
+    # -- weight restriction ---------------------------------------------------
 
     def restriction_rows(self):
         """Row j: the coroot sum of generator j over the simple coroots of
@@ -138,19 +135,6 @@ class Embedding:
         if self.rows is None:
             raise LieError(f"{self.name} < {self.ambient}: no generators known")
         return self.rows
-
-    def _build(self):
-        """The raising and lowering vectors x_j and y_j."""
-        if self._built is None:
-            self.restriction_rows()  # an entry without generators raises
-            index = chevalley_basis(self.ambient).root_index
-            self._built = (
-                [{index[b]: s for s, b in terms} for terms in self.gen_terms],
-                [{index[neg(b)]: s for s, b in terms} for terms in self.gen_terms],
-            )
-        return self._built
-
-    # -- weight restriction ---------------------------------------------------
 
     def weight_image(self):
         """Weight restriction as one linear map on G-weights, with the
@@ -164,67 +148,6 @@ class Embedding:
                 rows = rows + [self.coweight]
             self._image = WeightImage(root_system(self.ambient), rows)
         return self._image
-
-    # -- subalgebra data -------------------------------------------------------
-
-    def torus_vectors(self):
-        """Sparse vectors spanning a Cartan subalgebra of Lie(H): the simple
-        coroots of H, plus the central torus sum c_j H_j for a Levi entry."""
-        rows = self.restriction_rows()
-        if self.coweight is not None:
-            rows = rows + [self.coweight]
-        return [chevalley_basis(self.ambient).h_vector(r) for r in rows]
-
-    def lie_h_vectors(self):
-        """Sparse vectors spanning Lie(H) inside the ambient algebra."""
-        pos, negs = self.root_vectors()
-        return self.torus_vectors() + pos + negs
-
-    def borel_h_vectors(self):
-        """Sparse vectors spanning a Borel subalgebra of H."""
-        pos, _ = self.root_vectors()
-        return self.torus_vectors() + pos
-
-    def root_vectors(self):
-        """Raising/lowering vectors for every positive root of H (factor by
-        factor, in each factor's root order), built by bracketing up from
-        the simple generators."""
-        if self._roots is not None:
-            return self._roots
-        cb = chevalley_basis(self.ambient)
-        xg, yg = self._build()
-        pos_out, neg_out = [], []
-        at = 0
-        for f in self.spec.factors:
-            frs = root_system(f)
-            fx = xg[at : at + f.rank]
-            fy = yg[at : at + f.rank]
-            at += f.rank
-            built_p = {}
-            built_n = {}
-            for a in frs.positive_roots:
-                if sum(a) == 1:
-                    j = a.index(1)
-                    built_p[a] = fx[j]
-                    built_n[a] = fy[j]
-                    continue
-                for i in range(f.rank):
-                    b = list(a)
-                    b[i] -= 1
-                    b = tuple(b)
-                    if min(b) >= 0 and b in built_p:
-                        vp = cb.bracket(fx[i], built_p[b])
-                        vn = cb.bracket(fy[i], built_n[b])
-                        assert vp and vn, (self.name, a)
-                        built_p[a] = vp
-                        built_n[a] = vn
-                        break
-                else:
-                    raise LieError(f"{self.name}: cannot reach root {a}")
-            pos_out.extend(built_p[a] for a in frs.positive_roots)
-            neg_out.extend(built_n[a] for a in frs.positive_roots)
-        self._roots = (pos_out, neg_out)
-        return self._roots
 
 
 def _coroot_sum(rs, terms):
@@ -300,9 +223,10 @@ def _node_roots(r):
         for b in r.simple_images:
             if b not in pos and neg(b) not in pos:
                 raise LieError(f"root {b} is not in the subsystem of node {r.node}")
-        n_pos = sum(root_system(f).n_pos for f in r.spec.factors)
-        if len(pos) != n_pos:
-            raise LieError(f"node {r.node}: {len(pos)} positive roots, not {n_pos}")
+        if len(pos) != r.hsys.n_pos:
+            raise LieError(
+                f"node {r.node}: {len(pos)} positive roots, not {r.hsys.n_pos}"
+            )
         return
     factors, _ = subsystem_simple_images(r.ambient, r.node)
     got = [t for t, _ in factors]

@@ -215,6 +215,11 @@ def _coroot(d, a, wa):
     return tuple(out)
 
 
+def neg(a):
+    """The negative of a root or weight."""
+    return tuple(-x for x in a)
+
+
 def _weight(C, a):
     """Weight coordinates C @ a of the root with coefficients a."""
     return tuple(sum(map(mul, row, a)) for row in C)
@@ -330,7 +335,7 @@ class RootSystem:
     # -- root arithmetic ------------------------------------------------
 
     def is_root(self, a):
-        return a in self.index or tuple(-x for x in a) in self.index
+        return a in self.index or neg(a) in self.index
 
     def weight_of_root(self, a):
         return _weight(self.C, a)
@@ -597,13 +602,18 @@ class WeightImage:
     the orbit walks of `RootSystem` carry A x along this way instead of
     applying A at every point.  The shifts are in the order of
     `RootSystem.coroot_chain`, so the first rank of them are A applied
-    to the columns of the Cartan matrix.
+    to the columns of the Cartan matrix.  They are tabled on the first
+    walk, so a reader of the rows alone does not pay for them.
     """
 
     def __init__(self, rs: RootSystem, rows):
+        self.rs = rs
         self.rows = [tuple(r) for r in rows]
-        weights = rs.coroot_chain[2]
-        self.shifts = [tuple(sum(map(mul, r, wa)) for r in self.rows) for wa in weights]
+
+    @cached_property
+    def shifts(self):
+        weights = self.rs.coroot_chain[2]
+        return [tuple(sum(map(mul, r, wa)) for r in self.rows) for wa in weights]
 
     def __call__(self, x):
         return tuple(sum(map(mul, r, x)) for r in self.rows)

@@ -8,11 +8,11 @@ for generic g.
 One cell construction serves every catalog kind with generators.  The
 quotient g/lie(P_i) has the basis X_{-a} over the positive roots a with
 a[i] > 0 (``flag_columns``).  The image of lie(H) there, given by the
-vectors ``Embedding.lie_h_vectors`` (torus plus bracketed root vectors,
-the same description for every kind), is reduced in column order; the
-non-pivot columns span a complement N of lie(H) + lie(P_i), the open
-cell.  For H spanned by root spaces of G these are exactly the roots
-through node i that are not roots of H.
+vectors of ``lie_h`` (torus plus bracketed root vectors, the same
+description for every kind), is reduced in column order; the non-pivot
+columns span a complement N of lie(H) + lie(P_i), the open cell.  For H
+spanned by root spaces of G these are exactly the roots through node i
+that are not roots of H.
 
 Two tests decide the pairs that the dimension count leaves open.  The
 folded entries take the translation test; every other kind with
@@ -45,11 +45,12 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .chevalley import chevalley_basis
 from .embeddings import Embedding
 from .linalg import SpanMod, SpanQ
-from .rootsys import LieError, root_system, simple_type
+from .rootsys import LieError, neg, root_system, simple_type
 
 
 # Modulus of both production rank tests: the largest prime below 2^30.
@@ -85,6 +86,47 @@ def flag_columns(cb, node):
     return [cb.m + k for k, a in enumerate(cb.rs.positive_roots) if a[i] > 0]
 
 
+@lru_cache(maxsize=None)
+def lie_h(emb: Embedding):
+    """Lie(H) inside the Chevalley basis of G, as lists of sparse vectors
+    ``(torus, raising, lowering)``.
+
+    The torus is spanned by the rows of ``emb.weight_image()``: the simple
+    coroots of H, then the central torus of a Levi entry.  The raising and
+    lowering vectors come one per positive root of H, in
+    ``emb.hsys.positive_roots`` order, from one walk over the product root
+    system: a simple root's are its generator terms, and any other root
+    a's are [x_j, x_b] and [y_j, y_b] for the first j with b = a - alpha_j
+    a positive root, built before a since it is lower.  The cached lists
+    are shared by every caller, which reads them only.
+    """
+    cb = chevalley_basis(emb.ambient)
+    torus = [cb.h_vector(row) for row in emb.weight_image().rows]
+    hs, index = emb.hsys, cb.root_index
+    simple = [
+        ({index[b]: s for s, b in terms}, {index[neg(b)]: s for s, b in terms})
+        for terms in emb.gen_terms
+    ]
+    built = {}
+    for a in hs.positive_roots:
+        if sum(a) == 1:
+            built[a] = simple[a.index(1)]
+            continue
+        for j, (x, y) in enumerate(simple):
+            b = a[:j] + (a[j] - 1,) + a[j + 1 :]
+            if b in built:
+                built[a] = cb.bracket(x, built[b][0]), cb.bracket(y, built[b][1])
+                assert all(built[a]), (emb.name, a)
+                break
+        else:
+            raise LieError(f"{emb.name}: cannot reach root {a}")
+    return (
+        torus,
+        [built[a][0] for a in hs.positive_roots],
+        [built[a][1] for a in hs.positive_roots],
+    )
+
+
 def subseed(seed, *tags):
     """Deterministic derived seed for one subtask."""
     text = ":".join([str(seed)] + [str(t) for t in tags])
@@ -102,8 +144,9 @@ class SphericitySetup:
         self.flag_dim = len(cols)
         # reduce the image of lie(H) in g/lie(P_i); a pivot is the first
         # nonzero column, so the cell columns depend only on that image
+        torus, raising, lowering = lie_h(emb)
         span = SpanQ(self.flag_dim)
-        for v in emb.lie_h_vectors():
+        for v in torus + raising + lowering:
             row = [v.get(k, 0) for k in cols]
             if any(row):
                 span.add(row)
@@ -122,12 +165,11 @@ class SphericitySetup:
             for k, ent in self._proj.items()
         }
         i = node - 1
-        pos_vecs, _ = emb.root_vectors()
         self.levi_vectors = [
-            v for v in pos_vecs
+            v for v in raising
             if all(cb.signed_root_of_index(k)[i] == 0 for k in v)
         ]
-        self.torus_vectors = emb.torus_vectors()
+        self.torus_vectors = torus
 
     def project(self, u, mod_prime=False):
         """Class of a sparse algebra element in the cell coordinates: exact
@@ -184,7 +226,7 @@ class SphericitySetup:
         out = []
         for k, c in sorted(x.items()):
             a = self.cb.signed_root_of_index(k)
-            out.append((c, tuple(-v for v in a)))
+            out.append((c, neg(a)))
         return out
 
 
@@ -196,7 +238,8 @@ def generic_translate_test(emb: Embedding, node: int, seed=0):
     cb = chevalley_basis(emb.ambient)
     flag = flag_columns(cb, node)
     target = len(flag)
-    bvecs = emb.borel_h_vectors()
+    torus, raising, _ = lie_h(emb)
+    bvecs = torus + raising
     rng = random.Random(subseed(seed, "translate", emb.name, node))
     for t in range(TRIALS):
         n = {k: rng.randint(-9, 9) for k in flag}

@@ -16,14 +16,14 @@ loading does not check.  None of them is imported by the package.
 - ``translate_test_exact``: the translate test with ranks over Q.
   Compared against ``sphericity.generic_translate_test``, which takes its
   ranks modulo ``sphericity.PRIME``.
-- ``validate`` (with ``check_span_dimension`` and ``h_dim``): the
-  defining relations of a catalog entry's generators, the Serre relations
-  among them, and the dimension of the span of Lie(H).  Loading
-  (``embeddings._check_roots``) checks only what the root system of G
-  decides; these need a Chevalley basis.
+- ``validate`` (with ``simple_generators``, ``check_span_dimension`` and
+  ``h_dim``): the defining relations of a catalog entry's generators, the
+  Serre relations among them, and the dimension of the span of Lie(H).
+  Loading (``embeddings._check_roots``) checks only what the root system
+  of G decides; these need a Chevalley basis.
 - ``h_positive_roots_in_g``: the positive roots of a root subgroup, read
   off its simple-root images.  Compared against the open cell that
-  ``SphericitySetup`` builds from ``Embedding.lie_h_vectors``.
+  ``SphericitySetup`` builds from ``sphericity.lie_h``.
 - ``cross_check_subsystems``: catalog entries with both a removal node
   and explicit root lines describe the same subsystem.  Loading checks
   only that each root line lies in the node's subsystem.
@@ -31,7 +31,7 @@ loading does not check.  None of them is imported by the package.
   recorded dense-orbit witnesses checked by ``SphericitySetup.dense_orbit``.
 - ``n_roots`` and ``removed``: the roots of the cell coordinates of a
   ``SphericitySetup``, and the rank of the image of lie(H) in
-  g/lie(P_i), recomputed from ``Embedding.lie_h_vectors``.
+  g/lie(P_i), recomputed from ``sphericity.lie_h``.
 - ``generic_orbit_dim`` and ``invariant_ring_dim``: the generic orbit
   dimension d of the unipotent part of the Levi of B_H on the open cell
   N, and dim N - d + 1, the number of generators of the ring of
@@ -62,7 +62,7 @@ from liebranch.chevalley import chevalley_basis, neg
 from liebranch.embeddings import subsystem_simple_images
 from liebranch.linalg import SpanMod, SpanQ
 from liebranch.rootsys import LieError, root_system
-from liebranch.sphericity import PRIME, TRIALS, flag_columns, subseed
+from liebranch.sphericity import PRIME, TRIALS, flag_columns, lie_h, subseed
 
 
 # -- linear algebra and Chevalley bases over Q ---------------------------------
@@ -148,7 +148,8 @@ def translate_test_exact(emb, node, seed=0):
     translates n, the same rows of exp(-ad n) lie(B_H), one SpanQ each."""
     cb = chevalley_basis(emb.ambient)
     flag = flag_columns(cb, node)
-    bvecs = [to_dense(cb, v) for v in emb.borel_h_vectors()]
+    torus, raising, _ = lie_h(emb)
+    bvecs = [to_dense(cb, v) for v in torus + raising]
     rng = random.Random(subseed(seed, "translate", emb.name, node))
     for t in range(TRIALS):
         n = {k: c for k in flag if (c := rng.randint(-9, 9))}
@@ -181,12 +182,21 @@ def _scale(u, c):
     return {k: v * c for k, v in u.items() if v * c}
 
 
+def simple_generators(emb):
+    """The simple generators (x_j, y_j) of H, one list each, read off
+    ``sphericity.lie_h`` at the simple roots of H."""
+    _, raising, lowering = lie_h(emb)
+    n = emb.rank_ss
+    ks = [emb.hsys.index[tuple(int(i == j) for i in range(n))] for j in range(n)]
+    return [raising[k] for k in ks], [lowering[k] for k in ks]
+
+
 def validate(emb):
     """Check the defining relations of the generators; raises on failure."""
     if emb.kind == "typeonly":
         return
     cb = chevalley_basis(emb.ambient)
-    xg, yg = emb._build()
+    xg, yg = simple_generators(emb)
     hg = [cb.h_vector(row) for row in emb.restriction_rows()]
     n = emb.rank_ss
     CH = emb.hsys.C
@@ -209,8 +219,9 @@ def validate(emb):
 def check_span_dimension(emb):
     cb = chevalley_basis(emb.ambient)
     span = SpanQ(cb.dim)
-    for v in emb.lie_h_vectors():
-        span.add(to_dense(cb, v))
+    for vectors in lie_h(emb):
+        for v in vectors:
+            span.add(to_dense(cb, v))
     assert span.rank == h_dim(emb), (emb.name, span.rank, h_dim(emb))
 
 
@@ -266,8 +277,9 @@ def removed(setup):
     """Rank of the image of lie(H) in g/lie(P_i), over Q."""
     cols = flag_columns(setup.cb, setup.node)
     span = SpanQ(len(cols))
-    for v in setup.emb.lie_h_vectors():
-        span.add([v.get(k, 0) for k in cols])
+    for vectors in lie_h(setup.emb):
+        for v in vectors:
+            span.add([v.get(k, 0) for k in cols])
     return span.rank
 
 

@@ -337,7 +337,7 @@ def test_restriction_builds_no_chevalley_basis(capsys, monkeypatch, tmp_path, ar
     def no_basis(t):
         raise AssertionError(f"chevalley_basis({t}) called")
 
-    for module in (liebranch.chevalley, liebranch.embeddings, liebranch.sphericity):
+    for module in (liebranch.chevalley, liebranch.sphericity):
         monkeypatch.setattr(module, "chevalley_basis", no_basis)
     # a fresh data path: a catalog that no earlier command has used
     shutil.copytree(data_dir_default(), tmp_path / "data")

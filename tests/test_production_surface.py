@@ -3,7 +3,11 @@
 ``__all__``, or is a command line entry point.  Code that only the tests
 call belongs in ``tests/oracles.py``.  The guard matches names, so a
 definition that shares its name with an attribute read anywhere in the
-package escapes it."""
+package escapes it.
+
+The layers that restrict and branch read H's roots and the weight map
+only, so they import nothing of the Lie-algebra layers: no Chevalley
+basis, no row reduction, no sphericity test."""
 
 import ast
 import pathlib
@@ -102,3 +106,44 @@ def test_allowed_names_are_definitions():
     # an allow-list entry whose definition is gone is removed with it
     defined = {q for tree in _trees().values() for q, _ in _definitions(tree)}
     assert sorted(set(ALLOWED) - defined) == []
+
+
+RESTRICTION_LAYERS = ("embeddings", "characters", "branching")
+LIE_ALGEBRA_LAYERS = {"chevalley", "linalg", "sphericity"}
+
+
+def _imported_modules(tree):
+    """The package modules a module imports, by their last name: relative
+    imports, ``from . import x`` and absolute ``liebranch.x`` alike."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {a.name.split(".")[-1] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            if node.module in (None, "liebranch"):
+                out |= {a.name for a in node.names}
+            else:
+                out.add(node.module.split(".")[-1])
+    return out
+
+
+def test_restriction_layers_import_no_lie_algebra_code():
+    trees = _trees()
+    got = {m: _imported_modules(trees[f"{m}.py"]) for m in RESTRICTION_LAYERS}
+    assert {m: got[m] & LIE_ALGEBRA_LAYERS for m in got} == {
+        m: set() for m in RESTRICTION_LAYERS
+    }
+
+
+def test_imported_modules_sees_every_import_form():
+    tree = ast.parse(
+        "from .chevalley import neg\n"
+        "from . import linalg\n"
+        "import liebranch.sphericity\n"
+        "from liebranch.rootsys import root_system\n"
+        "def f():\n"
+        "    from liebranch import characters\n"
+    )
+    assert _imported_modules(tree) == {
+        "chevalley", "linalg", "sphericity", "rootsys", "characters"
+    }

@@ -20,6 +20,7 @@ from liebranch.sphericity import (
     flag_columns,
     flag_dimension,
     generic_translate_test,
+    lie_h,
     subseed,
 )
 from oracles import (
@@ -352,7 +353,8 @@ def test_translate_rank_mod_prime_equals_rank_over_q(g, h, node):
     n = {k: c for k in flag if (c := rng.randint(-9, 9))}
     cols = cb.ad_columns({k: -c for k, c in n.items()})
     span_q, span_p = SpanQ(len(flag)), SpanMod(len(flag), PRIME)
-    for v in emb.borel_h_vectors():
+    torus, raising, _ = lie_h(emb)
+    for v in torus + raising:
         w_q = exp_ad_apply_exact(cb, cols, to_dense(cb, v))
         w_p = cb.exp_ad_apply(cols, v, PRIME)
         span_q.add([w_q[k] for k in flag])
@@ -402,5 +404,29 @@ def span_rank(emb, vectors):
 )
 def test_lie_and_borel_span_dims(emb):
     # the Levi entries' central torus comes from the coweight
-    assert span_rank(emb, emb.lie_h_vectors()) == h_dim(emb)
-    assert span_rank(emb, emb.borel_h_vectors()) == emb.borel_dim()
+    torus, raising, lowering = lie_h(emb)
+    assert span_rank(emb, torus + raising + lowering) == h_dim(emb)
+    assert span_rank(emb, torus + raising) == emb.borel_dim()
+
+
+@pytest.mark.parametrize(
+    "emb",
+    [e for e in CAT.records if e.kind != "typeonly"],
+    ids=lambda e: f"{e.ambient}-{e.name}",
+)
+def test_lie_h_root_vectors_are_torus_eigenvectors(emb):
+    # x_a has weight a under the torus of H: the simple coroot h_j acts on
+    # it by <a, alpha_j^vee>, a Levi coweight by 0, and on y_a by the
+    # negatives; a walk that brackets with another factor's generator
+    # gives a vector of the wrong weight, or none
+    cb = chevalley_basis(emb.ambient)
+    torus, raising, lowering = lie_h(emb)
+    hs = emb.hsys
+    assert len(raising) == len(lowering) == hs.n_pos
+    assert len(torus) == hs.rank + emb.spec.torus
+    for a, x, y in zip(hs.positive_roots, raising, lowering):
+        assert x and y, a
+        weight = hs.weight_of_root(a) + (0,) * emb.spec.torus
+        for t, c in zip(torus, weight):
+            assert cb.bracket(t, x) == {k: c * v for k, v in x.items() if c}, a
+            assert cb.bracket(t, y) == {k: -c * v for k, v in y.items() if c}, a
