@@ -199,7 +199,7 @@ def restrict_collapsed(emb, lam):
     torus = emb.coweight is not None
     out: dict = {}
     for mu, m in dominant_character(emb.ambient, lam).items():
-        for img in rs.weyl_orbit(mu, cone, image):
+        for img in rs.weyl_orbit(mu, image, cone):
             ss = img[:n]
             if min(ss) >= 0:
                 key = (ss, img[n] if torus else 0)

@@ -57,7 +57,7 @@ def _get_embedding(args, g, h):
 
 def _require_generators(g, emb):
     """Restriction reads an entry's generators: one without is unsupported."""
-    if emb.rows is None:
+    if emb.gen_terms is None:
         raise Unsupported(f"{g} > {emb.name} is catalogued without an explicit embedding")
 
 

@@ -22,11 +22,13 @@ generator is a list of signed G-roots: the chev lines of a folded entry,
 or the one-term list of the simple-root image of a subsystem or Levi
 entry (filled from the removal node when a subsystem has no root lines).
 h_j is the sum of the coroots of those roots, a row over the simple
-coroots of G.  Loading finishes every record this way and checks the
-rows against the Cartan matrix of H, so each entry holds one generator
-list and its rows from the start.  Weight restriction is the linear map
-given by the rows (plus the torus coweight for Levi entries),
-`Embedding.weight_image`, and needs no Chevalley basis.  An entry holds
+coroots of G.  Weight restriction is the linear map given by the rows
+(plus the torus coweight for Levi entries), `Embedding.weight_image`,
+and needs no Chevalley basis.  Loading builds each record whole, in one
+pass: the parser collects the record's directive lines in one dict, and
+`Embedding` sets every field from it, its generator lists and its
+weight map with the rows checked against the Cartan matrix of H, so no
+field of an entry is filled in after loading.  An entry holds
 catalog data only: x_j, y_j and the rest of Lie(H) in the Chevalley
 basis of G are built from the generator lists by `sphericity.lie_h`,
 the one consumer that needs them.
@@ -99,20 +101,32 @@ def subsystem_simple_images(g: SimpleType, node: int):
 
 
 class Embedding:
-    """One catalog entry: a reductive subalgebra of an exceptional algebra."""
+    """One catalog entry: a reductive subalgebra of an exceptional algebra.
 
-    def __init__(self, ambient: SimpleType, name: str, kind: str):
+    Built whole from the directive lines of its record, ``lines``: a dict
+    keyed ``("kind",)``, ``("node",)``, ``("coweight",)``, ``("root", j)``
+    and ``("chev", j)``.  Every field is set here, the weight map
+    included, and none is filled in later.
+    """
+
+    def __init__(self, ambient: SimpleType, name: str, lines):
         self.ambient = ambient
         self.name = name
-        self.kind = kind
+        self.kind = lines.get(("kind",), "typeonly")
         self.spec = TypeSpec.parse(name)
         self.hsys = root_system(self.spec)
-        self.node = None  # extended-diagram removal node (subsystem)
-        self.coweight = None  # torus pairing row (levi)
-        self.simple_images = None  # list of G-roots, one per H node
-        self.gen_terms = None  # per H node, a list of (sign, G-root) terms
-        self.rows = None  # per H node, its restriction row
-        self._image = None
+        self.node = lines.get(("node",))  # extended-diagram removal node (subsystem)
+        self.coweight = lines.get(("coweight",))  # torus pairing row (levi)
+        roots = _numbered(lines, "root", self.rank_ss)
+        chev = _numbered(lines, "chev", self.rank_ss)
+        _check_record(self, roots, chev)
+        # list of G-roots, one per H node
+        self.simple_images = _node_roots(self, roots)
+        # per H node, a list of (sign, G-root) terms
+        self.gen_terms = (
+            chev if self.simple_images is None else [[(1, b)] for b in self.simple_images]
+        )
+        self._weight_map = None if self.gen_terms is None else _check_roots(self)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -129,25 +143,17 @@ class Embedding:
 
     # -- weight restriction ---------------------------------------------------
 
-    def restriction_rows(self):
-        """Row j: the coroot sum of generator j over the simple coroots of
-        G, computed and checked when the catalog loads."""
-        if self.rows is None:
-            raise LieError(f"{self.name} < {self.ambient}: no generators known")
-        return self.rows
-
     def weight_image(self):
         """Weight restriction as one linear map on G-weights, with the
-        table that orbit walks carry it by: the restriction rows, then the
-        torus coweight of a Levi entry.  For subsystem and Levi entries the
-        first rows are the coroots of `simple_images`, the cone walls.
-        Built on first use, not when the catalog loads."""
-        if self._image is None:
-            rows = self.restriction_rows()
-            if self.coweight is not None:
-                rows = rows + [self.coweight]
-            self._image = WeightImage(root_system(self.ambient), rows)
-        return self._image
+        table that orbit walks carry it by.  Its rows are the restriction
+        rows, row j the coroot sum of generator j over the simple coroots
+        of G, then the torus coweight of a Levi entry.  For subsystem and
+        Levi entries the first rows are the coroots of `simple_images`,
+        the cone walls.  Built and checked when the catalog loads; an
+        entry without generators has none."""
+        if self._weight_map is None:
+            raise LieError(f"{self.name} < {self.ambient}: no generators known")
+        return self._weight_map
 
 
 def _coroot_sum(rs, terms):
@@ -181,13 +187,24 @@ def _parse_root(tok, rank):
     raise LieError(f"cannot parse root token {tok!r}")
 
 
-def _check_record(r):
+def _numbered(lines, head, n):
+    """The values of a record's ``head j`` lines in the order of j, which
+    must run over 1..n; None when the record has no such line."""
+    got = {key[1]: v for key, v in lines.items() if key[0] == head}
+    if not got:
+        return None
+    if sorted(got) != list(range(1, n + 1)):
+        raise LieError(f"{head} lines must cover 1..{n}")
+    return [got[j] for j in range(1, n + 1)]
+
+
+def _check_record(r, roots, chev):
     """Each kind has the directives it reads, and no others."""
-    if r.kind == "folded" and r.gen_terms is None:
+    if r.kind == "folded" and chev is None:
         raise LieError("kind folded needs chev lines")
-    if r.gen_terms is not None and r.kind != "folded":
+    if chev is not None and r.kind != "folded":
         raise LieError("chev lines go only with kind folded")
-    if r.simple_images is not None and r.kind not in ("subsystem", "levi"):
+    if roots is not None and r.kind not in ("subsystem", "levi"):
         raise LieError("root lines go only with kind subsystem or levi")
     if r.node is not None and r.kind != "subsystem":
         raise LieError("a node line goes only with kind subsystem")
@@ -199,9 +216,9 @@ def _check_record(r):
         raise LieError(f"a levi name needs exactly one T1 factor, got {r.name}")
     if r.kind != "levi" and r.spec.torus:
         raise LieError(f"a T factor goes only with kind levi, got {r.name}")
-    if r.kind == "subsystem" and r.node is None and r.simple_images is None:
+    if r.kind == "subsystem" and r.node is None and roots is None:
         raise LieError("kind subsystem needs a node or root lines")
-    if r.kind == "levi" and (r.simple_images is None or r.coweight is None):
+    if r.kind == "levi" and (roots is None or r.coweight is None):
         raise LieError("kind levi needs root lines and a coweight")
     if r.kind == "levi" and r.rank_ss + 1 != r.ambient.rank:
         raise LieError(
@@ -212,38 +229,40 @@ def _check_record(r):
         raise LieError("a levi coweight must be nonzero")
 
 
-def _node_roots(r):
-    """The simple-root images of a subsystem given by its removal node:
-    filled from the node, factor by factor in the declared order, when the
-    record has no root lines, and checked against the node when it has."""
+def _node_roots(r, roots):
+    """The simple-root images of a record: its root lines, checked against
+    the removal node of a subsystem that has one, or else, for a subsystem
+    given by its node alone, taken from the node, factor by factor in the
+    declared order."""
     if r.kind != "subsystem" or r.node is None:
-        return
-    if r.simple_images is not None:
+        return roots
+    if roots is not None:
         pos = set(node_subsystem_roots(root_system(r.ambient), r.node))
-        for b in r.simple_images:
+        for b in roots:
             if b not in pos and neg(b) not in pos:
                 raise LieError(f"root {b} is not in the subsystem of node {r.node}")
         if len(pos) != r.hsys.n_pos:
             raise LieError(
                 f"node {r.node}: {len(pos)} positive roots, not {r.hsys.n_pos}"
             )
-        return
+        return roots
     factors, _ = subsystem_simple_images(r.ambient, r.node)
     got = [t for t, _ in factors]
     if sorted(got) != sorted(r.spec.factors):
         raise LieError(f"removal node {r.node} gives {'x'.join(map(str, got))}")
-    r.simple_images = []
+    images = []
     for want in r.spec.factors:
         hit = next(f for f in factors if f[0] == want)
         factors.remove(hit)
-        r.simple_images.extend(hit[1])
+        images.extend(hit[1])
+    return images
 
 
 def _check_roots(r):
     """The generators of a record describe H, checked on the root system
     of G alone (the Serre relations and the span dimension need a
     Chevalley basis and are checked by the tests, in ``tests/oracles.py``).
-    Returns the restriction rows."""
+    Returns the weight map: the restriction rows, then a Levi coweight."""
     rs = root_system(r.ambient)
     gens = r.gen_terms
     for terms in gens:
@@ -253,110 +272,93 @@ def _check_roots(r):
     # every root of generator j restricts to column j of the Cartan matrix
     # of H, and to charge 0 under the coweight of a Levi subgroup
     rows = [_coroot_sum(rs, terms) for terms in gens]
-    checks = list(rows)
     want = list(r.hsys.C)  # a copy: the coweight's row is appended
     if r.coweight is not None:
-        checks.append(r.coweight)
+        rows.append(r.coweight)
         want.append([0] * len(gens))
     for j, terms in enumerate(gens):
         col = [w[j] for w in want]
         for k, (_, b) in enumerate(terms):
             wb = rs.weight_of_root(b)
-            got = [sum(h * w for h, w in zip(row, wb)) for row in checks]
+            got = [sum(h * w for h, w in zip(row, wb)) for row in rows]
             if got != col:
                 raise LieError(f"generator {j + 1}: {b} restricts to {got}, not {col}")
             for _, c in terms[k + 1 :]:
                 if rs.is_root(tuple(x - y for x, y in zip(b, c))):
                     raise LieError(f"generator {j + 1}: {b} - {c} is a root")
-    return rows
+    return WeightImage(rs, rows)
+
+
+def _build_record(at, ambient, name, lines):
+    """The Embedding of the record whose ``embed`` line is line ``at``; a
+    fault of the record names that line."""
+    try:
+        return Embedding(ambient, name, lines)
+    except LieError as e:
+        raise LieError(f"embeddings data line {at}: {name} in {ambient}: {e}") from None
 
 
 def parse_embeddings(text: str):
-    """Parse the embedding catalog file into Embedding objects (in order)."""
+    """Parse the embedding catalog file into Embedding objects (in order).
+
+    Each record's directive lines are collected in one dict, under the
+    keys that `Embedding` reads, and the record is built when the next
+    ``embed`` line or the end of the file is reached: its faults are
+    reported before any later line's.
+    """
     records = []
-    cur = None
-    cur_line = None
-    cur_roots = {}
-    cur_chev = {}
-    seen = set()
-
-    def once(directive):  # a second line in one record would override the first
-        if directive in seen:
-            raise LieError(f"repeated {directive} line")
-        seen.add(directive)
-
-    def finish():
-        nonlocal cur, cur_roots, cur_chev, seen
-        if cur is None:
-            return
-        n = cur.rank_ss
-        try:
-            if cur_roots:
-                if sorted(cur_roots) != list(range(1, n + 1)):
-                    raise LieError(f"root lines must cover 1..{n}")
-                cur.simple_images = [cur_roots[j] for j in range(1, n + 1)]
-            if cur_chev:
-                if sorted(cur_chev) != list(range(1, n + 1)):
-                    raise LieError(f"chev lines must cover 1..{n}")
-                cur.gen_terms = [cur_chev[j] for j in range(1, n + 1)]
-            _check_record(cur)
-            _node_roots(cur)
-            if cur.simple_images is not None:
-                cur.gen_terms = [[(1, b)] for b in cur.simple_images]
-            if cur.gen_terms is not None:
-                cur.rows = _check_roots(cur)
-        except LieError as e:
-            raise LieError(
-                f"embeddings data line {cur_line}: {cur.name} in {cur.ambient}: {e}"
-            ) from None
-        records.append(cur)
-        cur, cur_roots, cur_chev, seen = None, {}, {}, set()
-
+    pairs = set()  # (G, H) of every record so far
+    cur = None  # (embed line number, G, H name, directive dict) of the open record
     for lineno, head, rest in data_lines(text, "embeddings data line"):
-        if head == "embed":
-            finish()
+        if head == "embed" and cur is not None:
+            records.append(_build_record(*cur))
         try:
             if head == "embed":
                 fields = rest.split()
                 if len(fields) != 3 or fields[1] != "in":
                     raise LieError(f"bad embed line {rest!r}")
-                cur = Embedding(simple_type(fields[2]), fields[0], kind="typeonly")
-                cur_line = lineno
-            elif cur is None:
+                ambient = simple_type(fields[2])
+                pair = (str(ambient), str(TypeSpec.parse(fields[0])))
+                if pair in pairs:
+                    raise LieError(f"duplicate catalog entry {pair}")
+                pairs.add(pair)
+                cur = (lineno, ambient, fields[0], {})
+                continue
+            if cur is None:
                 raise LieError(f"directive {head!r} outside a record")
-            elif head == "kind":
-                once(head)
-                if rest not in KINDS:
-                    raise LieError(f"unknown kind {rest!r}")
-                cur.kind = rest
-            elif head == "node":
-                once(head)
-                try:
-                    cur.node = int(rest)
-                except ValueError:
-                    raise LieError(f"expected an integer, got {rest!r}") from None
-            elif head == "coweight":
-                once(head)
-                cur.coweight = _parse_root(rest, cur.ambient.rank)
-            elif head in ("root", "chev"):
+            lines = cur[3]
+            if head in ("root", "chev"):
                 m = re.match(r"^([0-9]+)\s*=\s*(.+)$", rest)
                 if not m:
                     raise LieError(f"bad {head} line {rest!r}")
-                j, value, rank = int(m.group(1)), m.group(2), cur.ambient.rank
-                once(f"{head} {j}")
-                if head == "root":
-                    cur_roots[j] = _parse_root(value, rank)
-                else:  # signed terms +<r> or -<r>, split at spaces outside (...)
-                    cur_chev[j] = [
-                        (-1 if tok[0] == "-" else 1,
-                         _parse_root(tok[1:] if tok[0] in "+-" else tok, rank))
-                        for tok in re.split(r" (?![^(]*\))", value)
-                    ]
+                key, rest = (head, int(m.group(1))), m.group(2)
+            elif head in ("kind", "node", "coweight"):
+                key = (head,)
             else:
                 raise LieError(f"unknown directive {head!r}")
+            if key in lines:  # a second line would override the first
+                raise LieError(f"repeated {' '.join(map(str, key))} line")
+            if head == "kind":
+                if rest not in KINDS:
+                    raise LieError(f"unknown kind {rest!r}")
+                lines[key] = rest
+            elif head == "node":
+                try:
+                    lines[key] = int(rest)
+                except ValueError:
+                    raise LieError(f"expected an integer, got {rest!r}") from None
+            elif head == "chev":  # signed terms +<r> or -<r>, split at spaces outside (...)
+                lines[key] = [
+                    (-1 if tok[0] == "-" else 1,
+                     _parse_root(tok[1:] if tok[0] in "+-" else tok, cur[1].rank))
+                    for tok in re.split(r" (?![^(]*\))", rest)
+                ]
+            else:  # root or coweight
+                lines[key] = _parse_root(rest, cur[1].rank)
         except LieError as e:
             raise LieError(f"embeddings data line {lineno}: {e}") from None
-    finish()
+    if cur is not None:
+        records.append(_build_record(*cur))
     return records
 
 
@@ -365,11 +367,8 @@ class Catalog:
         self.records = records
         self.by_key = {}
         self.by_g = {}
-        for r in records:
-            key = (str(r.ambient), str(r.spec))
-            if key in self.by_key:
-                raise LieError(f"duplicate catalog entry {key}")
-            self.by_key[key] = r
+        for r in records:  # the parser rejects a second record of a pair
+            self.by_key[(str(r.ambient), str(r.spec))] = r
             self.by_g.setdefault(str(r.ambient), []).append(r)
 
     def get(self, gname: str, hname: str) -> Embedding:

@@ -424,8 +424,12 @@ class RootSystem:
                             )
             layer = nxt
 
-    def weyl_orbit(self, lam, cone=(), image=None):
-        """Yield each point of the orbit of a dominant weight once.
+    def weyl_orbit(self, lam, image, cone=()):
+        """Yield the image A x of each point x of the orbit of a dominant
+        weight once, for ``image`` a `WeightImage` A of this system.  A is
+        applied to the first point only, and the image is carried along
+        the walk (without the cone, the layered walk of
+        `weyl_orbit_layers`).
 
         ``cone`` is a list of linearly independent roots (root
         coordinates); only the orbit points x with <x, beta^vee> >= 0 for
@@ -437,11 +441,8 @@ class RootSystem:
         by root reflections that stay inside it reaches every point at
         a cost proportional to the points yielded.
 
-        With ``image``, a `WeightImage` A of this system, the image A x
-        of each point x is yielded in its place, carried along the walk
-        (without the cone, the layered walk of `weyl_orbit_layers`).  The
-        first len(cone) rows of A must be the coroots of the cone roots.
-        The cone walk carries its wall pairings that way in any case: the
+        The first len(cone) rows of A must be the coroots of the cone
+        roots: the cone walk reads its wall pairings off the image.  The
         step x -> s_a x = x - <x, a^vee> w_a moves A x by -<x, a^vee> times
         A w_a, so a neighbour's walls are a sign check on its image, made
         before its point is built, and `coroot_pairings` gives every
@@ -449,13 +450,10 @@ class RootSystem:
         """
         if not cone:
             for layer in self.weyl_orbit_layers(lam, image=image):
-                yield from (layer if image is None else layer.values())
+                yield from layer.values()
             return
         if not self.is_dominant(lam):
             raise LieError("weyl_orbit wants a dominant weight")
-        points = image is None
-        if points:
-            image = WeightImage(self, [self.coroot(b) for b in cone])
         n = len(cone)
         walls = [(cv, self.weight_of_root(b)) for cv, b in zip(image.rows, cone)]
 
@@ -474,7 +472,7 @@ class RootSystem:
         stack = [(x, image(x))]
         while stack:
             x, img = stack.pop()
-            yield x if points else img
+            yield img
             here = img[:n]
             for p, wa, sa in zip(self.coroot_pairings(x), weights, shifts):
                 # zip(here, sa) pairs the walls alone

@@ -47,6 +47,10 @@ loading does not check.  None of them is imported by the package.
   production walks carry the image along instead
   (``Embedding.weight_image``); the full-orbit restriction oracle and
   the weight goldens use this.
+- ``orbit_points``: the orbit points of a dominant weight, in a cone or
+  not, by ``RootSystem.weyl_orbit`` with a map whose rows are the cone
+  coroots and then the identity.  The walk checks of the tests read
+  points; production walks read only images.
 - ``fundamental`` and ``dual_weight``: the fundamental weights, and -w0
   on weights, of a ``RootSystem``, simple or a product.  Test
   inputs, and the duality that characters and branching rules are
@@ -61,7 +65,7 @@ from fractions import Fraction
 from liebranch.chevalley import chevalley_basis, neg
 from liebranch.embeddings import subsystem_simple_images
 from liebranch.linalg import SpanMod, SpanQ
-from liebranch.rootsys import LieError, root_system
+from liebranch.rootsys import LieError, WeightImage, root_system
 from liebranch.sphericity import PRIME, TRIALS, flag_columns, lie_h, subseed
 
 
@@ -197,7 +201,7 @@ def validate(emb):
         return
     cb = chevalley_basis(emb.ambient)
     xg, yg = simple_generators(emb)
-    hg = [cb.h_vector(row) for row in emb.restriction_rows()]
+    hg = [cb.h_vector(row) for row in emb.weight_image().rows[: emb.rank_ss]]
     n = emb.rank_ss
     CH = emb.hsys.C
     for i in range(n):
@@ -354,12 +358,23 @@ def freudenthal_character(rs, lam):
 def restrict_weight(emb, mu):
     """H-weight (and torus charge, for entries with a torus) of a G-weight
     given in fundamental-weight coordinates."""
-    rows = emb.restriction_rows()
+    rows = emb.weight_image().rows[: emb.rank_ss]
     lam = tuple(sum(r[k] * mu[k] for k in range(len(mu))) for r in rows)
     charge = None
     if emb.coweight is not None:
         charge = sum(c * m for c, m in zip(emb.coweight, mu))
     return lam, charge
+
+
+def orbit_points(rs, lam, cone=()):
+    """Each point of the orbit of a dominant weight lam once, in the cone
+    of the roots ``cone`` as `RootSystem.weyl_orbit` walks it: the walk
+    of a map whose rows are the cone coroots, which the walk reads its
+    walls from, then the identity, which gives the point back."""
+    n = len(cone)
+    eye = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
+    image = WeightImage(rs, [rs.coroot(b) for b in cone] + eye)
+    return (img[n:] for img in rs.weyl_orbit(lam, image, cone))
 
 
 def fundamental(rs, i):

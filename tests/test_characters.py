@@ -296,7 +296,7 @@ def full_orbit_restriction(emb, lam):
 
 
 def _is_equal_rank(emb):
-    n = len(emb.restriction_rows()) + (emb.coweight is not None)
+    n = len(emb.weight_image().rows[: emb.rank_ss]) + (emb.coweight is not None)
     return n == emb.ambient.rank
 
 

@@ -601,6 +601,11 @@ BAD_DATA = {
     ),
     # a catalog line between the header and the first embed line
     "outside_a_record": ("embeddings.txt", "format 1\ngarbage\n"),
+    # a second record of one (G, H) pair
+    "duplicate_record": (
+        "embeddings.txt",
+        "format 1\nembed A2 in G2\nkind subsystem\nnode 1\nembed A2 in G2\n",
+    ),
 }
 
 # the check that rejects each BAD_DATA fixture, as a fragment of its message
@@ -645,6 +650,7 @@ DATA_MESSAGES = {
     "rule_glued_to_ambient": "line 2: unknown directive 'ruleG2'",
     "rulevariant_glued_to_label": "line 2: unknown directive 'rulevariantZZ'",
     "outside_a_record": "line 2: directive 'garbage' outside a record",
+    "duplicate_record": "embeddings data line 5: duplicate catalog entry ('G2', 'A2')",
 }
 
 
@@ -705,6 +711,8 @@ DATA_EXIT_CASES = [
     (["branch", "G2", "A2", "1", "1"], "rule_glued_to_ambient", 2),
     (["branch", "G2", "A2", "1", "1"], "rulevariant_glued_to_label", 2),
     (["classify", "G2"], "outside_a_record", 2),
+    (["classify", "G2"], "duplicate_record", 2),
+    (["dims", "G2"], "duplicate_record", 2),
     (["dims", "A3"], None, 3),
     (["classify", "A3"], None, 3),
     (["spherical", "A3", "A2", "1"], None, 3),

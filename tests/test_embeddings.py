@@ -3,7 +3,7 @@ import re
 import pytest
 
 from liebranch.branching import load_rules
-from liebranch.characters import decompose
+from liebranch.characters import decompose, restrict_collapsed
 from liebranch.chevalley import chevalley_basis
 from liebranch.embeddings import (
     Embedding,
@@ -14,10 +14,11 @@ from liebranch.embeddings import (
 )
 from liebranch.linalg import SpanQ
 from liebranch.rootsys import LieError, SimpleType, root_system
-from liebranch.sphericity import lie_h
+from liebranch.sphericity import SphericitySetup, lie_h
 from oracles import (
     centralizer,
     cross_check_subsystems,
+    fundamental,
     h_positive_roots_in_g,
     restrict_weight,
     simple_generators,
@@ -229,11 +230,12 @@ def test_folded_subalgebra_dimensions(cat):
 
 def test_derived_sl2_row(cat):
     emb = cat.get("E7", "A1xF4")
-    rows = emb.restriction_rows()
+    rows = emb.weight_image().rows[: emb.rank_ss]
     assert rows[0] == (2, 3, 4, 6, 5, 4, 3)
     # remaining rows are the rank-4 factor's rows inside the Levi
     f4 = cat.get("E6", "F4")
-    assert [r[:6] for r in rows[1:]] == [tuple(r) for r in f4.restriction_rows()]
+    f4_rows = f4.weight_image().rows[: f4.rank_ss]
+    assert [r[:6] for r in rows[1:]] == [tuple(r) for r in f4_rows]
     assert all(r[6] == 0 for r in rows[1:])
 
 
@@ -243,7 +245,8 @@ def test_derived_sl2_triple_pinned(cat):
     # how a chev line becomes x, y and h, shows up here
     emb = cat.get("E7", "A1xF4")
     xg, yg = simple_generators(emb)
-    h0 = chevalley_basis(emb.ambient).h_vector(emb.restriction_rows()[0])
+    row = emb.weight_image().rows[: emb.rank_ss][0]
+    h0 = chevalley_basis(emb.ambient).h_vector(row)
     assert xg[0] == {45: -1, 46: -1, 47: 1}
     assert yg[0] == {108: -1, 109: -1, 110: 1}
     assert h0 == {126: 2, 127: 3, 128: 4, 129: 6, 130: 5, 131: 4, 132: 3}
@@ -354,9 +357,48 @@ def test_e8_removal_types():
 
 def test_typeonly_has_no_generators(cat):
     emb = cat.get("E6", "A2xG2")
-    with pytest.raises(LieError):
-        emb.restriction_rows()
+    assert emb.gen_terms is None
+    with pytest.raises(LieError, match="no generators known"):
+        emb.weight_image()
     assert emb.borel_dim() == 13
+
+
+def test_records_are_built_once(cat):
+    # loading sets every field of a record, the weight map included: no
+    # reader fills one in later
+    for emb in cat.records:
+        before = {k: id(v) for k, v in vars(emb).items()}
+        emb.borel_dim()
+        if emb.gen_terms is None:
+            with pytest.raises(LieError):
+                emb.weight_image()
+        else:
+            emb.weight_image()
+            SphericitySetup(emb, 1)
+            if str(emb.ambient) in ("G2", "F4", "E6"):
+                restrict_collapsed(emb, fundamental(root_system(emb.ambient), 1))
+        assert {k: id(v) for k, v in vars(emb).items()} == before, emb
+
+
+def test_parser_rejects_a_duplicate_record():
+    # the second record of a (G, H) pair fails at its embed line, also
+    # when it spells the type another way
+    text = (
+        "format 1\nembed A2 in G2\nkind subsystem\nnode 1\n"
+        "embed a2 in G2\nkind subsystem\nnode 1\n"
+    )
+    why = "embeddings data line 5: duplicate catalog entry ('G2', 'A2')"
+    with pytest.raises(LieError, match=f"^{re.escape(why)}$"):
+        parse_embeddings(text)
+
+
+def test_record_fault_comes_before_a_later_line():
+    # a record is built when the next embed line is reached, so its fault
+    # is reported before the fault of any line after it
+    text = "format 1\nembed F4 in E6\nkind folded\nembed A2 in G2\ngarbage\n"
+    why = "embeddings data line 2: F4 in E6: kind folded needs chev lines"
+    with pytest.raises(LieError, match=f"^{re.escape(why)}$"):
+        parse_embeddings(text)
 
 
 def test_parser_rejects_bad_input():
