@@ -7,8 +7,17 @@ over the orbits of the stabilizer W_mu on the roots, taken up to sign:
 one alpha-string per orbit, times the number of positive roots in it
 (Moody-Patera).  The string sum is constant on each orbit and even
 under alpha -> -alpha when alpha is orthogonal to mu, so the orbit sum
-is the full sum, exactly.  Every character is kept in one format, a map
-from dominant weight to multiplicity.  Restriction to a subgroup gives
+is the full sum, exactly.  Each string is summed in closed form: the
+pairing (mu + k alpha, alpha) = (mu, alpha) + k (alpha, alpha) is
+linear in k, so a string takes two pairings whatever its length.  The
+multiplicity at a string point is read at its dominant conjugate, which
+depends only on the root system, so one memo per type keeps every
+conjugate the walks find.  Strings overlap heavily across the
+characters of one type, and the memo pays off when several of them are
+computed in one process: every `branch --verify` does that for its
+subgroup's types, while `classify` computes no character.  Every
+character is kept in one format, a map from dominant weight to
+multiplicity.  Restriction to a subgroup gives
 the dominant character of the restricted module, keyed by torus charge
 when the subgroup has a central torus: it walks the Weyl orbit of each
 dominant weight (only the points in the subgroup's dominant cone when
@@ -37,6 +46,8 @@ from .rootsys import LieError, RootSystem, root_system
 
 _DOM_CHAR_CACHE: dict = {}
 _ORBIT_CACHE: dict = {}
+# per type: {weight: its dominant conjugate}, filled by the string walks
+_CONJUGATE_CACHE: dict = {}
 
 
 def dominant_weights(rs, lam):
@@ -52,22 +63,17 @@ def dominant_weights(rs, lam):
     rs.check_rank(lam)
     if not rs.is_dominant(lam):
         raise LieError(f"not a dominant weight: {lam}")
-    # mu - alpha is dominant iff mu[j] >= wa[j] wherever wa[j] > 0
-    steps = [
-        (a, wa, [(j, w) for j, w in enumerate(wa) if w > 0])
-        for a, (_, wa) in zip(rs.positive_roots, rs.mirrors)
-    ]
+    steps = [(a, wa) for a, (_, wa) in zip(rs.positive_roots, rs.mirrors)]
     coeffs = {lam: (0,) * rs.rank}
     frontier = [lam]
     while frontier:
         nxt = []
         for mu in frontier:
-            for a, wa, need in steps:
-                if all(mu[j] >= w for j, w in need):
-                    nu = tuple(map(sub, mu, wa))
-                    if nu not in coeffs:
-                        coeffs[nu] = tuple(map(add, coeffs[mu], a))
-                        nxt.append(nu)
+            for a, wa in steps:
+                nu = tuple(map(sub, mu, wa))
+                if min(nu) >= 0 and nu not in coeffs:
+                    coeffs[nu] = tuple(map(add, coeffs[mu], a))
+                    nxt.append(nu)
         frontier = nxt
     return {mu: coeffs[mu] for mu in sorted(coeffs, key=rs.height_key, reverse=True)}
 
@@ -121,12 +127,17 @@ def dominant_character(t, lam):
     """{dominant weight: multiplicity} for the module with h.w. lam.
 
     Freudenthal's recursion, with the sum over the positive roots alpha
-    of f(alpha) = sum_{t>=1} m(mu + t alpha) (mu + t alpha, alpha) taken
+    of f(alpha) = sum_{k>=1} m(mu + k alpha) (mu + k alpha, alpha) taken
     over the orbits of `root_orbits`: f is constant on W_mu-orbits (W_mu
     fixes mu and the multiplicities), and f(-alpha) = f(alpha) for a
     root with (mu, alpha) = 0, since the whole alpha-string through mu
     sums to zero.  So the sum is exactly sum over orbits O of (positive
-    roots in O) * f(any root of O), in integers.
+    roots in O) * f(any root of O), in integers.  The string is walked
+    once, adding up m_k and k m_k; f is then (mu, alpha) sum m_k +
+    (alpha, alpha) sum k m_k.  Each m_k is read at the dominant conjugate
+    of mu + k alpha, taken from the type's memo (`_CONJUGATE_CACHE`) or,
+    on a miss, from `RootSystem.dominant_signed` and stored there; the
+    memo is shared by every character of the type in the process.
     """
     rs = root_system(t)
     lam = tuple(lam)
@@ -135,20 +146,29 @@ def dominant_character(t, lam):
     if hit is not None:
         return hit
     wts = list(dominant_weights(rs, lam).items())
+    conj = _CONJUGATE_CACHE.setdefault(key[0], {})
     mult = {lam: 1}
     for mu, coeffs in wts[1:]:
         num = 0
         zeros = tuple(i for i, x in enumerate(mu) if not x)
         for a, wa, count in root_orbits(rs, zeros):
-            f = 0
+            m_sum = km_sum = k = 0
             nu = mu
             while True:
                 nu = tuple(map(add, nu, wa))
-                m_up = mult.get(rs.dominant_signed(nu)[0])
+                dom = conj.get(nu)
+                if dom is None:
+                    dom = conj[nu] = rs.dominant_signed(nu)[0]
+                m_up = mult.get(dom)
                 if m_up is None:
                     break
-                f += m_up * rs.pair_wr(nu, a)
-            num += count * f
+                k += 1
+                m_sum += m_up
+                km_sum += k * m_up
+            if k:
+                num += count * (
+                    rs.pair_wr(mu, a) * m_sum + rs.pair_wr(wa, a) * km_sum
+                )
         shifted = [x + y + 2 for x, y in zip(lam, mu)]
         denom = sum(c * d * s for c, d, s in zip(coeffs, rs.d, shifted))
         q, r = divmod(2 * num, denom)

@@ -349,7 +349,7 @@ class RootSystem:
 
     def pair_wr(self, lam, a):
         """Invariant form (lam, alpha), lam in weight and alpha in root coords."""
-        return sum(self.d[j] * lam[j] * a[j] for j in range(self.rank))
+        return sum(map(mul, map(mul, self.d, lam), a))
 
     def coroot(self, a):
         """alpha^vee expanded over the simple coroots H_j (integer tuple)."""

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liebranch import characters
 from liebranch.characters import (
     decompose,
     dominant_character,
@@ -27,6 +28,7 @@ from liebranch.rootsys import (
     SimpleType,
     parse_weight,
     root_system,
+    simple_type,
 )
 from oracles import dual_weight, freudenthal_character, fundamental, restrict_weight
 
@@ -236,6 +238,39 @@ def test_root_orbits_at_zero_weight(t, sizes):
     rs = root_system(t)
     orbits = root_orbits(rs, tuple(range(rs.rank)))
     assert sorted(c for _, _, c in orbits) == sizes
+
+
+MEMO_CASES = {
+    "B4": [(1, 0, 0, 0), (0, 1, 0, 0), (0, 2, 0, 0), (1, 0, 0, 1), (0, 0, 1, 1)],
+    "F4": [(1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 2), (1, 0, 0, 1), (0, 0, 1, 0)],
+    "E6": [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1),
+           (2, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0)],
+    "E7": [(0, 0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 2),
+           (1, 0, 0, 0, 0, 0, 1)],
+}
+
+
+def test_conjugate_memo_is_transparent(monkeypatch):
+    # the characters of one type share its memo of dominant conjugates
+    # (B4 and F4 have weights of one length): filling the memos in one
+    # order and then in the other changes no character
+    monkeypatch.setattr(characters, "_DOM_CHAR_CACHE", {})
+    monkeypatch.setattr(characters, "_CONJUGATE_CACHE", {})
+    cases = [(name, lam) for name, lams in MEMO_CASES.items() for lam in lams]
+    want = {
+        case: freudenthal_character(root_system(simple_type(case[0])), case[1])
+        for case in cases
+    }
+    for order in (cases, cases[::-1]):
+        characters._DOM_CHAR_CACHE.clear()
+        characters._CONJUGATE_CACHE.clear()
+        for name, lam in order:
+            assert dominant_character(simple_type(name), lam) == want[name, lam]
+        assert sorted(characters._CONJUGATE_CACHE) == sorted(MEMO_CASES)
+        for name, memo in characters._CONJUGATE_CACHE.items():
+            rs = root_system(simple_type(name))
+            for nu, dom in memo.items():
+                assert dom == rs.dominant_signed(nu)[0], (name, nu)
 
 
 def test_character_duality():
