@@ -5,21 +5,24 @@ dominant weights only (all arithmetic in plain integers, every division
 checked).  At a dominant weight mu its sum over the positive roots runs
 over the orbits of the stabilizer W_mu on the roots, taken up to sign:
 one alpha-string per orbit, times the number of positive roots in it
-(Moody-Patera).  The string sum is constant on each orbit and even
-under alpha -> -alpha when alpha is orthogonal to mu, so the orbit sum
-is the full sum, exactly.  Each string is summed in closed form: the
-pairing (mu + k alpha, alpha) = (mu, alpha) + k (alpha, alpha) is
-linear in k, so a string takes two pairings whatever its length.  The
-multiplicity at a string point is read at its dominant conjugate, which
-depends only on the root system, so one memo per type keeps every
-conjugate the walks find.  Strings overlap heavily across the
-characters of one type, and the memo pays off when several of them are
-computed in one process: every `branch --verify` does that for its
-subgroup's types, while `classify` computes no character.  Every
-character is kept in one format, a map from dominant weight to
-multiplicity.  Restriction to a subgroup gives
-the dominant character of the restricted module, keyed by torus charge
-when the subgroup has a central torus: it walks the Weyl orbit of each
+(Moody-Patera).  The string sum is constant on each orbit and even under
+alpha -> -alpha when alpha is orthogonal to mu, so the orbit sum is the
+full sum, exactly.  The orbit table is built in one pass from the
+highest root down by the raising step of `rootsys`: a root that some s_i
+in W_mu raises has the orbit of the higher root, and a root that none
+raises is W_mu-dominant and heads its own orbit.  Each string is summed
+in closed form: the pairing (mu + k alpha, alpha) =
+(mu, alpha) + k (alpha, alpha) is linear in k, so a string takes two
+pairings whatever its length.  The multiplicity at a string point is
+read at its dominant conjugate, which depends only on the root system,
+so one memo per type keeps every conjugate the walks find.  Strings
+overlap heavily across the characters of one type, and the memo pays off
+when several of them are computed in one process: every `branch
+--verify` does that for its subgroup's types, while `classify` computes
+no character.  Every character is kept in one format, a map from
+dominant weight to multiplicity.  Restriction to a subgroup gives the
+dominant character of the restricted module, keyed by torus charge when
+the subgroup has a central torus: it walks the Weyl orbit of each
 dominant weight (only the points in the subgroup's dominant cone when
 the subgroup is a root subgroup, the full orbit for the folded
 subgroups) and keeps the points whose image is dominant.  The walk
@@ -27,25 +30,26 @@ carries each point's image along (`Embedding.weight_image`): a
 reflection moves the point by a multiple of a root's weight and the
 image by the same multiple of that weight's image, so no point is
 restricted by a matrix product, and on a root subgroup the cone test is
-a sign check on the image.  That
-character answers both full decompositions (repeated peeling of the
-highest remaining weight) and single multiplicities (alternating sum
-over the subgroup Weyl group).  That sum visits only the w in W_H whose
-term can be non-zero: the term at w reads the dominant conjugate of
-target + rho - w rho, never lower than that weight, so it is zero once
-the height of rho - w rho passes the top restricted height of the charge
-minus the target's height; that height grows along the weak order, so
-the kept w are a weak-order ideal, walked layer by layer.
+a sign check on the image.  That character answers both full
+decompositions (repeated peeling of the highest remaining weight) and
+single multiplicities (alternating sum over the subgroup Weyl group).
+That sum visits only the w in W_H whose term can be non-zero: the term
+at w reads the dominant conjugate of target + rho - w rho, never lower
+than that weight, so it is zero once the height of rho - w rho passes
+the top restricted height of the charge minus the target's height; that
+height grows along the weak order, so the kept w are a weak-order ideal,
+walked layer by layer.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import lru_cache
 from operator import add, sub
 
 from .rootsys import LieError, RootSystem, root_system
 
 _DOM_CHAR_CACHE: dict = {}
-_ORBIT_CACHE: dict = {}
 # per type: {weight: its dominant conjugate}, filled by the string walks
 _CONJUGATE_CACHE: dict = {}
 
@@ -78,49 +82,37 @@ def dominant_weights(rs, lam):
     return {mu: coeffs[mu] for mu in sorted(coeffs, key=rs.height_key, reverse=True)}
 
 
+@lru_cache(maxsize=None)
 def root_orbits(rs, zeros):
     """The W_mu-orbits of the positive roots, taken up to sign.
 
     W_mu is generated by the simple reflections s_i, i in ``zeros`` (the
     zero labels of a dominant mu).  Returns [(root, weight, count)]: the
-    highest root of each orbit, its weight coordinates, and the number
-    of positive roots in the orbit.  Union-find over the positive roots,
-    joining a with the positive one of +-s_i a.  Cached per (type,
-    zeros), so a type holds at most 2^rank tables.
+    top of each orbit, its weight coordinates, and the number of
+    positive roots in the orbit.  The top is the orbit's W_mu-dominant
+    root, so mu + t alpha is nonnegative on the zero labels.  One pass
+    from the highest root down: a root a with <a, alpha_i^vee> < 0 for
+    some i in ``zeros`` has the top of the higher root s_i a, found
+    earlier; otherwise a is W_mu-dominant and its own top.  This is
+    exact: s_i a is again positive (a is not alpha_i), every W_mu-orbit
+    of roots holds one W_mu-dominant root, and a root of the Levi of mu
+    has -a in its orbit, so these are the orbits up to sign.  Each
+    factor's roots are in height order in ``rs.positive_roots``, and
+    s_i a stays in a's factor, so the reversed list is top-down.
+    Cached per (root system, zeros), so a type holds at most 2^rank
+    tables.
     """
-    key = (str(rs.type), zeros)
-    hit = _ORBIT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    parent = list(range(rs.n_pos))
-
-    def find(k):
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
-    for k, (a, (_, wa)) in enumerate(zip(rs.positive_roots, rs.mirrors)):
-        for i in zeros:
-            if wa[i]:
-                b = list(a)
-                b[i] -= wa[i]  # s_i a = a - <a, alpha_i^vee> alpha_i
-                b = tuple(b)
-                j = rs.index.get(b)
-                if j is None:
-                    j = rs.index[tuple(-x for x in b)]
-                parent[find(j)] = find(k)
-    orbits: dict = {}
-    for k in range(rs.n_pos):
-        orbits.setdefault(find(k), []).append(k)
-    # each orbit's highest root (the last, in height order) is
-    # W_mu-dominant, so mu + t alpha is nonnegative on the zero labels
-    out = [
-        (rs.positive_roots[ks[-1]], rs.mirrors[ks[-1]][1], len(ks))
-        for ks in orbits.values()
+    top = [0] * rs.n_pos
+    for k in reversed(range(rs.n_pos)):
+        a, wa = rs.positive_roots[k], rs.mirrors[k][1]
+        i = next((i for i in zeros if wa[i] < 0), None)
+        if i is None:
+            top[k] = k
+        else:
+            top[k] = top[rs.index[a[:i] + (a[i] - wa[i],) + a[i + 1 :]]]
+    return [
+        (rs.positive_roots[k], rs.mirrors[k][1], c) for k, c in Counter(top).items()
     ]
-    _ORBIT_CACHE[key] = out
-    return out
 
 
 def dominant_character(t, lam):

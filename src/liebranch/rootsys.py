@@ -17,7 +17,9 @@ A product of simple types (a subgroup such as A5xA1 or D5xT1, torus
 charges aside) is the root system of the block-diagonal Cartan matrix,
 and one class, ``RootSystem``, serves both: a simple type is the product
 with one factor.  The roots of each simple type are generated once, from
-its Cartan matrix, and a product pads its factors' roots with zeros.
+its Cartan matrix, as the closure of the simple roots under the raising
+step s_i a = a - <a, alpha_i^vee> alpha_i taken when <a, alpha_i^vee> < 0,
+and a product pads its factors' roots with zeros.
 -w0 is derived from the Weyl group: omega_{i*} is the dominant conjugate
 of -omega_i.
 
@@ -229,39 +231,29 @@ def generate_positive_roots(C):
     """The positive roots of the Cartan matrix C in root coordinates,
     sorted by height and then by coefficients.
 
-    Each layer adds alpha_i to a root a whenever the alpha_i-string
-    through a goes past it: p - <a, alpha_i^vee> > 0 for the length p of
-    the string below a.
+    The closure of the simple roots under the raising step
+    s_i a = a - <a, alpha_i^vee> alpha_i, taken when <a, alpha_i^vee> < 0.
+    This is exact: for a positive root a other than alpha_i, s_i a is
+    again a positive root, so every step stays in the set; and every
+    positive root b that is not simple has <b, alpha_i^vee> > 0 for some
+    i, so b = s_i (s_i b) is one raising step above the lower positive
+    root s_i b, and by induction on height every positive root is
+    reached (Humphreys, section 10.2).  C may be block-diagonal.
     """
     r = len(C)
-    simples = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
-    found = set(simples)
-    layer = list(simples)
-    out = list(simples)
+    found = {tuple(int(j == i) for j in range(r)) for i in range(r)}
+    layer = list(found)
     while layer:
         nxt = []
         for a in layer:
-            wa = _weight(C, a)
-            for i in range(r):
-                # length of the alpha_i-string below a
-                p = 0
-                b = list(a)
-                while True:
-                    b[i] -= 1
-                    if min(b) < 0 or tuple(b) not in found:
-                        break
-                    p += 1
-                if p - wa[i] > 0:
-                    c = list(a)
-                    c[i] += 1
-                    c = tuple(c)
-                    if c not in found:
-                        found.add(c)
-                        nxt.append(c)
-                        out.append(c)
+            for i, x in enumerate(_weight(C, a)):
+                if x < 0:
+                    b = a[:i] + (a[i] - x,) + a[i + 1 :]
+                    if b not in found:
+                        found.add(b)
+                        nxt.append(b)
         layer = nxt
-    out.sort(key=lambda a: (sum(a), a))
-    return out
+    return sorted(found, key=lambda a: (sum(a), a))
 
 
 @lru_cache(maxsize=None)

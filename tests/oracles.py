@@ -42,6 +42,11 @@ loading does not check.  None of them is imported by the package.
   weights found by a walk that tries every root at every step.  Compared
   against ``characters.dominant_character``, which sums over the orbits
   of the stabilizer of each weight and prunes the walk.
+- ``root_orbits_bfs``: the W_mu-orbits of the positive roots up to sign,
+  each found by a breadth-first search over the simple reflections of
+  W_mu, a root identified with its negative.  Compared against
+  ``characters.root_orbits``, which takes each root's orbit from the
+  raising step in one pass from the highest root down.
 - ``restrict_weight``: the H-weight and torus charge of one G-weight,
   by the restriction rows and the coweight applied to it directly.  The
   production walks carry the image along instead
@@ -353,6 +358,34 @@ def freudenthal_character(rs, lam):
         assert r == 0 and q > 0, (lam, mu)
         mult[mu] = q
     return mult
+
+
+def root_orbits_bfs(rs, zeros):
+    """{(highest root, its weight, size)} of the orbits of W_mu, the
+    group of the simple reflections s_i for i in ``zeros``, on the
+    positive roots up to sign."""
+    out = set()
+    seen = set()
+    for a in rs.positive_roots:
+        if a in seen:
+            continue
+        orbit = {a}
+        frontier = [a]
+        while frontier:
+            b = frontier.pop()
+            for i in zeros:
+                c = list(b)
+                c[i] -= rs.weight_of_root(b)[i]
+                c = tuple(c)
+                if c not in rs.index:
+                    c = tuple(-x for x in c)
+                if c not in orbit:
+                    orbit.add(c)
+                    frontier.append(c)
+        seen |= orbit
+        top = max(orbit, key=lambda b: (sum(b), b))
+        out.add((top, rs.weight_of_root(top), len(orbit)))
+    return out
 
 
 def restrict_weight(emb, mu):

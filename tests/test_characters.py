@@ -26,11 +26,18 @@ from liebranch.rootsys import (
     LieError,
     RootSystem,
     SimpleType,
+    TypeSpec,
     parse_weight,
     root_system,
     simple_type,
 )
-from oracles import dual_weight, freudenthal_character, fundamental, restrict_weight
+from oracles import (
+    dual_weight,
+    freudenthal_character,
+    fundamental,
+    restrict_weight,
+    root_orbits_bfs,
+)
 
 CAT = load_catalog()
 HEAVY = os.environ.get("LIEBRANCH_HEAVY") == "1"
@@ -208,7 +215,12 @@ def test_orbit_sum_matches_full_sum_random(t, data):
     assert dominant_character(t, lam) == freudenthal_character(rs, lam)
 
 
-@pytest.mark.parametrize("t", _catalog_simple_types(), ids=str)
+@pytest.mark.parametrize(
+    "t",
+    _catalog_simple_types()
+    + [TypeSpec.parse(s) for s in ("A5xA1", "D5xT1", "E6xA2", "E7xA1")],
+    ids=str,
+)
 def test_root_orbits_partition_the_positive_roots(t):
     rs = root_system(t)
     for size in range(rs.rank + 1):
@@ -219,6 +231,9 @@ def test_root_orbits_partition_the_positive_roots(t):
                 assert a in rs.index and wa == rs.weight_of_root(a)
                 # the highest root of an orbit is W_mu-dominant
                 assert all(wa[i] >= 0 for i in zeros), (zeros, a)
+            # the exact partition: a table that merged two orbits of one
+            # root length passes the checks above, not this one
+            assert set(orbits) == root_orbits_bfs(rs, zeros), zeros
     # no zero labels: W_mu is trivial, every root is its own orbit
     assert sorted(c for _, _, c in root_orbits(rs, ())) == [1] * rs.n_pos
 

@@ -69,6 +69,15 @@ def test_positive_root_counts(t):
     assert len(set(rs.positive_roots)) == rs.n_pos
 
 
+@pytest.mark.parametrize("t", ALL_TYPES + [TypeSpec.parse("G2xC3")], ids=str)
+def test_coroots_are_the_roots_of_the_dual_system(t):
+    # the positive roots of the transposed Cartan matrix, by the raising
+    # closure, against the coroots that _coroot reads off d
+    rs = root_system(t)
+    dual = generate_positive_roots([list(col) for col in zip(*rs.C)])
+    assert sorted(dual) == sorted(c for c, _ in rs.mirrors)
+
+
 def test_highest_roots():
     assert root_system(SimpleType("G", 2)).highest_root == (3, 2)
     assert root_system(SimpleType("F", 4)).highest_root == (2, 3, 4, 2)
