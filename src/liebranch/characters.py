@@ -2,7 +2,12 @@
 
 Weight multiplicities come from the Freudenthal recursion over the
 dominant weights only (all arithmetic in plain integers, every division
-checked).  At a dominant weight mu its sum over the positive roots runs
+checked).  The dominant weights are walked down from the highest one by
+positive roots; mu - alpha can be dominant only when alpha's weight has
+no positive label at a zero label of mu, so each step tries only those
+roots, and the steps out of mu, which do not depend on the highest
+weight, are kept in one memo per type.  At a dominant weight mu the
+recursion's sum over the positive roots runs
 over the orbits of the stabilizer W_mu on the roots, taken up to sign:
 one alpha-string per orbit, times the number of positive roots in it
 (Moody-Patera).  The string sum is constant on each orbit and even under
@@ -12,8 +17,10 @@ highest root down by the raising step of `rootsys`: a root that some s_i
 in W_mu raises has the orbit of the higher root, and a root that none
 raises is W_mu-dominant and heads its own orbit.  Each string is summed
 in closed form: the pairing (mu + k alpha, alpha) =
-(mu, alpha) + k (alpha, alpha) is linear in k, so a string takes two
-pairings whatever its length.  The multiplicity at a string point is
+(mu, alpha) + k (alpha, alpha) is linear in k, and each orbit keeps a
+covector for (mu, alpha) and the number (alpha, alpha), both scaled by
+the orbit's size, so a string takes one pairing whatever its length.
+The multiplicity at a string point is
 read at its dominant conjugate, which depends only on the root system,
 so one memo per type keeps every conjugate the walks find.  Strings
 overlap heavily across the characters of one type, and the memo pays off
@@ -45,13 +52,16 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from operator import add, sub
+from operator import add, mul, sub
 
 from .rootsys import LieError, RootSystem, root_system
 
 _DOM_CHAR_CACHE: dict = {}
 # per type: {weight: its dominant conjugate}, filled by the string walks
 _CONJUGATE_CACHE: dict = {}
+# per type: {dominant mu: [(mu - alpha, alpha)]}, the dominant steps down
+# from mu in positive-root order, filled by `dominant_weights`
+_STEP_CACHE: dict = {}
 
 
 def dominant_weights(rs, lam):
@@ -61,25 +71,40 @@ def dominant_weights(rs, lam):
     sum; every such mu is reachable from lam by subtracting one positive
     root at a time while staying dominant, and the walk adds up those
     roots.  Returns {mu: simple-root coefficients of lam - mu}, highest
-    mu first.
+    mu first (ties in the order the walk finds them).  The steps down
+    from mu depend on mu and the type only, so each dominant weight is
+    expanded once per type (`_STEP_CACHE`), trying only the roots of
+    `_zero_label_tables` that fit under mu's zero labels.
     """
     lam = tuple(lam)
     rs.check_rank(lam)
     if not rs.is_dominant(lam):
         raise LieError(f"not a dominant weight: {lam}")
-    steps = [(a, wa) for a, (_, wa) in zip(rs.positive_roots, rs.mirrors)]
+    memo = _STEP_CACHE.setdefault(str(rs.type), {})
     coeffs = {lam: (0,) * rs.rank}
     frontier = [lam]
     while frontier:
         nxt = []
         for mu in frontier:
-            for a, wa in steps:
-                nu = tuple(map(sub, mu, wa))
-                if min(nu) >= 0 and nu not in coeffs:
-                    coeffs[nu] = tuple(map(add, coeffs[mu], a))
+            steps = memo.get(mu)
+            if steps is None:
+                steps = memo[mu] = []
+                for a, wa in _zero_label_tables(rs, _zero_labels(mu))[0]:
+                    nu = tuple(map(sub, mu, wa))
+                    if min(nu) >= 0:
+                        steps.append((nu, a))
+            c = coeffs[mu]
+            for nu, a in steps:
+                if nu not in coeffs:
+                    coeffs[nu] = tuple(map(add, c, a))
                     nxt.append(nu)
         frontier = nxt
     return {mu: coeffs[mu] for mu in sorted(coeffs, key=rs.height_key, reverse=True)}
+
+
+def _zero_labels(mu):
+    """The indices of the zero labels of a weight."""
+    return tuple(i for i, x in enumerate(mu) if not x)
 
 
 @lru_cache(maxsize=None)
@@ -115,6 +140,31 @@ def root_orbits(rs, zeros):
     ]
 
 
+@lru_cache(maxsize=None)
+def _zero_label_tables(rs, zeros):
+    """What the Freudenthal walk reads at a dominant mu with zero labels
+    ``zeros``.
+
+    Returns (fitted, strings).  ``fitted`` is [(root, weight)] of the
+    positive roots whose weight is nonpositive on ``zeros``, in
+    positive-root order: mu - alpha can be dominant only for these.
+    ``strings`` has one entry (weight, count * d alpha, count * (alpha,
+    alpha)) per orbit of `root_orbits`, so that count * (mu, alpha) is
+    one pairing of mu with the covector.  Cached per (root system,
+    zeros), like `root_orbits`.
+    """
+    fitted = [
+        (a, wa)
+        for a, (_, wa) in zip(rs.positive_roots, rs.mirrors)
+        if all(wa[i] <= 0 for i in zeros)
+    ]
+    strings = [
+        (wa, tuple(count * x for x in map(mul, rs.d, a)), count * rs.pair_wr(wa, a))
+        for a, wa, count in root_orbits(rs, zeros)
+    ]
+    return fitted, strings
+
+
 def dominant_character(t, lam):
     """{dominant weight: multiplicity} for the module with h.w. lam.
 
@@ -126,8 +176,10 @@ def dominant_character(t, lam):
     sums to zero.  So the sum is exactly sum over orbits O of (positive
     roots in O) * f(any root of O), in integers.  The string is walked
     once, adding up m_k and k m_k; f is then (mu, alpha) sum m_k +
-    (alpha, alpha) sum k m_k.  Each m_k is read at the dominant conjugate
-    of mu + k alpha, taken from the type's memo (`_CONJUGATE_CACHE`) or,
+    (alpha, alpha) sum k m_k, the count and both pairings read from the
+    orbit's covector in `_zero_label_tables`, so a non-empty string costs
+    one pairing.  Each m_k is read at the dominant conjugate of
+    mu + k alpha, taken from the type's memo (`_CONJUGATE_CACHE`) or,
     on a miss, from `RootSystem.dominant_signed` and stored there; the
     memo is shared by every character of the type in the process.
     """
@@ -139,11 +191,13 @@ def dominant_character(t, lam):
         return hit
     wts = list(dominant_weights(rs, lam).items())
     conj = _CONJUGATE_CACHE.setdefault(key[0], {})
+    # the denominator (lam + mu + 2 rho, lam - mu) is the dot product of
+    # the root coefficients of lam - mu with d (lam + 2) + d mu
+    d_lam2 = [d * (x + 2) for d, x in zip(rs.d, lam)]
     mult = {lam: 1}
     for mu, coeffs in wts[1:]:
         num = 0
-        zeros = tuple(i for i, x in enumerate(mu) if not x)
-        for a, wa, count in root_orbits(rs, zeros):
+        for wa, da, aa in _zero_label_tables(rs, _zero_labels(mu))[1]:
             m_sum = km_sum = k = 0
             nu = mu
             while True:
@@ -158,11 +212,8 @@ def dominant_character(t, lam):
                 m_sum += m_up
                 km_sum += k * m_up
             if k:
-                num += count * (
-                    rs.pair_wr(mu, a) * m_sum + rs.pair_wr(wa, a) * km_sum
-                )
-        shifted = [x + y + 2 for x, y in zip(lam, mu)]
-        denom = sum(c * d * s for c, d, s in zip(coeffs, rs.d, shifted))
+                num += sum(map(mul, mu, da)) * m_sum + aa * km_sum
+        denom = sum(map(mul, coeffs, map(add, d_lam2, map(mul, rs.d, mu))))
         q, r = divmod(2 * num, denom)
         if r or q <= 0:
             raise LieError(f"multiplicity recursion failed at {mu}")

@@ -561,6 +561,7 @@ class RootSystem:
         return self.dual_perm[i - 1] + 1
 
     def weyl_dimension(self, lam):
+        self.check_rank(lam)
         if not self.is_dominant(lam):
             raise LieError("weyl_dimension wants a dominant weight")
         num = 1

@@ -42,6 +42,13 @@ loading does not check.  None of them is imported by the package.
   weights found by a walk that tries every root at every step.  Compared
   against ``characters.dominant_character``, which sums over the orbits
   of the stabilizer of each weight and prunes the walk.
+- ``dominant_weights_all_roots`` and ``down_steps_all_roots``: the
+  dominant weights of V(lam) with the root coefficients of lam - mu, by
+  a walk that tries every positive root at every dominant weight, and
+  the dominant steps down from one weight.  Compared, order included,
+  against ``characters.dominant_weights``, which tries only the roots
+  that fit under each weight's zero labels, and against the steps it
+  keeps per type in ``characters._STEP_CACHE``.
 - ``root_orbits_bfs``: the W_mu-orbits of the positive roots up to sign,
   each found by a breadth-first search over the simple reflections of
   W_mu, a root identified with its negative.  Compared against
@@ -358,6 +365,34 @@ def freudenthal_character(rs, lam):
         assert r == 0 and q > 0, (lam, mu)
         mult[mu] = q
     return mult
+
+
+def dominant_weights_all_roots(rs, lam):
+    """{mu: simple-root coefficients of lam - mu} over the dominant
+    weights of V(lam), highest first, ties in the order found."""
+    lam = tuple(lam)
+    coeffs = {lam: (0,) * rs.rank}
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for nu, a in down_steps_all_roots(rs, mu):
+                if nu not in coeffs:
+                    coeffs[nu] = tuple(x + y for x, y in zip(coeffs[mu], a))
+                    nxt.append(nu)
+        frontier = nxt
+    return {mu: coeffs[mu] for mu in sorted(coeffs, key=rs.height_key, reverse=True)}
+
+
+def down_steps_all_roots(rs, mu):
+    """[(mu - alpha, alpha)] over the positive roots alpha, in root
+    order, that leave mu - alpha dominant."""
+    out = []
+    for a, (_, wa) in zip(rs.positive_roots, rs.mirrors):
+        nu = tuple(x - y for x, y in zip(mu, wa))
+        if min(nu) >= 0:
+            out.append((nu, a))
+    return out
 
 
 def root_orbits_bfs(rs, zeros):

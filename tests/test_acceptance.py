@@ -241,9 +241,9 @@ def test_criterion_5_rule_verification(catalog, book):
 
 @pytest.mark.skipif(not HEAVY, reason="set LIEBRANCH_HEAVY=1 to run")
 def test_criterion_5_rule_verification_kmax_plus_2(catalog, book):
-    # F4>B4 node 2 at k = 5 is the slowest, 1.3-1.4 s, then E6>F4 nodes
-    # 3 and 5 at k = 4, 0.6-0.8 s each; about 4 s in all (2 cores,
-    # Python 3.11.7)
+    # F4>B4 node 2 at k = 5 is the slowest, about 0.8 s, then E6>F4
+    # nodes 3 and 5 at k = 4, 0.6-0.7 s each; about 2.8 s in all (2
+    # cores, Python 3.11.7)
     t0 = time.monotonic()
     _verify_rules(catalog, book, lambda g: [KMAX[g] + 2])
     assert time.monotonic() - t0 < 1800

@@ -16,6 +16,7 @@ from liebranch.characters import (
     dominant_character,
     dominant_character_product,
     dominant_weights,
+    module_dimension,
     multiplicity_of,
     restrict_collapsed,
     root_orbits,
@@ -32,6 +33,8 @@ from liebranch.rootsys import (
     simple_type,
 )
 from oracles import (
+    dominant_weights_all_roots,
+    down_steps_all_roots,
     dual_weight,
     freudenthal_character,
     fundamental,
@@ -142,6 +145,8 @@ def test_weight_length_must_be_the_rank(t, lam):
         dominant_weights(root_system(t), lam)
     with pytest.raises(LieError, match=msg):
         dominant_character(t, lam)
+    with pytest.raises(LieError, match=msg):
+        module_dimension(t, lam)
 
 
 # a subgroup weight of the wrong length is bad input: zip and
@@ -156,6 +161,8 @@ def test_subgroup_weight_length_must_be_the_rank(h, nu):
         multiplicity_of(emb, (1, 0, 0, 0, 0, 0), nu)
     with pytest.raises(LieError, match=msg):
         dominant_character_product(emb.hsys, nu)
+    with pytest.raises(LieError, match=msg):
+        emb.hsys.weyl_dimension(nu)
 
 
 def _catalog_simple_types():
@@ -198,6 +205,30 @@ def _oracle_cases():
 )
 def test_orbit_sum_matches_full_sum(t, lam):
     assert dominant_character(t, lam) == freudenthal_character(root_system(t), lam)
+
+
+@pytest.mark.parametrize(
+    "t,lam", list(_oracle_cases()), ids=lambda v: str(v).replace(" ", "")
+)
+def test_dominant_weights_match_the_all_roots_walk(t, lam):
+    # the same weights and coefficients, ties in height in the same order
+    rs = root_system(t)
+    got = list(dominant_weights(rs, lam).items())
+    assert got == list(dominant_weights_all_roots(rs, lam).items())
+
+
+@given(
+    st.sampled_from([t for t in _catalog_simple_types() if t.rank <= 4]),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_dominant_weights_match_the_all_roots_walk_random(t, data):
+    rs = root_system(t)
+    lam = tuple(
+        data.draw(st.integers(0, 3), label=f"lam{j}") for j in range(rs.rank)
+    )
+    got = list(dominant_weights(rs, lam).items())
+    assert got == list(dominant_weights_all_roots(rs, lam).items())
 
 
 @given(st.sampled_from(_catalog_simple_types()), st.data())
@@ -266,11 +297,12 @@ MEMO_CASES = {
 
 
 def test_conjugate_memo_is_transparent(monkeypatch):
-    # the characters of one type share its memo of dominant conjugates
-    # (B4 and F4 have weights of one length): filling the memos in one
-    # order and then in the other changes no character
+    # the characters of one type share its memos of dominant conjugates
+    # and of down-steps (B4 and F4 have weights of one length): filling
+    # the memos in one order and then in the other changes no character
     monkeypatch.setattr(characters, "_DOM_CHAR_CACHE", {})
     monkeypatch.setattr(characters, "_CONJUGATE_CACHE", {})
+    monkeypatch.setattr(characters, "_STEP_CACHE", {})
     cases = [(name, lam) for name, lams in MEMO_CASES.items() for lam in lams]
     want = {
         case: freudenthal_character(root_system(simple_type(case[0])), case[1])
@@ -279,13 +311,24 @@ def test_conjugate_memo_is_transparent(monkeypatch):
     for order in (cases, cases[::-1]):
         characters._DOM_CHAR_CACHE.clear()
         characters._CONJUGATE_CACHE.clear()
+        characters._STEP_CACHE.clear()
         for name, lam in order:
+            rs = root_system(simple_type(name))
             assert dominant_character(simple_type(name), lam) == want[name, lam]
+            assert list(dominant_weights(rs, lam).items()) == list(
+                dominant_weights_all_roots(rs, lam).items()
+            )
         assert sorted(characters._CONJUGATE_CACHE) == sorted(MEMO_CASES)
         for name, memo in characters._CONJUGATE_CACHE.items():
             rs = root_system(simple_type(name))
             for nu, dom in memo.items():
                 assert dom == rs.dominant_signed(nu)[0], (name, nu)
+        # each stored step list is the all-roots filter at its weight
+        assert sorted(characters._STEP_CACHE) == sorted(MEMO_CASES)
+        for name, memo in characters._STEP_CACHE.items():
+            rs = root_system(simple_type(name))
+            for mu, steps in memo.items():
+                assert steps == down_steps_all_roots(rs, mu), (name, mu)
 
 
 def test_character_duality():
