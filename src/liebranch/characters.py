@@ -41,11 +41,12 @@ a sign check on the image.  That character answers both full
 decompositions (repeated peeling of the highest remaining weight) and
 single multiplicities (alternating sum over the subgroup Weyl group).
 That sum visits only the w in W_H whose term can be non-zero: the term
-at w reads the dominant conjugate of target + rho - w rho, never lower
-than that weight, so it is zero once the height of rho - w rho passes
-the top restricted height of the charge minus the target's height; that
-height grows along the weak order, so the kept w are a weak-order ideal,
-walked layer by layer.
+at w reads the dominant conjugate of xi = target + rho - w rho, which
+has the norm of xi under the W_H-invariant form Q of
+`RootSystem.qnorm`, so it is zero once Q(xi) passes the largest Q of a
+key of the charge; Q(xi) grows along the weak order by one product per
+step, so the kept w are a weak-order ideal, walked layer by layer
+within that budget.
 """
 
 from __future__ import annotations
@@ -317,14 +318,17 @@ def multiplicity_of(emb, lam, target, charge=0, collapsed=None):
     Alternating sum over w in W_H of sign(w) times the restricted
     multiplicity of xi = target + rho - w rho, read from the dominant
     character at the dominant conjugate of xi.  Only the w whose term
-    can be non-zero are visited: that conjugate is never lower than xi,
-    so the term vanishes once height_key(rho - w rho) exceeds the top
-    height among the keys of this charge minus height_key(target).  W_H
-    is the Weyl group of the block-diagonal Cartan matrix of H, so
-    `RootSystem.weyl_orbit_signed` walks the orbit of rho in one
-    layered walk over all factors at once, and only the order ideal of
-    the weak order below that bound.  Much cheaper than a full
-    decomposition when only one entry is wanted.
+    can be non-zero are visited.  The conjugate has the norm of xi under
+    the W_H-invariant form Q of `RootSystem.qnorm`, so the term vanishes
+    once Q(xi) exceeds the largest Q of a key of this charge.  Q(xi) is
+    Q(target) at w = 1, and a step x -> s_i x of the walk from rho
+    (x = w rho, x_i > 0) adds x_i alpha_i to xi and x_i (target_i + 1)
+    Q(alpha_i) to Q(xi): one positive cost per node, so the budget walk
+    of `RootSystem.weyl_orbit_signed` visits exactly the order ideal of
+    the weak order within max Q(key) - Q(target).  W_H is the Weyl group
+    of the block-diagonal Cartan matrix of H, so the walk covers all
+    factors at once.  Much cheaper than a full decomposition when only
+    one entry is wanted.
     """
     ps = emb.hsys
     ps.check_rank(target)
@@ -332,10 +336,11 @@ def multiplicity_of(emb, lam, target, charge=0, collapsed=None):
         raise LieError(f"target weight must be dominant: {target}")
     if collapsed is None:
         collapsed = restrict_collapsed(emb, lam)
-    # no key of this charge: a negative bound, so no terms
-    top = max((ps.height_key(w) for w, q in collapsed if q == charge), default=-1)
+    # no key of this charge: a negative budget, so no terms
+    top = max((ps.qnorm(w) for w, q in collapsed if q == charge), default=-1)
+    costs = [(t + 1) * n for t, n in zip(target, ps.simple_qnorms)]
     total = 0
-    for w_rho, sign in ps.weyl_orbit_signed(ps.rho, top - ps.height_key(target)):
+    for w_rho, sign in ps.weyl_orbit_signed(ps.rho, top - ps.qnorm(target), costs):
         xi = tuple(t + 1 - w for t, w in zip(target, w_rho))
         dom, _ = ps.dominant_signed(xi)
         total += sign * collapsed.get((dom, charge), 0)

@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 bad input, 3 unsupported pair or node,
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .branching import load_rules, verify_rule
 from .characters import module_dimension, multiplicity_of
@@ -222,7 +223,10 @@ def cmd_mult(args):
     return EXIT_OK
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The command line parser, built on the first call and then shared:
+    every `main` in one process parses with the same parser."""
     parser = argparse.ArgumentParser(
         prog="liebranch",
         description="Spherical flag varieties and branching rules, in exact arithmetic.",

@@ -374,45 +374,59 @@ class RootSystem:
             else:
                 return tuple(mu), sign
 
-    def weyl_orbit_layers(self, lam, bound=None, image=None):
+    def weyl_orbit_layers(self, lam, budget=None, image=None, costs=None):
         """Yield the orbit of a dominant weight layer by layer.
 
         Layer k holds the orbit elements at distance k from the dominant
         chamber in the weak order; each element appears exactly once.
-        With ``bound``, only the points x with height_key(lam - x) <= bound
-        are kept and expanded.  A step x -> s_i x with x[i] > 0 adds
-        x[i] * alpha_i to lam - x, whose height_key is 2 * x[i], so the
-        height grows along every step and the kept points are an order
-        ideal, each in its own layer; a step past the bound is not taken.
+
+        With ``budget``, only the points x whose cost, sum_i costs[i]
+        times the coefficient of alpha_i in lam - x, is at most the
+        budget are kept and expanded.  A step x -> s_i x with x[i] > 0
+        adds x[i] * alpha_i to lam - x, so it costs x[i] * costs[i]; with
+        positive costs the cost grows along every step, the kept points
+        are an order ideal, each in its own layer, and a step past the
+        budget is not taken.  Each kept point carries the budget left
+        there.  ``costs`` defaults to 2 at every node, which makes the
+        cost height_key(lam - x): the height cut.
 
         With ``image``, a `WeightImage` A of this system, each layer is a
         dict from its points x to their images A x.  The step moves x by
         -x[i] * column_i(C), so it moves A x by -x[i] times A of that
-        column, a vector fixed per node: A is applied to lam alone.
+        column, a vector fixed per node: A is applied to lam alone.  A
+        walk carries an image or a budget, not both.
         """
         if not self.is_dominant(lam):
             raise LieError("weyl_orbit_layers wants a dominant weight")
-        top = self.height_key(lam)
         lam = tuple(lam)
         cols = self._columns
         shifts = None if image is None else image.shifts
+        left = None  # the budget left at a new point, with a budget
         layer = {}
-        if bound is None or bound >= 0:
+        if budget is None:
+            costs = None
             layer[lam] = None if image is None else image(lam)
+        else:
+            costs = (2,) * self.rank if costs is None else costs
+            if budget >= 0:
+                layer[lam] = budget
         while layer:
             yield layer.keys() if image is None else layer
             nxt = {}
-            for w, img in layer.items():
-                room = math.inf if bound is None else bound - top + self.height_key(w)
+            for w, v in layer.items():  # v: A w, or the budget left at w
                 for i, wi in enumerate(w):
-                    if 0 < wi and 2 * wi <= room:
+                    if wi > 0:
+                        if costs is not None:
+                            left = v - wi * costs[i]
+                            if left < 0:
+                                continue
                         y = list(w)  # s_i w
                         for j, c in cols[i]:
                             y[j] -= wi * c
                         y = tuple(y)
                         if y not in nxt:
-                            nxt[y] = None if img is None else tuple(
-                                [v - wi * s for v, s in zip(img, shifts[i])]
+                            nxt[y] = left if shifts is None else tuple(
+                                [a - wi * s for a, s in zip(v, shifts[i])]
                             )
             layer = nxt
 
@@ -474,16 +488,16 @@ class RootSystem:
                         seen.add(y)
                         stack.append((y, tuple(v - p * s for v, s in zip(img, sa))))
 
-    def weyl_orbit_signed(self, mu, bound):
+    def weyl_orbit_signed(self, mu, budget, costs=None):
         """Yield (x, sign) over the orbit points x of a dominant weight mu
-        with height_key(mu - x) <= bound.
+        kept by the budget walk of `weyl_orbit_layers`.
 
-        The sign is (-1)^k for a point in layer k of `weyl_orbit_layers`,
-        at distance k from mu in the weak order; ``bound = 2 *
-        height_key(mu)`` keeps the whole orbit, and a negative bound keeps
-        nothing.
+        The sign is (-1)^k for a point in layer k, at distance k from mu
+        in the weak order.  With the default costs the budget bounds
+        height_key(mu - x): ``budget = 2 * height_key(mu)`` keeps the
+        whole orbit, and a negative budget keeps nothing.
         """
-        for depth, layer in enumerate(self.weyl_orbit_layers(mu, bound)):
+        for depth, layer in enumerate(self.weyl_orbit_layers(mu, budget, costs=costs)):
             sign = -1 if depth % 2 else 1
             for x in layer:
                 yield x, sign
@@ -528,6 +542,21 @@ class RootSystem:
         for b, j in self.coroot_chain[1]:
             p.append(p[b] + x[j])
         return p
+
+    def qnorm(self, x):
+        """Q(x) = sum over the positive roots a of <x, a^vee>^2.
+
+        A W-invariant positive-definite quadratic form, integer on
+        weights, read off `coroot_pairings` (no Cartan inverse).  On a
+        product it weights the factors differently from the Killing
+        form; it is invariant all the same."""
+        return sum(p * p for p in self.coroot_pairings(x))
+
+    @cached_property
+    def simple_qnorms(self):
+        """Q(alpha_i) for every node i, from the columns of the Cartan
+        matrix (the weights of the simple roots).  Built on first use."""
+        return [self.qnorm([row[i] for row in self.C]) for i in range(self.rank)]
 
     def weyl_order(self):
         return math.prod(map(_weyl_order, self.factors))

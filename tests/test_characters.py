@@ -781,3 +781,137 @@ RACAH_FULL_SUM_HEAVY = [
 @pytest.mark.parametrize("h,lam_text,targets", RACAH_FULL_SUM_HEAVY)
 def test_racah_cut_matches_full_sum_e8(h, lam_text, targets):
     test_racah_cut_matches_full_sum("E8", h, lam_text, targets)
+
+
+def _racah_costs(ps, target):
+    """The per-node step costs of the Racah walk of `multiplicity_of`."""
+    return [(t + 1) * n for t, n in zip(target, ps.simple_qnorms)]
+
+
+def _racah_walk_brute(ps, target, budget):
+    """(w rho, sign(w)) over every w in W_H with Q(target + rho - w rho)
+    - Q(target) <= budget, from the whole orbit of rho: the reference."""
+    base = ps.qnorm(target)
+    return sorted(
+        (x, ps.dominant_signed(x)[1])
+        for layer in ps.weyl_orbit_layers(ps.rho)
+        for x in layer
+        if ps.qnorm(tuple(t + 1 - v for t, v in zip(target, x))) - base <= budget
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from(["A2xA1", "B3", "C3", "G2", "A1xF4"]), data=st.data())
+def test_racah_walk_keeps_the_weyl_group_within_the_budget(spec, data):
+    ps = root_system(TypeSpec.parse(spec))
+    target = tuple(data.draw(st.integers(0, 2)) for _ in range(ps.rank))
+    budget = data.draw(st.integers(-2, 2 * ps.qnorm(ps.rho) + 2 * ps.qnorm(target)))
+    got = sorted(ps.weyl_orbit_signed(ps.rho, budget, _racah_costs(ps, target)))
+    assert got == _racah_walk_brute(ps, target, budget)
+
+
+CATALOG_SPECS = sorted(
+    {str(e.spec) for g in ("G2", "F4", "E6", "E7", "E8") for e in CAT.entries(g)}
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(CATALOG_SPECS), data=st.data())
+def test_racah_step_cost_is_one_product(spec, data):
+    # one step x -> s_i x adds x_i (t_i + 1) Q(alpha_i) to Q(t + rho - x),
+    # on any integer x, and Q is W-invariant
+    ps = root_system(TypeSpec.parse(spec))
+    n = ps.rank
+    target = tuple(data.draw(st.integers(0, 3)) for _ in range(n))
+    x = tuple(data.draw(st.integers(-4, 4)) for _ in range(n))
+    i = data.draw(st.integers(0, n - 1))
+    y = tuple(v - x[i] * row[i] for v, row in zip(x, ps.C))  # s_i x
+    xi, eta = (tuple(t + 1 - v for t, v in zip(target, z)) for z in (x, y))
+    step = ps.qnorm(eta) - ps.qnorm(xi)
+    assert step == x[i] * _racah_costs(ps, target)[i]
+    assert ps.qnorm(x) == ps.qnorm(y)
+    assert ps.simple_qnorms[i] == ps.qnorm([row[i] for row in ps.C]) > 0
+
+
+# E8 queries that the height cut alone summed over 50,630 and 29,523 terms
+@pytest.mark.parametrize(
+    "h,target_text", [("E7xA1", "2l7+2l8"), ("D8", "2l8")]
+)
+def test_racah_e8_queries_match_decompose(h, target_text):
+    emb = CAT.get("E8", h)
+    lam = (0, 0, 0, 0, 0, 0, 0, 4)
+    target, _ = parse_weight(target_text, emb.rank_ss, "l")
+    collapsed = restrict_collapsed(emb, lam)
+    want = decompose(emb, lam, collapsed=collapsed)[(target, 0)]
+    assert want == 2
+    assert multiplicity_of(emb, lam, target, collapsed=collapsed) == want
+
+
+# H that is not simply laced, at k >= 4: every key of the restriction
+@pytest.mark.parametrize(
+    "g,h,lam",
+    [
+        pytest.param(
+            "F4", "B4", (0, 5, 0, 0),
+            marks=pytest.mark.skipif(not HEAVY, reason="set LIEBRANCH_HEAVY=1 to run"),
+        ),
+        ("E6", "F4", (0, 0, 4, 0, 0, 0)),
+    ],
+)
+def test_racah_matches_decompose_at_every_key(g, h, lam):
+    emb = CAT.get(g, h)
+    collapsed = restrict_collapsed(emb, lam)
+    full = decompose(emb, lam, collapsed=collapsed)
+    for w, q in collapsed:
+        got = multiplicity_of(emb, lam, w, charge=q, collapsed=collapsed)
+        assert got == full.get((w, q), 0), (w, q)
+
+
+@pytest.fixture
+def racah_walk(monkeypatch):
+    """Every (w rho, sign) that the Racah sums of the test walk."""
+    walked = []
+    walk = RootSystem.weyl_orbit_signed
+
+    def recorded(self, *args):
+        for item in walk(self, *args):
+            walked.append(item)
+            yield item
+
+    monkeypatch.setattr(RootSystem, "weyl_orbit_signed", recorded)
+    return walked
+
+
+@pytest.mark.parametrize(
+    "g,h,lam", [("F4", "B4", (0, 1, 0, 0)), ("E6", "A5xA1", (0, 1, 0, 0, 0, 0))]
+)
+def test_racah_sum_walks_exactly_the_budget(racah_walk, g, h, lam):
+    # every key, and a target above the top key: the sum walks the w with
+    # Q(target + rho - w rho) at most the largest Q of a key, and no other
+    emb = CAT.get(g, h)
+    ps = emb.hsys
+    collapsed = restrict_collapsed(emb, lam)
+    top = max(ps.qnorm(w) for w, _ in collapsed)
+    targets = sorted(w for w, _ in collapsed)
+    targets.append(tuple(x + 1 for x in targets[-1]))
+    for w in targets:
+        racah_walk.clear()
+        multiplicity_of(emb, lam, w, collapsed=collapsed)
+        assert sorted(racah_walk) == _racah_walk_brute(ps, w, top - ps.qnorm(w)), w
+
+
+def test_racah_empty_budget_keeps_no_terms(racah_walk):
+    emb = CAT.get("E7", "E6xT1")
+    lam = (0, 0, 0, 0, 0, 0, 1)
+    collapsed = restrict_collapsed(emb, lam)
+    top_w, top_q = max(collapsed, key=lambda kq: emb.hsys.qnorm(kq[0]))
+    # a target above every key, and a charge with no key
+    above = tuple(x + 1 for x in top_w)
+    no_key = max(q for _, q in collapsed) + 1
+    for w, q in [(above, top_q), (top_w, no_key)]:
+        assert multiplicity_of(emb, lam, w, charge=q, collapsed=collapsed) == 0
+    assert racah_walk == []
+    # a key of the largest Q is a highest weight, and its one term reads it
+    got = multiplicity_of(emb, lam, top_w, charge=top_q, collapsed=collapsed)
+    assert got == collapsed[(top_w, top_q)] > 0
+    assert racah_walk == [(emb.hsys.rho, 1)]

@@ -908,6 +908,24 @@ class TestSubprocess:
         assert proc.returncode == code == 0
         assert proc.stdout == out
 
+    def test_one_parser_serves_every_call(self, capsys):
+        # main builds its parser on the first call and keeps it: a usage
+        # error and then two subcommands in this process print what a
+        # fresh interpreter prints
+        cli.build_parser.cache_clear()
+        runs = [
+            ("mult", "E6", "F4"),
+            ("dims", "G2", "--format", "json"),
+            ("branch", "G2", "A2", "1", "2"),
+        ]
+        for k, argv in enumerate(runs):
+            code, out, err = run(capsys, *argv)
+            proc = self._run(*argv, module="liebranch")
+            assert (code, out) == (proc.returncode, proc.stdout)
+            assert err.splitlines()[-1:] == proc.stderr.splitlines()[-1:]
+            assert (code == 2) == (k == 0)
+        assert cli.build_parser() is cli.build_parser()
+
     def test_heavy_env_flag(self):
         # a large module needs neither a flag nor an environment variable
         proc = self._run("mult", "E7", "A7", "4w1", "l4")
