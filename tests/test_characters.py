@@ -886,8 +886,9 @@ def racah_walk(monkeypatch):
     "g,h,lam", [("F4", "B4", (0, 1, 0, 0)), ("E6", "A5xA1", (0, 1, 0, 0, 0, 0))]
 )
 def test_racah_sum_walks_exactly_the_budget(racah_walk, g, h, lam):
-    # every key, and a target above the top key: the sum walks the w with
-    # Q(target + rho - w rho) at most the largest Q of a key, and no other
+    # every key, and one target past the last key: the sum walks the w
+    # with Q(target + rho - w rho) at most the largest Q of a key, and no
+    # other
     emb = CAT.get(g, h)
     ps = emb.hsys
     collapsed = restrict_collapsed(emb, lam)
