@@ -11,17 +11,20 @@ non-simple positive root g, its extraspecial factorization g = a1 + b1
 N(a1, b1) = +(p+1) where p is the length of the a1-string below b1.  All
 other constants are forced from these by antisymmetry, the rule
 N(-a,-b) = -N(a,b), the cyclic identity N(a,b)/(c,c) = N(b,c)/(a,a) for
-a+b+c = 0, and the Jacobi identity; they are computed by a memoized
-recursion on those relations rather than by a closed formula, so the
-defining identities hold by construction.
+a+b+c = 0, and the Jacobi identity (Carter, Simple Groups of Lie Type,
+section 4.2).  They are computed in one pass over the positive roots in
+height order, on integer codes of the roots: the Jacobi identity gives
+each positive pair's constant from constants of lower height, and the
+cyclic identity and N(-a,-b) = -N(a,b) give the other five pairs of the
+root triples {a, b, -a-b} and {-a, -b, a+b} from it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, sub
+from operator import mul
 
-from .rootsys import SimpleType, neg, root_system
+from .rootsys import LieError, SimpleType, neg, root_system
 
 
 class ChevalleyBasis:
@@ -35,13 +38,7 @@ class ChevalleyBasis:
         self._signed_roots = list(rs.positive_roots) + [
             neg(a) for a in rs.positive_roots
         ]
-        sr = self._signed_roots
-        # every signed root (never 0), its index, its negative and its norm
-        self.root_index = {a: k for k, a in enumerate(sr)}
-        self._neg = dict(zip(sr, sr[self.m :] + sr[: self.m]))
-        self._norm2 = {a: rs.norm2(a) for a in sr}
-        self._n_cache = {}
-        self._extraspecial = self._pick_extraspecial()
+        self.root_index = {a: k for k, a in enumerate(self._signed_roots)}
         self._table = self._build_table()
 
     # -- basic indexing ---------------------------------------------------
@@ -57,112 +54,90 @@ class ChevalleyBasis:
     def signed_root_of_index(self, k):
         return self._signed_roots[k] if k < 2 * self.m else None
 
-    # -- structure constants ----------------------------------------------
-
-    def _pick_extraspecial(self):
-        rs = self.rs
-        pairs = {}
-        for g in rs.positive_roots:
-            if sum(g) == 1:
-                continue
-            for a in rs.positive_roots:
-                b = tuple(map(sub, g, a))
-                if b in rs.index:
-                    pairs[g] = (a, b)
-                    break  # positive_roots is ordered; first hit is minimal
-        return pairs
-
-    def _string_down(self, b, a):
-        """Largest p with b - p*a a root."""
-        p = 0
-        cur = tuple(map(sub, b, a))
-        while cur in self.root_index:
-            p += 1
-            cur = tuple(map(sub, cur, a))
-        return p
-
-    def nconst(self, a, b):
-        """N(a, b) with [X_a, X_b] = N(a,b) X_{a+b}; requires a+b a root."""
-        a, b = tuple(a), tuple(b)
-        key = (a, b)
-        if key not in self._n_cache:
-            self._n_cache[key] = self._nconst_compute(a, b)
-        return self._n_cache[key]
-
-    def _nconst_compute(self, a, b):
-        index, minus, norm2, m = self.root_index, self._neg, self._norm2, self.m
-        g = tuple(map(add, a, b))
-        assert g in index, (a, b)
-        if index[a] >= m and index[b] >= m:
-            return -self.nconst(minus[a], minus[b])
-        if index[a] >= m:
-            return -self.nconst(b, a)
-        if index[b] >= m:
-            # N(xi, -eta) with xi, eta positive roots and zeta = xi - eta = g
-            xi, eta, zeta = a, minus[b], g
-            if index[zeta] < m:
-                num = -self.nconst(eta, zeta) * norm2[zeta]
-                den = norm2[xi]
-            else:
-                zetap = minus[zeta]
-                num = self.nconst(zetap, xi) * norm2[zetap]
-                den = norm2[eta]
-            assert num % den == 0, (a, b)
-            return num // den
-        # both positive
-        a1, b1 = self._extraspecial[g]
-        p1 = self._string_down(b1, a1) + 1
-        if (a, b) == (a1, b1):
-            return p1
-        if (b, a) == (a1, b1):
-            return -p1
-        # Jacobi on (X_{-a1}, X_a, X_b); neither a nor b equals a1 or b1 here,
-        # so no [X_r, X_{-r}] terms arise and the X_{b1} coefficient gives
-        #   N(a,b) N(-a1,g) = N(-a1,a) N(a-a1,b) + N(b,-a1) N(b-a1,a)
-        t1 = 0
-        am = tuple(map(sub, a, a1))
-        if am in index:
-            t1 = self.nconst(minus[a1], a) * self.nconst(am, b)
-        t2 = 0
-        bm = tuple(map(sub, b, a1))
-        if bm in index:
-            t2 = self.nconst(b, minus[a1]) * self.nconst(bm, a)
-        # N(-a1, g) = (p+1) |b1|^2 / |g|^2 by the cyclic identity
-        den = p1 * norm2[b1]
-        num = (t1 + t2) * norm2[g]
-        assert den != 0 and num % den == 0, (a, b)
-        return num // den
-
     # -- bracket table ------------------------------------------------------
 
     def _build_table(self):
         """table[i][j]: [e_i, e_j] as a tuple of (k, c) pairs, () for 0."""
-        rs = self.rs
-        m, rank = self.m, self.rank
-        index = self.root_index
+        rs, m, rank = self.rs, self.m, self.rank
         table = [[()] * self.dim for _ in range(self.dim)]
-        sr = self._signed_roots
-        # each pair is computed once, for i < j, and stored both ways
-        for i in range(2 * m):
-            a = sr[i]
-            row = table[i]
-            wa = rs.weight_of_root(a)
-            for k in range(rank):
-                if wa[k]:
-                    # [X_a, H_k] = -<a, alpha_k^vee> X_a
-                    row[2 * m + k] = ((i, -wa[k]),)
-                    table[2 * m + k][i] = ((i, wa[k]),)
-            for j in range(i + 1, 2 * m):
-                b = sr[j]
-                k = index.get(tuple(map(add, a, b)))
+        # a signed root a has the code sum_k a[k] * 32**k, so adding roots
+        # adds codes.  Root coefficients are at most 6 in absolute value
+        # and a root string has at most 4 roots, so every vector whose code
+        # is looked up below (a sum or difference of two roots, or a point
+        # b - t*a with t <= 3) differs from each root by less than 32 in
+        # every coordinate: its code is in the index exactly when it is a
+        # root
+        powers = [32**k for k in range(rank)]
+        codes = [sum(map(mul, a, powers)) for a in self._signed_roots]
+        index = {c: k for k, c in enumerate(codes)}
+        norm = [rs.norm2(a) for a in rs.positive_roots]
+
+        def exact(num, den):
+            q, r = divmod(num, den)
+            if r:
+                raise LieError(f"{self.type}: N = {num}/{den} is not an integer")
+            return q
+
+        def put(i, j, k, n):
+            # N(a, b) = n for positive a + b = c fixes the six pairs of the
+            # triples {a, b, -c} and {-a, -b, c}; each is stored both ways
+            ca, cb = exact(n * norm[i], norm[k]), exact(n * norm[j], norm[k])
+            for u, v, w, c in (
+                (i, j, k, n),
+                (i + m, j + m, k + m, -n),
+                (j, k + m, i + m, ca),
+                (j + m, k, i, -ca),
+                (k + m, i, j + m, cb),
+                (k, i + m, j, -cb),
+            ):
+                table[u][v] = ((w, c),)
+                table[v][u] = ((w, -c),)
+
+        # the positive pairs i < j of each positive root sum k, i ascending,
+        # so that the first is the extraspecial pair
+        sums = [[] for _ in range(m)]
+        for i in range(m):
+            hits = map(index.get, map(codes[i].__add__, codes[i + 1 : m]))
+            for j, k in enumerate(hits, i + 1):
                 if k is not None:
-                    n = self.nconst(a, b)  # never 0: N(a, b) = +-(p+1)
-                    row[j] = ((k, n),)
-                    table[j][i] = ((k, -n),)
-                elif j == i + m:  # b = -a, a positive
-                    h = self.h_coroot(a)
-                    row[j] = tuple(h.items())
-                    table[j][i] = tuple([(k, -c) for k, c in h.items()])
+                    sums[k].append((i, j))
+        # positive_roots is in height order, so every constant read below
+        # belongs to a root triple of lower height, already put
+        for k, pairs in enumerate(sums):
+            if not pairs:
+                continue
+            # p1 = p + 1, p the length of the a1-string below b1
+            a1, b1 = pairs[0]
+            p1, cur = 1, codes[b1] - codes[a1]
+            while cur in index:
+                p1 += 1
+                cur -= codes[a1]
+            put(a1, b1, k, p1)
+            # Jacobi on (X_{-a1}, X_a, X_b) for the other pairs, g = a + b:
+            # neither a nor b is a1 or b1, so no [X_r, X_{-r}] terms arise
+            # and the X_{b1} coefficient gives
+            #   N(a,b) N(-a1,g) = N(-a1,a) N(a-a1,b) + N(b,-a1) N(b-a1,a)
+            # with N(-a1, g) = (p+1) |b1|^2 / |g|^2 by the cyclic identity
+            for a, b in pairs[1:]:
+                t = 0
+                am = index.get(codes[a] - codes[a1])
+                if am is not None:
+                    t += table[a1 + m][a][0][1] * table[am][b][0][1]
+                bm = index.get(codes[b] - codes[a1])
+                if bm is not None:
+                    t += table[b][a1 + m][0][1] * table[bm][a][0][1]
+                put(a, b, k, exact(t * norm[k], p1 * norm[b1]))
+        for i, a in enumerate(rs.positive_roots):
+            h = self.h_coroot(a)
+            table[i][i + m] = tuple(h.items())
+            table[i + m][i] = tuple([(k, -c) for k, c in h.items()])
+            for k, x in enumerate(rs.weight_of_root(a)):
+                if x:
+                    # [X_a, H_k] = -<a, alpha_k^vee> X_a, and the same for -a
+                    table[i][2 * m + k] = ((i, -x),)
+                    table[2 * m + k][i] = ((i, x),)
+                    table[i + m][2 * m + k] = ((i + m, x),)
+                    table[2 * m + k][i + m] = ((i + m, -x),)
         return table
 
     def bracket(self, u, v):

@@ -123,7 +123,8 @@ def cartan_data(t: SimpleType):
     # symmetrizability sanity: d_i C_ij = d_j C_ji
     for i in range(n):
         for j in range(n):
-            assert d[i] * C[i][j] == d[j] * C[j][i]
+            if d[i] * C[i][j] != d[j] * C[j][i]:
+                raise LieError(f"{t}: d = {d} does not symmetrize C at {i}, {j}")
     return C, d
 
 
@@ -205,9 +206,9 @@ def _weyl_order(t: SimpleType):
 def _coroot(d, a, wa):
     """alpha^vee over the simple coroots, for the root with coefficients a
     and weight coordinates wa; (alpha, alpha) is read off wa."""
-    da = sum(map(mul, map(mul, d, a), wa))
-    assert da % 2 == 0
-    da //= 2
+    da, odd = divmod(sum(map(mul, map(mul, d, a), wa)), 2)
+    if odd:
+        raise LieError(f"odd squared length for {a}")
     out = []
     for dj, aj in zip(d, a):
         num = dj * aj
@@ -599,8 +600,10 @@ class RootSystem:
         for a in self.positive_roots:
             num *= self.pair_wr(lr, a)
             den *= self.pair_wr(self.rho, a)
-        assert num % den == 0
-        return num // den
+        q, r = divmod(num, den)
+        if r:
+            raise LieError(f"non-integral Weyl dimension {num}/{den} for {lam}")
+        return q
 
     def height_key(self, mu):
         """<mu, 2 rho^vee>: a linear functional positive on positive roots."""

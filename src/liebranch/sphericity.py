@@ -116,7 +116,8 @@ def lie_h(emb: Embedding):
             b = a[:j] + (a[j] - 1,) + a[j + 1 :]
             if b in built:
                 built[a] = cb.bracket(x, built[b][0]), cb.bracket(y, built[b][1])
-                assert all(built[a]), (emb.name, a)
+                if not all(built[a]):
+                    raise LieError(f"{emb.name}: the bracket for root {a} vanishes")
                 break
         else:
             raise LieError(f"{emb.name}: cannot reach root {a}")

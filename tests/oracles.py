@@ -6,6 +6,12 @@ loading does not check.  None of them is imported by the package.
 
 - ``x``, ``h`` and ``to_dense``: basis elements X_a and H_i of a
   Chevalley basis, and a sparse element as a dense list.  Test inputs.
+- ``StructureConstants`` and ``bracket_table``: the structure constants
+  N(a, b) of a Chevalley basis by a memoised recursion on the defining
+  relations, each constant computed on demand from the ones it needs,
+  and the bracket table rebuilt entry by entry from them.  Compared
+  against ``ChevalleyBasis._table``, which one bottom-up pass in height
+  order fills.
 - ``kernel``: nullspace of a ``linalg.SpanQ``.  Used by ``centralizer``
   and checked on its own against rank-nullity.
 - ``centralizer``: centralizer of a set of elements of a Chevalley basis,
@@ -73,6 +79,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import add, sub
 
 from liebranch.chevalley import chevalley_basis, neg
 from liebranch.embeddings import subsystem_simple_images
@@ -100,6 +107,105 @@ def to_dense(cb, u):
     for k, c in u.items():
         v[k] = c
     return v
+
+
+class StructureConstants:
+    """N(a, b) with [X_a, X_b] = N(a, b) X_{a+b}, for the normalization of
+    ``liebranch.chevalley``: N(a1, b1) = p + 1 on each extraspecial pair,
+    and every other constant forced by antisymmetry, N(-a,-b) = -N(a,b),
+    the cyclic identity and the Jacobi identity, by a memoised recursion
+    on those relations."""
+
+    def __init__(self, rs):
+        self.rs = rs
+        self.roots = set(rs.positive_roots) | {neg(a) for a in rs.positive_roots}
+        self.cache = {}
+        # extraspecial[g] = (a1, b1): a1 the first positive root in root
+        # order with b1 = g - a1 also positive
+        self.extraspecial = {}
+        for g in rs.positive_roots:
+            for a in rs.positive_roots:
+                b = tuple(map(sub, g, a))
+                if b in rs.index:
+                    self.extraspecial[g] = (a, b)
+                    break
+
+    def string_down(self, b, a):
+        """Largest p with b - p*a a root."""
+        p = 0
+        cur = tuple(map(sub, b, a))
+        while cur in self.roots:
+            p += 1
+            cur = tuple(map(sub, cur, a))
+        return p
+
+    def nconst(self, a, b):
+        """N(a, b) for signed roots a, b whose sum is a root."""
+        a, b = tuple(a), tuple(b)
+        if (a, b) not in self.cache:
+            self.cache[a, b] = self._compute(a, b)
+        return self.cache[a, b]
+
+    def _compute(self, a, b):
+        pos, norm2 = self.rs.index, self.rs.norm2
+        g = tuple(map(add, a, b))
+        assert g in self.roots, (a, b)
+        if a not in pos and b not in pos:
+            return -self.nconst(neg(a), neg(b))
+        if a not in pos:
+            return -self.nconst(b, a)
+        if b not in pos:
+            # N(xi, -eta) with xi, eta positive and zeta = xi - eta = g
+            xi, eta = a, neg(b)
+            if g in pos:
+                num, den = -self.nconst(eta, g) * norm2(g), norm2(xi)
+            else:
+                num, den = self.nconst(neg(g), xi) * norm2(g), norm2(eta)
+            assert num % den == 0, (a, b)
+            return num // den
+        a1, b1 = self.extraspecial[g]
+        p1 = self.string_down(b1, a1) + 1
+        if (a, b) == (a1, b1):
+            return p1
+        if (b, a) == (a1, b1):
+            return -p1
+        # Jacobi on (X_{-a1}, X_a, X_b), the X_{b1} coefficient:
+        #   N(a,b) N(-a1,g) = N(-a1,a) N(a-a1,b) + N(b,-a1) N(b-a1,a)
+        # with N(-a1, g) = (p+1) |b1|^2 / |g|^2
+        t = 0
+        am = tuple(map(sub, a, a1))
+        if am in self.roots:
+            t += self.nconst(neg(a1), a) * self.nconst(am, b)
+        bm = tuple(map(sub, b, a1))
+        if bm in self.roots:
+            t += self.nconst(b, neg(a1)) * self.nconst(bm, a)
+        num, den = t * norm2(g), p1 * norm2(b1)
+        assert num % den == 0, (a, b)
+        return num // den
+
+
+def bracket_table(cb):
+    """The bracket table of a Chevalley basis rebuilt entry by entry, in
+    the layout of ``ChevalleyBasis._table``: N(a, b) from
+    ``StructureConstants`` where a + b is a root, +-H_a at [X_a, X_{-a}],
+    and -<a, alpha_k^vee> X_a at [X_a, H_k]."""
+    rs, m = cb.rs, cb.m
+    sc = StructureConstants(rs)
+    signed = [cb.signed_root_of_index(k) for k in range(2 * m)]
+    table = [[()] * cb.dim for _ in range(cb.dim)]
+    for i, a in enumerate(signed):
+        for j, b in enumerate(signed):
+            s = tuple(map(add, a, b))
+            if s in sc.roots:
+                table[i][j] = ((cb.root_index[s], sc.nconst(a, b)),)
+            elif not any(s):
+                hb = rs.coroot(a) if i < m else neg(rs.coroot(b))
+                table[i][j] = tuple((2 * m + k, c) for k, c in enumerate(hb) if c)
+        for k, w in enumerate(rs.weight_of_root(a)):
+            if w:
+                table[i][2 * m + k] = ((i, -w),)
+                table[2 * m + k][i] = ((i, w),)
+    return table
 
 
 def kernel(span):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from operator import add
 
 import pytest
 from fractions import Fraction
@@ -8,11 +9,26 @@ from fractions import Fraction
 from liebranch.chevalley import chevalley_basis, neg
 from liebranch.rootsys import SimpleType
 from liebranch.sphericity import PRIME
-from oracles import centralizer, exp_ad_apply_exact, h, to_dense, x
+from oracles import (
+    StructureConstants,
+    bracket_table,
+    centralizer,
+    exp_ad_apply_exact,
+    h,
+    to_dense,
+    x,
+)
 
 
 def T(name):
     return SimpleType(name[0], int(name[1]))
+
+
+def nconst(cb, a, b):
+    """N(a, b) read off the bracket table: [X_a, X_b] = N(a, b) X_{a+b}."""
+    ((k, n),) = cb._table[cb.root_index[a]][cb.root_index[b]]
+    assert cb.signed_root_of_index(k) == tuple(map(add, a, b))
+    return n
 
 
 def test_sl2_relations():
@@ -28,15 +44,15 @@ def test_sl3_structure_constants():
     a, b, g = (0, 1), (1, 0), (1, 1)
     # (a, b) is the chosen factorization of g: a is first in root order,
     # and the a-string below b is empty, so N(a, b) = +1
-    assert cb._extraspecial[g] == (a, b)
-    assert cb.nconst(a, b) == 1
-    assert cb.nconst(b, a) == -1
-    assert cb.nconst(neg(a), neg(b)) == -1
+    assert StructureConstants(cb.rs).extraspecial[g] == (a, b)
+    assert nconst(cb, a, b) == 1
+    assert nconst(cb, b, a) == -1
+    assert nconst(cb, neg(a), neg(b)) == -1
     assert cb.bracket(x(cb, a), x(cb, b)) == x(cb, g)
     # [X_g, X_{-a}] lands on X_b with the forced constant
     got = cb.bracket(x(cb, g), x(cb, neg(a)))
-    assert got == {cb.root_index[b]: cb.nconst(g, neg(a))}
-    assert cb.nconst(g, neg(a)) in (1, -1)
+    assert got == {cb.root_index[b]: nconst(cb, g, neg(a))}
+    assert nconst(cb, g, neg(a)) in (1, -1)
 
 
 def test_g2_string_lengths_show_up():
@@ -48,7 +64,7 @@ def test_g2_string_lengths_show_up():
         for b in rs.positive_roots:
             s = tuple(x + y for x, y in zip(a, b))
             if rs.is_root(s):
-                mags.add(abs(cb.nconst(a, b)))
+                mags.add(abs(nconst(cb, a, b)))
     assert mags == {1, 2, 3}
 
 
@@ -86,21 +102,33 @@ def test_jacobi_sampled(name, ntrials):
 def test_constant_magnitudes_are_string_lengths(name):
     cb = chevalley_basis(T(name))
     rs = cb.rs
+    sc = StructureConstants(rs)
     for a in rs.positive_roots:
         for b in rs.positive_roots:
             if a == b:
                 continue
             s = tuple(x + y for x, y in zip(a, b))
             if rs.is_root(s):
-                p = cb._string_down(b, a)
-                assert abs(cb.nconst(a, b)) == p + 1, (a, b)
+                p = sc.string_down(b, a)
+                assert abs(nconst(cb, a, b)) == p + 1, (a, b)
 
 
 @pytest.mark.parametrize("name", ["G2", "F4", "E6", "E7"])
 def test_extraspecial_constants_positive(name):
     cb = chevalley_basis(T(name))
-    for g, (a1, b1) in cb._extraspecial.items():
-        assert cb.nconst(a1, b1) > 0, g
+    for g, (a1, b1) in StructureConstants(cb.rs).extraspecial.items():
+        assert nconst(cb, a1, b1) > 0, g
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "A3", "B2", "C3", "D4", "G2", "F4", "E6", "E7", "E8"]
+)
+def test_table_matches_structure_constant_oracle(name):
+    cb = chevalley_basis(T(name))
+    want = bracket_table(cb)
+    assert len(cb._table) == len(want) == cb.dim
+    for i, (got_row, want_row) in enumerate(zip(cb._table, want)):
+        assert got_row == want_row, (name, i)
 
 
 @pytest.mark.parametrize("name", ["A2", "G2", "F4", "E6"])

@@ -900,6 +900,15 @@ class TestSubprocess:
             assert proc.returncode == 0
             assert hashlib.sha256(proc.stdout.encode()).hexdigest() == pins[group]
 
+    def test_optimized_interpreter_prints_the_pinned_bytes(self):
+        # python -O strips assert statements; the package checks by
+        # raising, so an optimized run builds the same E8 table and prints
+        # the same verdicts
+        env = {"PYTHONOPTIMIZE": "1"}
+        proc = self._run("classify", "E8", "--seed", "0", "--format", "json", env=env)
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == CLASSIFY_JSON_SHA256["E8"]
+
     def test_package_runs_as_a_module(self, capsys):
         # python -m liebranch runs the tool from a checkout, uninstalled
         argv = ("classify", "G2", "--format", "json")

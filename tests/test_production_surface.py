@@ -3,7 +3,8 @@
 ``__all__``, or is a command line entry point.  Code that only the tests
 call belongs in ``tests/oracles.py``.  The guard matches names, so a
 definition that shares its name with an attribute read anywhere in the
-package escapes it.
+package escapes it.  No check in the package is an ``assert``, which
+``python -O`` strips.
 
 The layers that restrict and branch read H's roots and the weight map
 only, so they import nothing of the Lie-algebra layers: no Chevalley
@@ -106,6 +107,18 @@ def test_allowed_names_are_definitions():
     # an allow-list entry whose definition is gone is removed with it
     defined = {q for tree in _trees().values() for q, _ in _definitions(tree)}
     assert sorted(set(ALLOWED) - defined) == []
+
+
+def test_no_assert_statements():
+    # python -O strips assert statements, so every check in the package
+    # raises instead
+    found = [
+        f"{fname}:{node.lineno}"
+        for fname, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 RESTRICTION_LAYERS = ("embeddings", "characters", "branching")

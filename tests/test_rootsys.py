@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from liebranch.embeddings import load_catalog, subsystem_simple_images
 from liebranch.rootsys import (
     LieError,
+    _coroot,
     RootSystem,
     SimpleType,
     TypeSpec,
@@ -166,6 +167,13 @@ def test_root_norms_and_coroots(t):
         mu = rs.rho
         pairing = sum(h * m for h, m in zip(hv, mu))
         assert isinstance(pairing, int)
+
+
+def test_coroot_rejects_an_odd_squared_length():
+    # (a, a) = 1 for d = [1], a = alpha_1 and a weight of 1: the halving
+    # would floor without the check
+    with pytest.raises(LieError, match="odd squared length"):
+        _coroot([1], (1,), (1,))
 
 
 def _catalog_types():
