@@ -6,47 +6,48 @@ checked).  The dominant weights are walked down from the highest one by
 positive roots; mu - alpha can be dominant only when alpha's weight has
 no positive label at a zero label of mu, so each step tries only those
 roots, and the steps out of mu, which do not depend on the highest
-weight, are kept in one memo per type.  At a dominant weight mu the
-recursion's sum over the positive roots runs
-over the orbits of the stabilizer W_mu on the roots, taken up to sign:
-one alpha-string per orbit, times the number of positive roots in it
-(Moody-Patera).  The string sum is constant on each orbit and even under
-alpha -> -alpha when alpha is orthogonal to mu, so the orbit sum is the
-full sum, exactly.  The orbit table is built in one pass from the
-highest root down by the raising step of `rootsys`: a root that some s_i
-in W_mu raises has the orbit of the higher root, and a root that none
-raises is W_mu-dominant and heads its own orbit.  Each string is summed
-in closed form: the pairing (mu + k alpha, alpha) =
-(mu, alpha) + k (alpha, alpha) is linear in k, and each orbit keeps a
-covector for (mu, alpha) and the number (alpha, alpha), both scaled by
-the orbit's size, so a string takes one pairing whatever its length.
-The multiplicity at a string point is
-read at its dominant conjugate, which depends only on the root system,
-so one memo per type keeps every conjugate the walks find.  Strings
-overlap heavily across the characters of one type, and the memo pays off
-when several of them are computed in one process: every `branch
---verify` does that for its subgroup's types, while `classify` computes
-no character.  Every character is kept in one format, a map from
-dominant weight to multiplicity.  Restriction to a subgroup gives the
-dominant character of the restricted module, keyed by torus charge when
-the subgroup has a central torus: it walks the Weyl orbit of each
-dominant weight (only the points in the subgroup's dominant cone when
-the subgroup is a root subgroup, the full orbit for the folded
-subgroups) and keeps the points whose image is dominant.  The walk
-carries each point's image along (`Embedding.weight_image`): a
-reflection moves the point by a multiple of a root's weight and the
-image by the same multiple of that weight's image, so no point is
-restricted by a matrix product, and on a root subgroup the cone test is
-a sign check on the image.  That character answers both full
-decompositions (repeated peeling of the highest remaining weight) and
-single multiplicities (alternating sum over the subgroup Weyl group).
-That sum visits only the w in W_H whose term can be non-zero: the term
-at w reads the dominant conjugate of xi = target + rho - w rho, which
-has the norm of xi under the W_H-invariant form Q of
+weight, are kept in the type's memo.  At a dominant weight mu the
+recursion's sum over the positive roots runs over the orbits of the
+stabilizer W_mu on the roots, taken up to sign: one alpha-string per
+orbit, times the number of positive roots in it (Moody-Patera).  The
+string sum is constant on each orbit and even under alpha -> -alpha when
+alpha is orthogonal to mu, so the orbit sum is the full sum, exactly.
+The orbit table is built in one pass from the highest root down by the
+raising step of `rootsys`: a root that some s_i in W_mu raises has the
+orbit of the higher root, and a root that none raises is W_mu-dominant
+and heads its own orbit.  Each string is summed in closed form: the
+pairing (mu + k alpha, alpha) = (mu, alpha) + k (alpha, alpha) is linear
+in k, and each orbit keeps a covector for (mu, alpha) and the number
+(alpha, alpha), both scaled by the orbit's size, so a string takes one
+pairing whatever its length.  The multiplicity at a string point is read
+at its dominant conjugate, which depends only on the root system, so the
+type's memo keeps every conjugate the walks find.  That memo is one
+object per root system, built by `_memo`: its characters, the
+conjugates, the steps and orbit strings of each dominant weight, and the
+tables of each set of zero labels.  Strings overlap heavily across the
+characters of one type, and the memo pays off when several of them are
+computed in one process: every `branch --verify` does that for its
+subgroup's types, while `classify` computes no character.  Every
+character is kept in one format, a map from dominant weight to
+multiplicity.  Restriction to a subgroup gives the dominant character of
+the restricted module, keyed by torus charge when the subgroup has a
+central torus: it walks the Weyl orbit of each dominant weight (only the
+points in the subgroup's dominant cone when the subgroup is a root
+subgroup, the full orbit for the folded subgroups) and keeps the points
+whose image is dominant.  The walk carries each point's image along
+(`Embedding.weight_image`): a reflection moves the point by a multiple
+of a root's weight and the image by the same multiple of that weight's
+image, so no point is restricted by a matrix product, and on a root
+subgroup the cone test is a sign check on the image.  That character
+answers both full decompositions (repeated peeling of the highest
+remaining weight) and single multiplicities (alternating sum over the
+subgroup Weyl group).  That sum visits only the w in W_H whose term can
+be non-zero: the term at w reads the dominant conjugate of xi = target +
+rho - w rho, which has the norm of xi under the W_H-invariant form Q of
 `RootSystem.qnorm`, so it is zero once Q(xi) passes the largest Q of a
 key of the charge; Q(xi) grows along the weak order by one product per
-step, so the kept w are a weak-order ideal, walked layer by layer
-within that budget.
+step, so the kept w are a weak-order ideal, walked layer by layer within
+that budget.
 """
 
 from __future__ import annotations
@@ -54,15 +55,29 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from operator import add, mul, sub
+from types import MappingProxyType, SimpleNamespace
 
 from .rootsys import LieError, RootSystem, root_system
 
-_DOM_CHAR_CACHE: dict = {}
-# per type: {weight: its dominant conjugate}, filled by the string walks
-_CONJUGATE_CACHE: dict = {}
-# per type: {dominant mu: [(mu - alpha, alpha)]}, the dominant steps down
-# from mu in positive-root order, filled by `dominant_weights`
-_STEP_CACHE: dict = {}
+
+@lru_cache(maxsize=None)
+def _memo(rs):
+    """Everything the character layer keeps for one root system.
+
+    ``chars``: {lam: read-only dominant character of V(lam)};
+    ``conj``: {weight: its dominant conjugate}, filled by the string
+    walks of `dominant_character`;
+    ``down``: {dominant mu: (steps, strings)}, filled by
+    `dominant_weights` when it first reaches mu: the dominant steps
+    [(mu - alpha, alpha)] down from mu in positive-root order, and the
+    strings of `_zero_label_tables` at mu's zero labels;
+    ``tables``: {zero labels: `_zero_label_tables` there}.
+
+    `root_system` returns one RootSystem per type, so every character
+    of a type in the process shares its memo; ``_memo.cache_clear()``
+    resets every type.
+    """
+    return SimpleNamespace(chars={}, conj={}, down={}, tables={})
 
 
 def dominant_weights(rs, lam):
@@ -74,28 +89,35 @@ def dominant_weights(rs, lam):
     roots.  Returns {mu: simple-root coefficients of lam - mu}, highest
     mu first (ties in the order the walk finds them).  The steps down
     from mu depend on mu and the type only, so each dominant weight is
-    expanded once per type (`_STEP_CACHE`), trying only the roots of
-    `_zero_label_tables` that fit under mu's zero labels.
+    expanded once per type, into the ``down`` entry of the type's memo
+    (`_memo`), trying only the roots of `_zero_label_tables` that fit
+    under mu's zero labels; the entry keeps that table's strings too.
     """
     lam = tuple(lam)
     rs.check_rank(lam)
     if not rs.is_dominant(lam):
         raise LieError(f"not a dominant weight: {lam}")
-    memo = _STEP_CACHE.setdefault(str(rs.type), {})
+    memo = _memo(rs)
+    down, tables = memo.down, memo.tables
     coeffs = {lam: (0,) * rs.rank}
     frontier = [lam]
     while frontier:
         nxt = []
         for mu in frontier:
-            steps = memo.get(mu)
-            if steps is None:
-                steps = memo[mu] = []
-                for a, wa in _zero_label_tables(rs, _zero_labels(mu))[0]:
+            entry = down.get(mu)
+            if entry is None:
+                zeros = tuple(i for i, x in enumerate(mu) if not x)
+                table = tables.get(zeros)
+                if table is None:
+                    table = tables[zeros] = _zero_label_tables(rs, zeros)
+                steps = []
+                for a, wa in table[0]:
                     nu = tuple(map(sub, mu, wa))
                     if min(nu) >= 0:
                         steps.append((nu, a))
+                entry = down[mu] = (steps, table[1])
             c = coeffs[mu]
-            for nu, a in steps:
+            for nu, a in entry[0]:
                 if nu not in coeffs:
                     coeffs[nu] = tuple(map(add, c, a))
                     nxt.append(nu)
@@ -103,12 +125,6 @@ def dominant_weights(rs, lam):
     return {mu: coeffs[mu] for mu in sorted(coeffs, key=rs.height_key, reverse=True)}
 
 
-def _zero_labels(mu):
-    """The indices of the zero labels of a weight."""
-    return tuple(i for i, x in enumerate(mu) if not x)
-
-
-@lru_cache(maxsize=None)
 def root_orbits(rs, zeros):
     """The W_mu-orbits of the positive roots, taken up to sign.
 
@@ -125,8 +141,8 @@ def root_orbits(rs, zeros):
     has -a in its orbit, so these are the orbits up to sign.  Each
     factor's roots are in height order in ``rs.positive_roots``, and
     s_i a stays in a's factor, so the reversed list is top-down.
-    Cached per (root system, zeros), so a type holds at most 2^rank
-    tables.
+    Read once per type and zero-label set, by `_zero_label_tables`,
+    whose result the type's memo (`_memo`) keeps.
     """
     top = [0] * rs.n_pos
     for k in reversed(range(rs.n_pos)):
@@ -141,7 +157,6 @@ def root_orbits(rs, zeros):
     ]
 
 
-@lru_cache(maxsize=None)
 def _zero_label_tables(rs, zeros):
     """What the Freudenthal walk reads at a dominant mu with zero labels
     ``zeros``.
@@ -151,8 +166,9 @@ def _zero_label_tables(rs, zeros):
     positive-root order: mu - alpha can be dominant only for these.
     ``strings`` has one entry (weight, count * d alpha, count * (alpha,
     alpha)) per orbit of `root_orbits`, so that count * (mu, alpha) is
-    one pairing of mu with the covector.  Cached per (root system,
-    zeros), like `root_orbits`.
+    one pairing of mu with the covector.  Built once per type and
+    zero-label set, by `dominant_weights` into ``tables`` of the type's
+    memo (`_memo`), so a type holds at most 2^rank of them.
     """
     fitted = [
         (a, wa)
@@ -179,26 +195,29 @@ def dominant_character(t, lam):
     once, adding up m_k and k m_k; f is then (mu, alpha) sum m_k +
     (alpha, alpha) sum k m_k, the count and both pairings read from the
     orbit's covector in `_zero_label_tables`, so a non-empty string costs
-    one pairing.  Each m_k is read at the dominant conjugate of
-    mu + k alpha, taken from the type's memo (`_CONJUGATE_CACHE`) or,
-    on a miss, from `RootSystem.dominant_signed` and stored there; the
-    memo is shared by every character of the type in the process.
+    one pairing.  The orbits at mu are read from the ``down`` entry that
+    `dominant_weights` left at mu in the type's memo (`_memo`).  Each m_k
+    is read at the dominant conjugate of mu + k alpha, taken from the
+    memo's ``conj`` or, on a miss, from `RootSystem.dominant_signed`
+    and stored there; the memo is shared by every character of the type
+    in the process.  The returned character is the memo's own, shared by
+    every caller and read-only (a `MappingProxyType`).
     """
     rs = root_system(t)
     lam = tuple(lam)
-    key = (str(rs.type), lam)
-    hit = _DOM_CHAR_CACHE.get(key)
+    memo = _memo(rs)
+    hit = memo.chars.get(lam)
     if hit is not None:
         return hit
     wts = list(dominant_weights(rs, lam).items())
-    conj = _CONJUGATE_CACHE.setdefault(key[0], {})
+    conj, down = memo.conj, memo.down
     # the denominator (lam + mu + 2 rho, lam - mu) is the dot product of
     # the root coefficients of lam - mu with d (lam + 2) + d mu
     d_lam2 = [d * (x + 2) for d, x in zip(rs.d, lam)]
     mult = {lam: 1}
     for mu, coeffs in wts[1:]:
         num = 0
-        for wa, da, aa in _zero_label_tables(rs, _zero_labels(mu))[1]:
+        for wa, da, aa in down[mu][1]:
             m_sum = km_sum = k = 0
             nu = mu
             while True:
@@ -219,7 +238,7 @@ def dominant_character(t, lam):
         if r or q <= 0:
             raise LieError(f"multiplicity recursion failed at {mu}")
         mult[mu] = q
-    _DOM_CHAR_CACHE[key] = mult
+    mult = memo.chars[lam] = MappingProxyType(mult)
     return mult
 
 

@@ -54,12 +54,13 @@ loading does not check.  None of them is imported by the package.
   the dominant steps down from one weight.  Compared, order included,
   against ``characters.dominant_weights``, which tries only the roots
   that fit under each weight's zero labels, and against the steps it
-  keeps per type in ``characters._STEP_CACHE``.
+  keeps in the ``down`` map of the type's memo (``characters._memo``).
 - ``root_orbits_bfs``: the W_mu-orbits of the positive roots up to sign,
   each found by a breadth-first search over the simple reflections of
   W_mu, a root identified with its negative.  Compared against
   ``characters.root_orbits``, which takes each root's orbit from the
-  raising step in one pass from the highest root down.
+  raising step in one pass from the highest root down, and against the
+  orbit strings the type's memo keeps in ``tables``.
 - ``restrict_weight``: the H-weight and torus charge of one G-weight,
   by the restriction rows and the coweight applied to it directly.  The
   production walks carry the image along instead

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import operator
 import os
 from collections import Counter
 
@@ -296,39 +297,74 @@ MEMO_CASES = {
 }
 
 
-def test_conjugate_memo_is_transparent(monkeypatch):
-    # the characters of one type share its memos of dominant conjugates
-    # and of down-steps (B4 and F4 have weights of one length): filling
-    # the memos in one order and then in the other changes no character
-    monkeypatch.setattr(characters, "_DOM_CHAR_CACHE", {})
-    monkeypatch.setattr(characters, "_CONJUGATE_CACHE", {})
-    monkeypatch.setattr(characters, "_STEP_CACHE", {})
+def _strings_of_orbits(rs, orbits):
+    """The string entries of `_zero_label_tables` built from (root,
+    weight, count) orbit triples."""
+    return {
+        (wa, tuple(c * x for x in map(operator.mul, rs.d, a)), c * rs.pair_wr(wa, a))
+        for a, wa, c in orbits
+    }
+
+
+def test_conjugate_memo_is_transparent():
+    # the characters of one type share its memo of dominant conjugates,
+    # down-steps and zero-label tables (B4 and F4 have weights of one
+    # length and one rank): filling the memos in one order and then in
+    # the other changes no character
     cases = [(name, lam) for name, lams in MEMO_CASES.items() for lam in lams]
     want = {
         case: freudenthal_character(root_system(simple_type(case[0])), case[1])
         for case in cases
     }
+    systems = {name: root_system(simple_type(name)) for name in MEMO_CASES}
     for order in (cases, cases[::-1]):
-        characters._DOM_CHAR_CACHE.clear()
-        characters._CONJUGATE_CACHE.clear()
-        characters._STEP_CACHE.clear()
+        characters._memo.cache_clear()
         for name, lam in order:
-            rs = root_system(simple_type(name))
+            rs = systems[name]
             assert dominant_character(simple_type(name), lam) == want[name, lam]
             assert list(dominant_weights(rs, lam).items()) == list(
                 dominant_weights_all_roots(rs, lam).items()
             )
-        assert sorted(characters._CONJUGATE_CACHE) == sorted(MEMO_CASES)
-        for name, memo in characters._CONJUGATE_CACHE.items():
-            rs = root_system(simple_type(name))
-            for nu, dom in memo.items():
+        # one memo per type reached, and none shared by two types
+        assert characters._memo.cache_info().currsize == len(MEMO_CASES)
+        memos = {name: characters._memo(rs) for name, rs in systems.items()}
+        assert characters._memo.cache_info().currsize == len(MEMO_CASES)
+        assert memos["B4"] is not memos["F4"]
+        assert len({id(m) for m in memos.values()}) == len(MEMO_CASES)
+        for name, memo in memos.items():
+            rs = systems[name]
+            assert sorted(memo.chars) == sorted(MEMO_CASES[name])
+            assert memo.conj
+            for nu, dom in memo.conj.items():
                 assert dom == rs.dominant_signed(nu)[0], (name, nu)
-        # each stored step list is the all-roots filter at its weight
-        assert sorted(characters._STEP_CACHE) == sorted(MEMO_CASES)
-        for name, memo in characters._STEP_CACHE.items():
-            rs = root_system(simple_type(name))
-            for mu, steps in memo.items():
+            # each stored table is a fresh build, its orbits the BFS ones
+            for zeros, (fitted, strings) in memo.tables.items():
+                assert (fitted, strings) == characters._zero_label_tables(rs, zeros)
+                assert set(strings) == _strings_of_orbits(
+                    rs, root_orbits_bfs(rs, zeros)
+                ), (name, zeros)
+            # each stored step list is the all-roots filter at its weight,
+            # and its strings those of the weight's zero labels
+            assert memo.down
+            for mu, (steps, strings) in memo.down.items():
                 assert steps == down_steps_all_roots(rs, mu), (name, mu)
+                zeros = tuple(i for i, x in enumerate(mu) if x == 0)
+                assert strings == memo.tables[zeros][1], (name, mu)
+
+
+def test_cached_character_is_read_only():
+    # the character is the memo's own: a caller's write must not reach
+    # the decompositions that read it later
+    g2 = SimpleType("G", 2)
+    emb = CAT.get("G2", "A2")
+    want = decompose(emb, (1, 0))
+    ch = dominant_character(g2, (1, 0))
+    with pytest.raises(TypeError):
+        ch[(0, 0)] = 5
+    assert dominant_character(g2, (1, 0)) == {(1, 0): 1, (0, 0): 1}
+    assert decompose(emb, (1, 0)) == want == {
+        ((1, 0), 0): 1, ((0, 1), 0): 1, ((0, 0), 0): 1
+    }
 
 
 def test_character_duality():

@@ -160,3 +160,50 @@ def test_imported_modules_sees_every_import_form():
     assert _imported_modules(tree) == {
         "chevalley", "linalg", "sphericity", "rootsys", "characters"
     }
+
+
+def _is_lru_cache(node):
+    """Whether a decorator is ``lru_cache`` or ``lru_cache(...)``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return (isinstance(node, ast.Name) and node.id == "lru_cache") or (
+        isinstance(node, ast.Attribute) and node.attr == "lru_cache"
+    )
+
+
+def test_characters_keep_one_memo_per_type():
+    # everything the character layer keeps lives in the per-type object
+    # that one lru_cache'd builder makes: no module-level dict, no second
+    # cache, no key built from a type's name
+    tree = _trees()["characters.py"]
+    dicts = [
+        node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and node.value is not None
+        and (
+            isinstance(node.value, (ast.Dict, ast.DictComp))
+            or (
+                isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Name)
+                and node.value.func.id in ("dict", "defaultdict", "Counter")
+            )
+        )
+    ]
+    assert dicts == []
+    cached = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(_is_lru_cache(d) for d in node.decorator_list)
+    ]
+    assert cached == ["_memo"]
+    type_keys = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "str"
+        and any(isinstance(a, ast.Attribute) and a.attr == "type" for a in node.args)
+    ]
+    assert type_keys == []
