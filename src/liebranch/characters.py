@@ -31,14 +31,16 @@ subgroup's types, while `classify` computes no character.  Every
 character is kept in one format, a map from dominant weight to
 multiplicity.  Restriction to a subgroup gives the dominant character of
 the restricted module, keyed by torus charge when the subgroup has a
-central torus: it walks the Weyl orbit of each dominant weight (only the
-points in the subgroup's dominant cone when the subgroup is a root
-subgroup, the full orbit for the folded subgroups) and keeps the points
-whose image is dominant.  The walk carries each point's image along
+central torus: it keeps the weights whose image is dominant.  A root
+subgroup walks the Weyl orbit of each dominant weight inside its
+dominant cone, carrying each point's image along
 (`Embedding.weight_image`): a reflection moves the point by a multiple
 of a root's weight and the image by the same multiple of that weight's
-image, so no point is restricted by a matrix product, and on a root
-subgroup the cone test is a sign check on the image.  That character
+image, so no point is restricted by a matrix product, and the cone test
+is a sign check on the image.  A folded subgroup has no such cone; one
+enumeration at the highest weight, `WeightImage.ball`, visits the
+points of its root-lattice coset in the ball of the W-invariant form Q
+with a dominant image, which include every weight with one.  That character
 answers both full decompositions (repeated peeling of the highest
 remaining weight) and single multiplicities (alternating sum over the
 subgroup Weyl group).  That sum visits only the w in W_H whose term can
@@ -266,22 +268,33 @@ def restrict_collapsed(emb, lam):
     Returns the dominant character of the restricted module,
     {(dominant subgroup weight, torus charge): multiplicity}, in the
     format of `dominant_character_product`; entries without a torus use
-    charge 0.  Every W_G-orbit point that restricts to a dominant
-    subgroup weight adds the multiplicity of its dominant weight.  The
-    walk carries each point's image under `emb.weight_image` along, so
-    the restriction is never applied point by point.  It stays inside
-    the cone of `emb.simple_images` when the entry has them (subsystem
-    and Levi entries, whose restriction rows are the coroots of those
-    roots, so the cone holds exactly the points with a dominant image);
-    the folded entries walk the full orbit.
+    charge 0.  Every weight of V(lam) whose image under
+    `emb.weight_image` is dominant adds its multiplicity, read at its
+    dominant conjugate.  Subsystem and Levi entries walk the W_G-orbit of
+    each dominant weight inside the cone of `emb.simple_images` (their
+    restriction rows are the coroots of those roots, so the cone holds
+    exactly the points with a dominant image), carrying each point's
+    image along.  The folded entries have no such cone: they take the
+    weights from one enumeration at lam, `WeightImage.ball`, which visits
+    every point of the ball of lam in its root-lattice coset with a
+    dominant image, and a point whose conjugate is not a weight of
+    V(lam) adds nothing.
     """
     image = emb.weight_image()  # an entry without generators raises LieError
     rs = root_system(emb.ambient)
-    cone = emb.simple_images or ()
+    char = dominant_character(emb.ambient, lam)
+    out: dict = {}
+    cone = emb.simple_images
+    if cone is None:
+        for nu, x in image.ball(lam):
+            m = char.get(rs.dominant_signed(x)[0])
+            if m:
+                key = (nu, 0)
+                out[key] = out.get(key, 0) + m
+        return out
     n = emb.rank_ss
     torus = emb.coweight is not None
-    out: dict = {}
-    for mu, m in dominant_character(emb.ambient, lam).items():
+    for mu, m in char.items():
         for img in rs.weyl_orbit(mu, image, cone):
             ss = img[:n]
             if min(ss) >= 0:

@@ -25,7 +25,12 @@ of -omega_i.
 
 The orbit walks can carry a linear image of each point along
 (``WeightImage``), so that restriction to a subgroup never applies its
-matrix point by point.
+matrix point by point.  Where the points with a dominant image are no
+cone of the orbit, ``WeightImage.ball`` enumerates them without a walk:
+the lattice points of a root-lattice coset in the ball of the
+W-invariant form ``qnorm`` whose image is dominant, level by level in
+coordinates that make the image triangular (Fincke-Pohst), in integers
+only.
 """
 
 from __future__ import annotations
@@ -375,7 +380,7 @@ class RootSystem:
             else:
                 return tuple(mu), sign
 
-    def weyl_orbit_layers(self, lam, budget=None, image=None, costs=None):
+    def weyl_orbit_layers(self, lam, budget=None, costs=None):
         """Yield the orbit of a dominant weight layer by layer.
 
         Layer k holds the orbit elements at distance k from the dominant
@@ -390,31 +395,24 @@ class RootSystem:
         budget is not taken.  Each kept point carries the budget left
         there.  ``costs`` defaults to 2 at every node, which makes the
         cost height_key(lam - x): the height cut.
-
-        With ``image``, a `WeightImage` A of this system, each layer is a
-        dict from its points x to their images A x.  The step moves x by
-        -x[i] * column_i(C), so it moves A x by -x[i] times A of that
-        column, a vector fixed per node: A is applied to lam alone.  A
-        walk carries an image or a budget, not both.
         """
         if not self.is_dominant(lam):
             raise LieError("weyl_orbit_layers wants a dominant weight")
         lam = tuple(lam)
         cols = self._columns
-        shifts = None if image is None else image.shifts
         left = None  # the budget left at a new point, with a budget
         layer = {}
         if budget is None:
             costs = None
-            layer[lam] = None if image is None else image(lam)
+            layer[lam] = None
         else:
             costs = (2,) * self.rank if costs is None else costs
             if budget >= 0:
                 layer[lam] = budget
         while layer:
-            yield layer.keys() if image is None else layer
+            yield layer.keys()
             nxt = {}
-            for w, v in layer.items():  # v: A w, or the budget left at w
+            for w, v in layer.items():  # v: the budget left at w
                 for i, wi in enumerate(w):
                     if wi > 0:
                         if costs is not None:
@@ -426,27 +424,24 @@ class RootSystem:
                             y[j] -= wi * c
                         y = tuple(y)
                         if y not in nxt:
-                            nxt[y] = left if shifts is None else tuple(
-                                [a - wi * s for a, s in zip(v, shifts[i])]
-                            )
+                            nxt[y] = left
             layer = nxt
 
-    def weyl_orbit(self, lam, image, cone=()):
+    def weyl_orbit(self, lam, image, cone):
         """Yield the image A x of each point x of the orbit of a dominant
-        weight once, for ``image`` a `WeightImage` A of this system.  A is
-        applied to the first point only, and the image is carried along
-        the walk (without the cone, the layered walk of
-        `weyl_orbit_layers`).
+        weight once, for ``image`` a `WeightImage` A of this system,
+        keeping only the points x with <x, beta^vee> >= 0 for every beta
+        in ``cone``, a list of linearly independent roots (root
+        coordinates).  A is applied to the first point only, and the
+        image is carried along the walk.
 
-        ``cone`` is a list of linearly independent roots (root
-        coordinates); only the orbit points x with <x, beta^vee> >= 0 for
-        every beta in it are yielded.  The first such point is reached
-        by reflecting lam in cone roots it pairs negatively with (each
-        step raises a linear functional positive on the cone roots).
-        The cone is a union of closed chambers cut out by root
-        hyperplanes, and its chambers are gallery-connected, so walking
-        by root reflections that stay inside it reaches every point at
-        a cost proportional to the points yielded.
+        The first such point is reached by reflecting lam in cone roots
+        it pairs negatively with (each step raises a linear functional
+        positive on the cone roots).  The cone is a union of closed
+        chambers cut out by root hyperplanes, and its chambers are
+        gallery-connected, so walking by root reflections that stay
+        inside it reaches every point at a cost proportional to the
+        points yielded.
 
         The first len(cone) rows of A must be the coroots of the cone
         roots: the cone walk reads its wall pairings off the image.  The
@@ -455,10 +450,6 @@ class RootSystem:
         before its point is built, and `coroot_pairings` gives every
         <x, a^vee> with one addition each.
         """
-        if not cone:
-            for layer in self.weyl_orbit_layers(lam, image=image):
-                yield from layer.values()
-            return
         if not self.is_dominant(lam):
             raise LieError("weyl_orbit wants a dominant weight")
         n = len(cone)
@@ -610,10 +601,16 @@ class RootSystem:
         return sum(c * x for c, x in zip(self._two_rho_covector, mu))
 
 
-@lru_cache(maxsize=None)
 def root_system(t) -> RootSystem:
-    """The cached RootSystem of a SimpleType or a TypeSpec: one per type."""
-    return RootSystem(t)
+    """The cached RootSystem of a SimpleType or a TypeSpec: one per type.
+    A spec of one simple factor and no torus is that factor, so
+    ``root_system(TypeSpec.parse("B4")) is root_system(SimpleType("B", 4))``."""
+    if isinstance(t, TypeSpec) and len(t.factors) == 1 and not t.torus:
+        t = t.factors[0]
+    return _root_system(t)
+
+
+_root_system = lru_cache(maxsize=None)(RootSystem)
 
 
 class WeightImage:
@@ -627,6 +624,10 @@ class WeightImage:
     `RootSystem.coroot_chain`, so the first rank of them are A applied
     to the columns of the Cartan matrix.  They are tabled on the first
     walk, so a reader of the rows alone does not pay for them.
+
+    `ball` enumerates the points of a root-lattice coset, in a ball of
+    the W-invariant form, whose image is dominant, with no orbit walk;
+    its `frame` is likewise built on the first call.
     """
 
     def __init__(self, rs: RootSystem, rows):
@@ -640,6 +641,123 @@ class WeightImage:
 
     def __call__(self, x):
         return tuple(sum(map(mul, r, x)) for r in self.rows)
+
+    @cached_property
+    def frame(self):
+        """The integer data of `ball`, built on its first call.
+
+        Points are x = lam - M z with z integer, M = C U for a unimodular
+        U that puts B = A C in lower-triangular form [H | 0] by column
+        operations (H with a positive diagonal; the rows of A must be
+        independent).  So (A x)_i = (A lam)_i - sum_{j<=i} H_ij z_j reads
+        only z_0..z_i, and the last n - r coordinates span the kernel.
+
+        Q(lam - M z) is a quadratic in z whose minimum, 0, is at x = 0.
+        Bareiss elimination of its Gram matrix, the last coordinate
+        first, writes it as sum_l E_l^2 / (p_l p'_l): E_l is an integer
+        form in z_0..z_l and lam, p_l the pivot of coordinate l and p'_l
+        the pivot before it (1 for the first).  Over the reals the later
+        coordinates can zero their terms, so a prefix z_0..z_l extends
+        to a point of the ball exactly when its terms fit: an exact
+        bound per level.  One scale S, the lcm of the p_l p'_l, makes
+        every weight S / (p_l p'_l) an integer.
+
+        Returns (scale, levels, H, M): levels[l] = (p_l, coefficients of
+        z_0..z_{l-1} in E_l, coefficients of lam in E_l, weight).
+        """
+        rs, n, r = self.rs, self.rs.rank, len(self.rows)
+        simple = [[row[j] for row in rs.C] for j in range(n)]
+        bc = [list(self(w)) for w in simple]  # the columns of B
+        uc = [[int(i == j) for i in range(n)] for j in range(n)]  # of U
+        for i in range(r):
+            for j in range(i + 1, n):
+                while bc[j][i]:
+                    q = bc[i][i] // bc[j][i]
+                    bc[i] = [a - q * b for a, b in zip(bc[i], bc[j])]
+                    uc[i] = [a - q * b for a, b in zip(uc[i], uc[j])]
+                    bc[i], bc[j] = bc[j], bc[i]
+                    uc[i], uc[j] = uc[j], uc[i]
+            if not bc[i][i]:
+                raise LieError(f"the rows of {self.rows} are not independent")
+            if bc[i][i] < 0:
+                bc[i] = [-a for a in bc[i]]
+                uc[i] = [-a for a in uc[i]]
+        H = [[bc[j][i] for j in range(i + 1)] for i in range(r)]
+        M = [_weight(rs.C, u) for u in uc]
+        # Q(lam - M z) = z.P z - 2 z.T lam + Q(lam), from the coroot
+        # pairings of the columns of M and of the fundamental weights
+        Y = [rs.coroot_pairings(m) for m in M]
+        fund = [rs.coroot_pairings([int(i == j) for j in range(n)]) for i in range(n)]
+        # Bareiss on [P | -T] with the coordinates reversed
+        mat = [
+            [sum(map(mul, Y[n - 1 - a], Y[n - 1 - b])) for b in range(n)]
+            + [-sum(map(mul, Y[n - 1 - a], f)) for f in fund]
+            for a in range(n)
+        ]
+        levels = [None] * n
+        prev = 1
+        for k in range(n):
+            row = mat[k]
+            piv = row[k]
+            l = n - 1 - k
+            levels[l] = (piv, [row[n - 1 - m] for m in range(l)], row[n:], piv * prev)
+            for i in range(k + 1, n):
+                f = mat[i][k]
+                mat[i] = [(piv * a - f * b) // prev for a, b in zip(mat[i], row)]
+            prev = piv
+        scale = math.lcm(*(lev[3] for lev in levels))
+        levels = [(g, c, lc, scale // d) for g, c, lc, d in levels]
+        return scale, levels, H, M
+
+    def ball(self, lam):
+        """Every point x of the coset lam + (root lattice) with
+        Q(x) <= Q(lam), for Q = `RootSystem.qnorm`, and A x >= 0, as a
+        list of pairs (A x, x).
+
+        Q is W-invariant and Q(mu) <= Q(lam) for every dominant mu below
+        lam, so these include every weight of V(lam) whose image is
+        dominant.  Each level of the walk takes the range of its
+        coordinate from the exact bound of `frame`, cut by (A x)_l >= 0
+        while l < r, so a prefix is dropped at the first level where its
+        terms of Q or its image leave their bounds.
+        """
+        lam = tuple(lam)
+        self.rs.check_rank(lam)
+        scale, levels, H, M = self.frame
+        n, r = len(M), len(H)
+        top = self(lam)
+        base = [sum(map(mul, lc, lam)) for _, _, lc, _ in levels]
+        out = []
+        zs = []
+        nu = []
+
+        def walk(l, left, x):
+            g, coef, _, w = levels[l]
+            c = base[l] + sum(map(mul, coef, zs))
+            m = math.isqrt(left // w)
+            lo, hi = -((m + c) // g), (m - c) // g
+            if l < r:
+                h = H[l]  # h[l], the diagonal, is past the end of zs
+                rest = top[l] - sum(map(mul, h, zs))
+                hi = min(hi, rest // h[l])
+            col = M[l]
+            x = [a - lo * b for a, b in zip(x, col)]
+            for z in range(lo, hi + 1):
+                if l < r:
+                    nu.append(rest - h[l] * z)
+                if l == n - 1:
+                    out.append((tuple(nu), tuple(x)))
+                else:
+                    e = g * z + c
+                    zs.append(z)
+                    walk(l + 1, left - w * e * e, x)
+                    zs.pop()
+                if l < r:
+                    nu.pop()
+                x = [a - b for a, b in zip(x, col)]
+
+        walk(0, scale * self.rs.qnorm(lam), lam)
+        return out
 
 
 _FACTOR_RE = re.compile(r"^([A-G])([0-9]+)$")

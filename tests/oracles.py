@@ -66,10 +66,15 @@ loading does not check.  None of them is imported by the package.
   production walks carry the image along instead
   (``Embedding.weight_image``); the full-orbit restriction oracle and
   the weight goldens use this.
-- ``orbit_points``: the orbit points of a dominant weight, in a cone or
-  not, by ``RootSystem.weyl_orbit`` with a map whose rows are the cone
-  coroots and then the identity.  The walk checks of the tests read
-  points; production walks read only images.
+- ``orbit_points``: the orbit points of a dominant weight, in a cone by
+  ``RootSystem.weyl_orbit`` with a map whose rows are the cone coroots
+  and then the identity, or all of them by the layered walk.  The walk
+  checks of the tests read points; production walks read only images.
+- ``orbit_images``: each point of the whole orbit of a dominant weight
+  with its image under a ``WeightImage``, carried along the layered
+  walk.  The full-orbit walk that the folded entries' restriction used
+  before ``WeightImage.ball``; compared against the image of each point
+  and, filtered to dominant images, against the ball.
 - ``fundamental`` and ``dual_weight``: the fundamental weights, and -w0
   on weights, of a ``RootSystem``, simple or a product.  Test
   inputs, and the duality that characters and branching rules are
@@ -542,14 +547,41 @@ def restrict_weight(emb, mu):
 
 
 def orbit_points(rs, lam, cone=()):
-    """Each point of the orbit of a dominant weight lam once, in the cone
-    of the roots ``cone`` as `RootSystem.weyl_orbit` walks it: the walk
-    of a map whose rows are the cone coroots, which the walk reads its
-    walls from, then the identity, which gives the point back."""
+    """Each point of the orbit of a dominant weight lam once.  With roots
+    ``cone``, only the points in their cone, as `RootSystem.weyl_orbit`
+    walks it: the walk of a map whose rows are the cone coroots, which
+    the walk reads its walls from, then the identity, which gives the
+    point back.  Without, the layered walk of
+    `RootSystem.weyl_orbit_layers`."""
+    if not cone:
+        return (x for layer in rs.weyl_orbit_layers(lam) for x in layer)
     n = len(cone)
     eye = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
     image = WeightImage(rs, [rs.coroot(b) for b in cone] + eye)
     return (img[n:] for img in rs.weyl_orbit(lam, image, cone))
+
+
+def orbit_images(rs, lam, image):
+    """Yield (x, A x) for every point x of the orbit of a dominant weight
+    lam, ``image`` a `WeightImage` A: the layered walk of
+    `RootSystem.weyl_orbit_layers` with A applied to lam alone and
+    carried along, each step x -> s_i x moving A x by -x[i] times the
+    image of column i of the Cartan matrix (``image.shifts[i]``).  The
+    full-orbit restriction of the folded entries, which production
+    replaces by `WeightImage.ball`."""
+    cols = [[row[i] for row in rs.C] for i in range(rs.rank)]
+    shifts = image.shifts
+    layer = {tuple(lam): image(lam)}
+    while layer:
+        yield from layer.items()
+        nxt = {}
+        for w, v in layer.items():
+            for i, wi in enumerate(w):
+                if wi > 0:
+                    y = tuple(a - wi * c for a, c in zip(w, cols[i]))
+                    if y not in nxt:
+                        nxt[y] = tuple(a - wi * s for a, s in zip(v, shifts[i]))
+        layer = nxt
 
 
 def fundamental(rs, i):

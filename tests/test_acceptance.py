@@ -286,30 +286,43 @@ E8_EXTERNAL = [
 ]
 
 
+def _check_criterion_6_case(catalog, g, h, lam, variant, variant_value, mult2):
+    emb = catalog.get(g, h)
+    assert module_dimension(emb.ambient, lam) > 100_000
+    collapsed = restrict_collapsed(emb, lam)
+    dec = decompose(emb, lam, collapsed=collapsed)
+    assert sorted(k for k, v in dec.items() if v >= 2) == sorted(mult2)
+    for key in mult2:
+        assert dec[key] == 2, (g, h, key)
+        w, q = key
+        assert multiplicity_of(emb, lam, w, charge=q, collapsed=collapsed) == 2
+    w, q = variant
+    assert dec.get(variant, 0) == variant_value, (g, h, variant)
+    assert multiplicity_of(emb, lam, w, charge=q, collapsed=collapsed) == variant_value
+    ps = RootSystem(emb.spec)
+    total = sum(m * ps.weyl_dimension(w) for (w, _), m in dec.items())
+    assert total == module_dimension(emb.ambient, lam)
+
+
 @pytest.mark.skipif(not HEAVY, reason="set LIEBRANCH_HEAVY=1 to run")
 def test_criterion_6_multiplicity_counterexamples(catalog):
     t0 = time.monotonic()
-    for g, h, lam, variant, variant_value, mult2 in HEAVY_CASES:
-        emb = catalog.get(g, h)
-        assert module_dimension(emb.ambient, lam) > 100_000
-        collapsed = restrict_collapsed(emb, lam)
-        dec = decompose(emb, lam, collapsed=collapsed)
-        assert sorted(k for k, v in dec.items() if v >= 2) == sorted(mult2)
-        for key in mult2:
-            assert dec[key] == 2, (g, h, key)
-            w, q = key
-            assert multiplicity_of(emb, lam, w, charge=q, collapsed=collapsed) == 2
-        w, q = variant
-        assert dec.get(variant, 0) == variant_value, (g, h, variant)
-        assert (
-            multiplicity_of(emb, lam, w, charge=q, collapsed=collapsed)
-            == variant_value
-        )
-        ps = RootSystem(emb.spec)
-        total = sum(m * ps.weyl_dimension(w) for (w, _), m in dec.items())
-        assert total == module_dimension(emb.ambient, lam)
+    for case in HEAVY_CASES:
+        _check_criterion_6_case(catalog, *case)
     assert time.monotonic() - t0 < 3600
     print("criterion 6 (multiplicity counterexamples): PASS")
+
+
+def test_folded_cases_at_the_heavy_degrees(catalog, book):
+    # the folded restriction enumerates the weights with a dominant image
+    # instead of walking W_G-orbits, so E6 > F4 node 3 at k = KMAX + 2 and
+    # the folded criterion-6 case, E7 > A1xF4 at 4w7, run on every pass
+    t0 = time.monotonic()
+    rule = book.get("E6", "F4", 3).primary
+    assert verify_rule(catalog.get("E6", "F4"), rule, KMAX["E6"] + 2)
+    (case,) = [c for c in HEAVY_CASES if c[1] == "A1xF4"]
+    _check_criterion_6_case(catalog, *case)
+    assert time.monotonic() - t0 < 60
 
 
 def test_criterion_6_e8_recorded_assertions(catalog):

@@ -485,10 +485,11 @@ def test_cone_restriction_matches_full_orbit_on_fundamentals():
         )
 
 
-def test_restriction_matches_full_orbit_on_non_equal_rank():
-    # the folded entries have no cone to walk, so their
-    # restriction keeps the dominant images of the full orbit
-    cases = []
+def _folded_restrictions():
+    """Every fundamental weight and its double on the three folded
+    entries, split by whether their orbits hold more than 40,000 weights
+    (the oracle walks them point by point)."""
+    small, large = [], []
     for g, h in [("E6", "F4"), ("E6", "C4"), ("E7", "A1xF4")]:
         emb = CAT.get(g, h)
         assert not _is_equal_rank(emb)
@@ -496,20 +497,47 @@ def test_restriction_matches_full_orbit_on_non_equal_rank():
         for i in range(1, rs.rank + 1):
             for k in (1, 2):
                 lam = tuple(k * x for x in fundamental(rs, i))
-                if _orbit_weights(emb.ambient, lam) <= 40_000:
-                    cases.append((emb, lam))
-    assert len(cases) == 35
-    for emb, lam in cases:
+                big = _orbit_weights(emb.ambient, lam) > 40_000
+                (large if big else small).append((emb, lam))
+    return small, large
+
+
+FOLDED_SMALL, FOLDED_LARGE_ORBITS = _folded_restrictions()
+
+
+def test_restriction_matches_full_orbit_on_non_equal_rank():
+    # the folded entries have no cone to walk: their restriction takes
+    # the weights with a dominant image from the ball of lam, and the
+    # oracle keeps the dominant images of the full orbits
+    assert len(FOLDED_SMALL) == 35
+    for emb, lam in FOLDED_SMALL:
         assert restrict_collapsed(emb, lam) == full_orbit_restriction(emb, lam), (
             emb, lam,
         )
 
 
-# the folded case of the heavy benchmark workload, and E6 > F4 at its
-# highest degree in criterion 5 (40,685 and 44,083 orbit points)
+@pytest.mark.skipif(not HEAVY, reason="set LIEBRANCH_HEAVY=1 to run")
+def test_restriction_matches_full_orbit_on_non_equal_rank_large():
+    # E7 > A1xF4 at 2w3, 2w4 and 2w5: 158k to 1.8M orbit weights, about
+    # 28 s for the oracle in all
+    assert [(e.name, lam) for e, lam in FOLDED_LARGE_ORBITS] == [
+        ("A1xF4", (0, 0, 2, 0, 0, 0, 0)),
+        ("A1xF4", (0, 0, 0, 2, 0, 0, 0)),
+        ("A1xF4", (0, 0, 0, 0, 2, 0, 0)),
+    ]
+    for emb, lam in FOLDED_LARGE_ORBITS:
+        assert restrict_collapsed(emb, lam) == full_orbit_restriction(emb, lam), (
+            emb, lam,
+        )
+
+
+# the folded case of the heavy benchmark workload, E6 > F4 at its
+# highest degree in criterion 5, and at the degree of the heavy gate
+# (40,685, 44,083 and 207,684 orbit points)
 FOLDED_LARGE = [
     ("E7", "A1xF4", (0, 0, 0, 0, 0, 0, 4)),
     ("E6", "F4", (0, 0, 3, 0, 0, 0)),
+    ("E6", "F4", (0, 0, 4, 0, 0, 0)),
 ]
 
 

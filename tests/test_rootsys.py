@@ -2,11 +2,14 @@ import hashlib
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
+from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from liebranch.characters import dominant_character
 from liebranch.embeddings import load_catalog, subsystem_simple_images
 from liebranch.rootsys import (
     LieError,
@@ -14,6 +17,7 @@ from liebranch.rootsys import (
     RootSystem,
     SimpleType,
     TypeSpec,
+    WeightImage,
     cartan_data,
     diagram_components,
     format_weight,
@@ -22,7 +26,13 @@ from liebranch.rootsys import (
     parse_weight,
     root_system,
 )
-from oracles import dual_weight, fundamental, orbit_points, restrict_weight
+from oracles import (
+    dual_weight,
+    fundamental,
+    orbit_images,
+    orbit_points,
+    restrict_weight,
+)
 
 ALL_TYPES = [
     SimpleType("A", 1),
@@ -410,7 +420,9 @@ IMAGE_ENTRIES = [
 @pytest.mark.parametrize("emb", IMAGE_ENTRIES, ids=lambda e: f"{e.ambient}>{e.name}")
 def test_carried_image_is_the_restriction_of_each_point(emb):
     # the walks apply the restriction to the start point only and carry it
-    # along; the oracle applies it to every point
+    # along; the oracle applies it to every point.  Root subgroups walk
+    # their cone in production; the folded entries' full-orbit walk is
+    # the oracle `orbit_images`, which `WeightImage.ball` replaced
     rs = root_system(emb.ambient)
     image = emb.weight_image()
     cone = emb.simple_images or []
@@ -420,11 +432,13 @@ def test_carried_image_is_the_restriction_of_each_point(emb):
         weights.append(rs.rho)
     for lam in weights:
         points = list(orbit_points(rs, lam, cone))
-        got = Counter(rs.weyl_orbit(lam, image, cone))
+        if cone:
+            got = Counter(rs.weyl_orbit(lam, image, cone))
+        else:
+            got = Counter(img for _, img in orbit_images(rs, lam, image))
         assert got == Counter(_direct_image(emb, x) for x in points), lam
-        for layer in rs.weyl_orbit_layers(lam, image=image):
-            for x, img in layer.items():
-                assert img == _direct_image(emb, x), (lam, x)
+        for x, img in orbit_images(rs, lam, image):
+            assert img == _direct_image(emb, x), (lam, x)
 
 
 def test_cone_walk_wants_a_dominant_weight():
@@ -434,6 +448,102 @@ def test_cone_walk_wants_a_dominant_weight():
         list(orbit_points(rs, (-1, 1), emb.simple_images))
     with pytest.raises(LieError):
         list(rs.weyl_orbit((-1, 1), emb.weight_image(), emb.simple_images))
+
+
+def _exact_rank_and_inverse(rows):
+    """(rank, inverse or None) of an integer matrix, by Gauss-Jordan over
+    Q on [rows | I]."""
+    n = len(rows[0])
+    m = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(len(rows))]
+         for i, row in enumerate(rows)]
+    rank = 0
+    for col in range(n):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        m[rank] = [v / m[rank][col] for v in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    square = rank == n == len(rows)
+    return rank, [row[n:] for row in m] if square else None
+
+
+BALL_TYPES = [SimpleType("A", 2), SimpleType("B", 3), SimpleType("G", 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), ti=st.integers(min_value=0, max_value=len(BALL_TYPES) - 1))
+def test_ball_is_the_filtered_lattice_ball(data, ti):
+    # brute force: every x with |x_i| <= sqrt(Q(lam)) (the simple coroots
+    # are among the positive ones, so Q(x) >= sum x_i^2), kept when it is
+    # in the coset of lam, in the ball and has A x >= 0
+    rs = root_system(BALL_TYPES[ti])
+    n = rs.rank
+    r = data.draw(st.integers(min_value=1, max_value=n - 1))
+    entry = st.integers(min_value=-2, max_value=2)
+    rows = [[data.draw(entry) for _ in range(n)] for _ in range(r)]
+    assume(_exact_rank_and_inverse(rows)[0] == r)
+    coeff = st.integers(min_value=0, max_value=2 if n == 2 else 1)
+    lam = tuple(data.draw(coeff) for _ in range(n))
+    image = WeightImage(rs, rows)
+    got = image.ball(lam)
+    assert len(set(got)) == len(got)
+    top = rs.qnorm(lam)
+    s = math.isqrt(top)
+    _, inv = _exact_rank_and_inverse(rs.C)
+    want = []
+    for x in itertools.product(range(-s, s + 1), repeat=n):
+        v = [a - b for a, b in zip(lam, x)]
+        in_coset = all(sum(map(mul, row, v)).denominator == 1 for row in inv)
+        if in_coset and rs.qnorm(x) <= top and min(image(x)) >= 0:
+            want.append((image(x), x))
+    assert sorted(got) == sorted(want)
+
+
+def test_ball_wants_independent_rows():
+    rs = root_system(SimpleType("B", 3))
+    with pytest.raises(LieError):
+        WeightImage(rs, [(1, 0, 1), (2, 0, 2)]).ball((1, 0, 0))
+
+
+def test_ball_on_the_folded_entries_keeps_the_dominant_images_of_the_orbits():
+    # every weight of V(lam) with a dominant image, from the carried
+    # full-orbit walk of each dominant weight, is a point of the ball
+    cat = load_catalog()
+    for g, h, lam in [
+        ("E6", "F4", (0, 0, 0, 0, 0, 2)),
+        ("E6", "C4", (0, 1, 0, 0, 0, 0)),
+        ("E7", "A1xF4", (0, 0, 0, 0, 0, 0, 2)),
+    ]:
+        emb = cat.get(g, h)
+        rs = root_system(emb.ambient)
+        image = emb.weight_image()
+        ball = image.ball(lam)
+        weights = {
+            x: img
+            for mu in dominant_character(emb.ambient, lam)
+            for x, img in orbit_images(rs, mu, image)
+            if min(img) >= 0
+        }
+        got = {x: img for img, x in ball if x in weights}
+        assert got == weights, (g, h)
+        # and the ball holds nothing else of the coset below lam
+        top = rs.qnorm(lam)
+        assert all(rs.qnorm(x) <= top and min(img) >= 0 for img, x in ball)
+
+
+def test_root_system_is_one_per_type():
+    # a one-factor spec without a torus is its simple type, so the
+    # character memos keyed by the root system are shared
+    for name in ("B4", "E6", "G2", "A1"):
+        spec = TypeSpec.parse(name)
+        t = spec.factors[0]
+        assert root_system(spec) is root_system(t)
+    assert root_system(TypeSpec.parse("A5xA1")) is root_system(TypeSpec.parse("A5xA1"))
 
 
 SMALL_TYPES = [
