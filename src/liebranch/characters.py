@@ -296,10 +296,8 @@ def restrict_collapsed(emb, lam):
     torus = emb.coweight is not None
     for mu, m in char.items():
         for img in rs.weyl_orbit(mu, image, cone):
-            ss = img[:n]
-            if min(ss) >= 0:
-                key = (ss, img[n] if torus else 0)
-                out[key] = out.get(key, 0) + m
+            key = (img[:n], img[n] if torus else 0)
+            out[key] = out.get(key, 0) + m
     return out
 
 

@@ -380,53 +380,6 @@ class RootSystem:
             else:
                 return tuple(mu), sign
 
-    def weyl_orbit_layers(self, lam, budget=None, costs=None):
-        """Yield the orbit of a dominant weight layer by layer.
-
-        Layer k holds the orbit elements at distance k from the dominant
-        chamber in the weak order; each element appears exactly once.
-
-        With ``budget``, only the points x whose cost, sum_i costs[i]
-        times the coefficient of alpha_i in lam - x, is at most the
-        budget are kept and expanded.  A step x -> s_i x with x[i] > 0
-        adds x[i] * alpha_i to lam - x, so it costs x[i] * costs[i]; with
-        positive costs the cost grows along every step, the kept points
-        are an order ideal, each in its own layer, and a step past the
-        budget is not taken.  Each kept point carries the budget left
-        there.  ``costs`` defaults to 2 at every node, which makes the
-        cost height_key(lam - x): the height cut.
-        """
-        if not self.is_dominant(lam):
-            raise LieError("weyl_orbit_layers wants a dominant weight")
-        lam = tuple(lam)
-        cols = self._columns
-        left = None  # the budget left at a new point, with a budget
-        layer = {}
-        if budget is None:
-            costs = None
-            layer[lam] = None
-        else:
-            costs = (2,) * self.rank if costs is None else costs
-            if budget >= 0:
-                layer[lam] = budget
-        while layer:
-            yield layer.keys()
-            nxt = {}
-            for w, v in layer.items():  # v: the budget left at w
-                for i, wi in enumerate(w):
-                    if wi > 0:
-                        if costs is not None:
-                            left = v - wi * costs[i]
-                            if left < 0:
-                                continue
-                        y = list(w)  # s_i w
-                        for j, c in cols[i]:
-                            y[j] -= wi * c
-                        y = tuple(y)
-                        if y not in nxt:
-                            nxt[y] = left
-            layer = nxt
-
     def weyl_orbit(self, lam, image, cone):
         """Yield the image A x of each point x of the orbit of a dominant
         weight once, for ``image`` a `WeightImage` A of this system,
@@ -450,6 +403,7 @@ class RootSystem:
         before its point is built, and `coroot_pairings` gives every
         <x, a^vee> with one addition each.
         """
+        self.check_rank(lam)
         if not self.is_dominant(lam):
             raise LieError("weyl_orbit wants a dominant weight")
         n = len(cone)
@@ -480,19 +434,42 @@ class RootSystem:
                         seen.add(y)
                         stack.append((y, tuple(v - p * s for v, s in zip(img, sa))))
 
-    def weyl_orbit_signed(self, mu, budget, costs=None):
+    def weyl_orbit_signed(self, mu, budget, costs):
         """Yield (x, sign) over the orbit points x of a dominant weight mu
-        kept by the budget walk of `weyl_orbit_layers`.
+        whose cost is at most ``budget``.
 
-        The sign is (-1)^k for a point in layer k, at distance k from mu
-        in the weak order.  With the default costs the budget bounds
-        height_key(mu - x): ``budget = 2 * height_key(mu)`` keeps the
-        whole orbit, and a negative budget keeps nothing.
+        The cost of x is sum_i costs[i] times the coefficient of alpha_i
+        in mu - x.  A step x -> s_i x with x[i] > 0 adds x[i] * alpha_i
+        to mu - x, so it costs x[i] * costs[i]; with positive costs the
+        cost grows along every step, the kept points are an order ideal
+        of the weak order, and a step past the budget is not taken.  The
+        walk goes layer by layer, layer k holding the kept points at
+        distance k from mu, each once, with the budget left at each; the
+        sign is (-1)^k.  A negative budget keeps nothing.
         """
-        for depth, layer in enumerate(self.weyl_orbit_layers(mu, budget, costs=costs)):
-            sign = -1 if depth % 2 else 1
+        self.check_rank(mu)
+        if not self.is_dominant(mu):
+            raise LieError("weyl_orbit_signed wants a dominant weight")
+        cols = self._columns
+        layer = {tuple(mu): budget} if budget >= 0 else {}
+        sign = 1
+        while layer:
             for x in layer:
                 yield x, sign
+            sign = -sign
+            nxt = {}
+            for w, v in layer.items():  # v: the budget left at w
+                for i, wi in enumerate(w):
+                    if wi > 0:
+                        left = v - wi * costs[i]
+                        if left >= 0:
+                            y = list(w)  # s_i w
+                            for j, c in cols[i]:
+                                y[j] -= wi * c
+                            y = tuple(y)
+                            if y not in nxt:
+                                nxt[y] = left
+            layer = nxt
 
     @cached_property
     def coroot_chain(self):

@@ -66,15 +66,22 @@ loading does not check.  None of them is imported by the package.
   production walks carry the image along instead
   (``Embedding.weight_image``); the full-orbit restriction oracle and
   the weight goldens use this.
+- ``orbit_layers``: the whole orbit of a dominant weight, layer by
+  layer in the weak order, read off the Cartan matrix alone.  Compared
+  against ``RootSystem.weyl_orbit_signed``, the budget walk of the Racah
+  sum, which keeps the order ideal within a budget; the full-orbit
+  references of the tests (orbits, signs, restriction, Racah sums) walk
+  it too.
 - ``orbit_points``: the orbit points of a dominant weight, in a cone by
   ``RootSystem.weyl_orbit`` with a map whose rows are the cone coroots
-  and then the identity, or all of them by the layered walk.  The walk
+  and then the identity, or all of them by ``orbit_layers``.  The walk
   checks of the tests read points; production walks read only images.
 - ``orbit_images``: each point of the whole orbit of a dominant weight
-  with its image under a ``WeightImage``, carried along the layered
-  walk.  The full-orbit walk that the folded entries' restriction used
-  before ``WeightImage.ball``; compared against the image of each point
-  and, filtered to dominant images, against the ball.
+  with its image under a ``WeightImage``, carried along the walk of
+  ``orbit_layers``.  The full-orbit walk that the folded entries'
+  restriction used before ``WeightImage.ball``; compared against the
+  image of each point and, filtered to dominant images, against the
+  ball.
 - ``fundamental`` and ``dual_weight``: the fundamental weights, and -w0
   on weights, of a ``RootSystem``, simple or a product.  Test
   inputs, and the duality that characters and branching rules are
@@ -546,15 +553,31 @@ def restrict_weight(emb, mu):
     return lam, charge
 
 
+def orbit_layers(rs, lam):
+    """Yield the orbit of a dominant weight lam layer by layer, each layer
+    a set: layer k holds the points at distance k from lam in the weak
+    order, the s_i x over the points x of layer k - 1 with x[i] > 0, and
+    each point is in exactly one layer."""
+    cols = [[row[i] for row in rs.C] for i in range(rs.rank)]  # alpha_i
+    layer = {tuple(lam)}
+    while layer:
+        yield layer
+        layer = {
+            tuple(a - wi * c for a, c in zip(w, cols[i]))
+            for w in layer
+            for i, wi in enumerate(w)
+            if wi > 0
+        }
+
+
 def orbit_points(rs, lam, cone=()):
     """Each point of the orbit of a dominant weight lam once.  With roots
     ``cone``, only the points in their cone, as `RootSystem.weyl_orbit`
     walks it: the walk of a map whose rows are the cone coroots, which
     the walk reads its walls from, then the identity, which gives the
-    point back.  Without, the layered walk of
-    `RootSystem.weyl_orbit_layers`."""
+    point back.  Without, the layers of `orbit_layers`."""
     if not cone:
-        return (x for layer in rs.weyl_orbit_layers(lam) for x in layer)
+        return (x for layer in orbit_layers(rs, lam) for x in layer)
     n = len(cone)
     eye = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
     image = WeightImage(rs, [rs.coroot(b) for b in cone] + eye)
@@ -563,12 +586,11 @@ def orbit_points(rs, lam, cone=()):
 
 def orbit_images(rs, lam, image):
     """Yield (x, A x) for every point x of the orbit of a dominant weight
-    lam, ``image`` a `WeightImage` A: the layered walk of
-    `RootSystem.weyl_orbit_layers` with A applied to lam alone and
-    carried along, each step x -> s_i x moving A x by -x[i] times the
-    image of column i of the Cartan matrix (``image.shifts[i]``).  The
-    full-orbit restriction of the folded entries, which production
-    replaces by `WeightImage.ball`."""
+    lam, ``image`` a `WeightImage` A: the walk of `orbit_layers` with A
+    applied to lam alone and carried along, each step x -> s_i x moving
+    A x by -x[i] times the image of column i of the Cartan matrix
+    (``image.shifts[i]``).  The full-orbit restriction of the folded
+    entries, which production replaces by `WeightImage.ball`."""
     cols = [[row[i] for row in rs.C] for i in range(rs.rank)]
     shifts = image.shifts
     layer = {tuple(lam): image(lam)}

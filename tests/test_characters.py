@@ -39,6 +39,7 @@ from oracles import (
     dual_weight,
     freudenthal_character,
     fundamental,
+    orbit_layers,
     restrict_weight,
     root_orbits_bfs,
 )
@@ -411,7 +412,7 @@ def full_orbit_restriction(emb, lam):
     ps = RootSystem(emb.spec)
     out = {}
     for mu, m in dominant_character(emb.ambient, lam).items():
-        for layer in rs.weyl_orbit_layers(mu):
+        for layer in orbit_layers(rs, mu):
             for nu in layer:
                 ss, q = restrict_weight(emb, nu)
                 key = (ps.dominant_signed(ss)[0], q or 0)
@@ -641,7 +642,7 @@ def _factor_racah_terms(s, part):
     """{dominant conjugate of part + rho - w rho: signed count} over every
     w in the Weyl group of one factor, signed by layer depth."""
     counts = Counter()
-    for depth, layer in enumerate(s.weyl_orbit_layers(s.rho)):
+    for depth, layer in enumerate(orbit_layers(s, s.rho)):
         for w in layer:
             dom, _ = s.dominant_signed(tuple(t + 1 - x for t, x in zip(part, w)))
             counts[dom] += (-1) ** depth
@@ -858,7 +859,7 @@ def _racah_walk_brute(ps, target, budget):
     base = ps.qnorm(target)
     return sorted(
         (x, ps.dominant_signed(x)[1])
-        for layer in ps.weyl_orbit_layers(ps.rho)
+        for layer in orbit_layers(ps, ps.rho)
         for x in layer
         if ps.qnorm(tuple(t + 1 - v for t, v in zip(target, x))) - base <= budget
     )

@@ -30,6 +30,7 @@ from oracles import (
     dual_weight,
     fundamental,
     orbit_images,
+    orbit_layers,
     orbit_points,
     restrict_weight,
 )
@@ -434,6 +435,9 @@ def test_carried_image_is_the_restriction_of_each_point(emb):
         points = list(orbit_points(rs, lam, cone))
         if cone:
             got = Counter(rs.weyl_orbit(lam, image, cone))
+            # the walk stays in the cone, so restriction keeps every image
+            for img in got:
+                assert min(img[: len(cone)]) >= 0, (lam, img)
         else:
             got = Counter(img for _, img in orbit_images(rs, lam, image))
         assert got == Counter(_direct_image(emb, x) for x in points), lam
@@ -448,6 +452,12 @@ def test_cone_walk_wants_a_dominant_weight():
         list(orbit_points(rs, (-1, 1), emb.simple_images))
     with pytest.raises(LieError):
         list(rs.weyl_orbit((-1, 1), emb.weight_image(), emb.simple_images))
+    # a weight of the wrong length
+    emb = load_catalog().get("E6", "A5xA1")
+    rs = root_system(emb.ambient)
+    for lam in [(1, 0), (0,) * 6 + (1,)]:
+        with pytest.raises(LieError):
+            list(rs.weyl_orbit(lam, emb.weight_image(), emb.simple_images))
 
 
 def _exact_rank_and_inverse(rows):
@@ -569,7 +579,7 @@ def test_orbit_layers_partition_orbit(data, ti):
     lam = tuple(
         data.draw(st.integers(min_value=0, max_value=2)) for _ in range(t.rank)
     )
-    layers = list(rs.weyl_orbit_layers(lam))
+    layers = list(orbit_layers(rs, lam))
     seen = set()
     for layer in layers:
         assert not (layer & seen)
@@ -578,14 +588,18 @@ def test_orbit_layers_partition_orbit(data, ti):
     for w in seen:
         dom, _ = rs.dominant_signed(w)
         assert dom == lam
-    # with a bound, each layer keeps its points within the bound, and the
-    # walk stops at the first layer that keeps none
+    # with a bound and cost 2 at every node (the height cut), each layer
+    # keeps its points within the bound, and the walk stops at the first
+    # layer that keeps none; its signs alternate from layer to layer, so
+    # its runs of equal sign are its layers
     top = rs.height_key(lam)
     bound = data.draw(st.integers(min_value=-2, max_value=2 * top + 2))
     kept = [{w for w in layer if top - rs.height_key(w) <= bound} for layer in layers]
     while kept and not kept[-1]:
         kept.pop()
-    assert list(rs.weyl_orbit_layers(lam, bound)) == kept
+    walk = rs.weyl_orbit_signed(lam, bound, (2,) * rs.rank)
+    runs = [{w for w, _ in run} for _, run in itertools.groupby(walk, key=lambda p: p[1])]
+    assert runs == kept
 
 
 @settings(max_examples=60, deadline=None)
@@ -600,7 +614,7 @@ def test_dominant_signed_sign_is_orbit_depth_parity(data, ti):
         data.draw(st.integers(min_value=0, max_value=2)) for _ in range(t.rank)
     )
     lam = tuple(x + 1 for x in lam)  # regular: depth parity is well defined
-    for depth, layer in enumerate(rs.weyl_orbit_layers(lam)):
+    for depth, layer in enumerate(orbit_layers(rs, lam)):
         for w in layer:
             _, sign = rs.dominant_signed(w)
             assert sign == (-1) ** depth
@@ -745,7 +759,7 @@ def full_orbit_signed(ps, mu):
     the sign of each factor's layer depth: the reference."""
     factors = [
         [(w, (-1) ** depth)
-         for depth, layer in enumerate(root_system(f).weyl_orbit_layers(part))
+         for depth, layer in enumerate(orbit_layers(root_system(f), part))
          for w in layer]
         for f, part in zip(ps.factors, ps.split(mu))
     ]
@@ -758,12 +772,17 @@ def full_orbit_signed(ps, mu):
 def test_product_orbit_signed_matches_sizes():
     ps = RootSystem(TypeSpec.parse("A2xA1"))
     mu = (1, 1, 2)
-    pts = list(ps.weyl_orbit_signed(mu, 2 * ps.height_key(mu)))
+    pts = list(ps.weyl_orbit_signed(mu, 2 * ps.height_key(mu), (2,) * ps.rank))
     assert len(pts) == ps.orbit_size(mu) == 6 * 2
     assert len({w for w, _ in pts}) == len(pts)
     # signs: sum over orbit of sign equals 0 for a regular weight (pairing s_i)
     assert sum(s for _, s in pts) == 0
     assert sorted(pts) == full_orbit_signed(ps, mu)
+    # weights of the wrong length, and one that is not dominant
+    rs = root_system(SimpleType("E", 6))
+    for mu in [(1, 0), (0,) * 7 + (1,), (-1, 0, 0, 0, 0, 1)]:
+        with pytest.raises(LieError):
+            list(rs.weyl_orbit_signed(mu, 10, (2,) * 6))
 
 
 @settings(max_examples=40, deadline=None)
@@ -775,14 +794,15 @@ def test_product_orbit_signed_bound_filters_the_full_orbit(spec, data):
     ps = RootSystem(TypeSpec.parse(spec))
     mu = tuple(data.draw(st.integers(min_value=0, max_value=2)) for _ in range(ps.rank))
     full = full_orbit_signed(ps, mu)
+    costs = (2,) * ps.rank  # the height cut
     top = 2 * ps.height_key(mu)
-    assert sorted(ps.weyl_orbit_signed(mu, top)) == full
+    assert sorted(ps.weyl_orbit_signed(mu, top, costs)) == full
     bound = data.draw(st.integers(min_value=-2, max_value=top + 2))
     want = [
         (w, s) for w, s in full
         if factor_height_key(ps, mu) - factor_height_key(ps, w) <= bound
     ]
-    assert sorted(ps.weyl_orbit_signed(mu, bound)) == want
+    assert sorted(ps.weyl_orbit_signed(mu, bound, costs)) == want
     # the block-diagonal system against its factors, on any integer weight
     nu = tuple(data.draw(st.integers(min_value=-3, max_value=3)) for _ in range(ps.rank))
     assert ps.dominant_signed(nu) == factor_dominant_signed(ps, nu)
